@@ -35,6 +35,7 @@ from .spectral import (
     find_spectrum,
     format_phase_matrix,
     format_point_set,
+    fourier_zero_set,
     is_log_hadamard,
     is_m_spectral,
     lift_spectrum,

@@ -37,6 +37,7 @@ from .spectral import (
     PhaseMatrix,
     PointSet,
     SpectrumCertificate,
+    composed_spectrum_rows,
     cube_spectrum,
     is_log_hadamard,
     verify_spectrum,
@@ -871,21 +872,23 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
     )
 
     composed = rec.composed_spectrum
-    extension = build_extension(base.set, p, n)
+    dimension = base.set.dimension
+    # Cheap size checks first: they bound the recomputation below by the
+    # envelope's own size, whatever side count it claims.
     _require(composed.group.modulus == p * n, "composed spectrum modulus mismatch")
+    _require(
+        len(composed.set) == len(base.set) * n**dimension,
+        "composed set size is not the cube extension's size",
+    )
+    extension = build_extension(base.set, p, n)
     _require(
         composed.set.points == extension.points,
         "composed set is not the cube extension of the base set",
     )
-    cube = cube_spectrum(n, base.set.dimension)
-    expected_rows = tuple(
-        tuple((n * lc + qc) % (p * n) for lc, qc in zip(l, q))
-        for l in base.spectrum.numerators.to_rows()
-        for q in cube.spectrum.numerators.to_rows()
-    )
+    cube = cube_spectrum(n, dimension)
     _require(
-        tuple(composed.spectrum.numerators.row(i) for i in range(len(composed.set)))
-        == expected_rows,
+        composed.spectrum.numerators
+        == composed_spectrum_rows(base.spectrum.numerators, cube.spectrum.numerators, p, n),
         "composed spectrum rows do not recompute from the base and cube spectra",
     )
     _require(verify_spectrum(composed), "composed spectrum fails verification")

@@ -282,13 +282,11 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
     composed_holder: list[SpectrumCertificate] = []
 
     def check_composed():
+        # compose_spectral verifies the composed certificate and raises if it fails.
         composed = compose_spectral(base_cert, cube)
         composed_holder.append(composed)
         k = len(composed.set)
-        return (
-            verify_spectrum(composed),
-            f"{k} points, {k * (k - 1) // 2} row pairs vanish, denominator {m * n}",
-        )
+        return True, f"{k} points, {k * (k - 1) // 2} row pairs vanish, denominator {m * n}"
 
     step("composed-set-spectral", "payload.composed_spectrum", check_composed)
 

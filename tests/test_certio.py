@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from spectratile import certio
 from spectratile.certio import (
     CertificateEnvelope,
+    CertificateError,
     CompositionRecord,
     InvariantViolation,
     LiftRecord,
@@ -19,7 +21,9 @@ from spectratile.counterexample import run_counterexample
 from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import (
     GroupSpec,
+    PhaseMatrix,
     PointSet,
+    SpectrumCertificate,
     compose_spectral,
     cube_spectrum,
     find_spectrum,
@@ -273,3 +277,36 @@ class TestEnvelopeConstruction:
     def test_empty_provenance_rejected(self, samples):
         with pytest.raises(ValueError):
             CertificateEnvelope("1", "tiling", samples["tiling"].payload, ())
+
+
+class TestHostileCounterexample:
+    def test_inflated_side_count_rejected_before_building_the_extension(self, monkeypatch):
+        class ExtensionBuilt(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise ExtensionBuilt("build_extension ran before the cheap size checks")
+
+        golden = Path(__file__).resolve().parent / "data" / "counterexample_n2.json"
+        doc = json.loads(golden.read_bytes())
+        doc["payload"]["side_count"] = "16"
+        monkeypatch.setattr(certio, "build_extension", refuse)
+        with pytest.raises(CertificateError, match="modulus mismatch"):
+            parse(json.dumps(doc).encode())
+        # With the composed modulus inflated to match, the set size still gives it away.
+        composed = doc["payload"]["composed_spectrum"]
+        composed["group"]["modulus"] = composed["spectrum"]["denominator"] = "48"
+        with pytest.raises(CertificateError, match="composed set size"):
+            parse(json.dumps(doc).encode())
+
+
+class TestHostileSpectrum:
+    def test_modulus_beyond_the_cyclotomic_bound_rejected_at_once(self, rng):
+        # About 10 KB of JSON; the transform over Z_100000 would need gigabytes.
+        m, k = 10**5, 448
+        points = PointSet(1, tuple((x,) for x in range(k)))
+        rows = IntMatrix(k, 1, tuple(rng.sample(range(m), k)))
+        cert = SpectrumCertificate(GroupSpec(m, 1), points, PhaseMatrix(rows, m))
+        data = serialize(envelope("spectrum", cert))
+        with pytest.raises(CertificateError, match="index must lie"):
+            parse(data)

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from spectratile.cyclotomic import ExponentMultiset, is_vanishing_sum
 from spectratile.counterexample import (
     HADAMARD_EXPONENTS,
     SPECTRUM_ROWS,
@@ -12,6 +13,7 @@ from spectratile.counterexample import (
 from spectratile.guard import GuardExceeded
 from spectratile.modlinalg import IntMatrix, matmul_mod
 from spectratile.spectral import (
+    _dense_pays,
     GroupSpec,
     PhaseMatrix,
     PointSet,
@@ -21,6 +23,7 @@ from spectratile.spectral import (
     find_spectrum,
     format_phase_matrix,
     format_point_set,
+    fourier_zero_set,
     is_log_hadamard,
     is_m_spectral,
     lift_spectrum,
@@ -385,3 +388,153 @@ class TestTextFormats:
             parse_phase_matrix("1 1\n0\n")
         with pytest.raises(ValueError):
             parse_phase_matrix("denominator 3\ndenominator 3\n1 1\n0\n")
+
+
+def random_point_set(rng, d: int, k: int, low: int, high: int) -> PointSet:
+    points: set[tuple[int, ...]] = set()
+    while len(points) < k:
+        points.add(tuple(rng.randint(low, high) for _ in range(d)))
+    return PointSet(d, tuple(sorted(points)))
+
+
+def pairwise_reference(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
+    # The generic check: the phase matrix Lambda @ T mod m must be log-Hadamard.
+    m = spectrum.denominator
+    return is_log_hadamard(
+        PhaseMatrix(matmul_mod(spectrum.numerators, point_set.to_columns_matrix(), m), m)
+    )
+
+
+def brute_force_spectrum(point_set: PointSet, m: int) -> list[tuple[int, ...]] | None:
+    # Lex-least canonical spectrum: row 0 is zero, the others strictly increase.
+    k, d = len(point_set), point_set.dimension
+    cells = list(GroupSpec(m, d).elements())
+    for rest in itertools.combinations(cells[1:], k - 1):
+        rows = [cells[0], *rest]
+        numerators = IntMatrix(k, d, tuple(c for row in rows for c in row))
+        if pairwise_reference(point_set, PhaseMatrix(numerators, m)):
+            return rows
+    return None
+
+
+class TestFourierZeroSet:
+    def test_matches_each_character(self, rng):
+        cases = [(line_set(0, 1), 1), (PointSet(2, ((0, 0), (-3, 5), (4, -1))), 4)]
+        while len(cases) < 80:
+            d = rng.randint(1, 3)
+            cases.append((random_point_set(rng, d, rng.randint(1, 8), -6, 6), rng.randint(1, 6)))
+        colliding = 0
+        dense = 0
+        for point_set, m in cases:
+            mask = fourier_zero_set(point_set, m)
+            assert mask >> m**point_set.dimension == 0
+            for index, xi in enumerate(GroupSpec(m, point_set.dimension).elements()):
+                exps = (sum(a * b for a, b in zip(xi, t)) for t in point_set.points)
+                expected = is_vanishing_sum(ExponentMultiset.from_exponents(m, exps))
+                assert bool(mask >> index & 1) == expected
+            colliding += len({tuple(c % m for c in p) for p in point_set.points}) < len(point_set)
+            dense += m <= len(point_set)
+        assert colliding  # points that collide mod m were exercised
+        assert 0 < dense < len(cases)  # both the transform and pointwise evaluation ran
+
+    def test_pointwise_when_the_transform_exceeds_the_guard(self, rng):
+        for _ in range(10):
+            point_set = random_point_set(rng, 2, 9, -6, 6)
+            m = rng.randint(2, 8)
+            # m <= k, so the default guard transforms; a guard of m^d cells leaves
+            # no room for the transform's m^(d+1) digits and decides pointwise.
+            assert fourier_zero_set(point_set, m, guard=m**2) == fourier_zero_set(point_set, m)
+
+    def test_fixture_zero_set(self):
+        # Each nonzero spectrum row lies in Z(1_T), and 0 never does.
+        mask = fourier_zero_set(base_point_set(), 3)
+        assert not mask & 1
+        for i in range(1, 6):
+            index = sum(c * 3 ** (3 - a) for a, c in enumerate(SPECTRUM_ROWS.row(i)))
+            assert mask >> index & 1
+
+    def test_guard(self):
+        with pytest.raises(GuardExceeded):
+            fourier_zero_set(PointSet(8, ((0,) * 8,)), 10, guard=10**6)
+
+
+class TestZeroSetSpectralChecks:
+    def test_is_m_spectral_matches_pairwise_reference(self, rng):
+        seen = set()
+        for trial in range(600):
+            d = rng.randint(1, 3)
+            m = rng.randint(1, 6)
+            k = rng.randint(1, 9)
+            point_set = random_point_set(rng, d, k, -5, 5)
+            found = find_spectrum(point_set, m) if m**d <= 216 else None
+            if found is not None and trial % 3:
+                entries = list(found.spectrum.numerators.entries)
+                if trial % 3 == 2:
+                    entries[rng.randrange(len(entries))] = rng.randrange(m)
+            else:
+                entries = [rng.randrange(m) for _ in range(k * d)]
+            spectrum = PhaseMatrix(IntMatrix(k, d, tuple(entries)), m)
+            verdict = is_m_spectral(point_set, spectrum)
+            assert verdict == pairwise_reference(point_set, spectrum)
+            seen.add((_dense_pays(k, m, d), verdict))
+        # Both evaluation paths, each with both verdicts.
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_dense_path_on_composed_set(self):
+        composed = compose_spectral(base_spectrum_certificate(), cube_spectrum(2, 4))
+        assert _dense_pays(len(composed.set), 6, 4)
+        assert is_m_spectral(composed.set, composed.spectrum)
+        swapped = list(composed.spectrum.numerators.entries)
+        swapped[4:8] = [(c + 1) % 6 for c in swapped[4:8]]
+        broken = PhaseMatrix(IntMatrix(96, 4, tuple(swapped)), 6)
+        assert not is_m_spectral(composed.set, broken)
+        assert not pairwise_reference(composed.set, broken)
+
+    def test_repeated_rows_rejected_on_both_paths(self):
+        for m, dense in ((2, True), (7, False)):
+            assert _dense_pays(3, m, 1) == dense
+            assert not is_m_spectral(line_set(0, 1, 2), PhaseMatrix(IntMatrix.zeros(3, 1), m))
+
+    def test_small_sets_in_large_groups(self):
+        # A singleton has no row pairs, whatever the modulus.
+        for m in (20001, 10**5):
+            cert = find_spectrum(line_set(7), m)
+            assert cert is not None
+            assert cert.spectrum.numerators == IntMatrix.zeros(1, 1)
+            assert is_m_spectral(line_set(7), PhaseMatrix(IntMatrix.zeros(1, 1), m))
+        # With two points a modulus beyond the cyclotomic bound fails before any
+        # transform is built, as its first decision would.
+        with pytest.raises(ValueError, match="index must lie"):
+            find_spectrum(line_set(0, 1), 10**5)
+        with pytest.raises(ValueError, match="index must lie"):
+            is_m_spectral(line_set(0, 1), PhaseMatrix(IntMatrix.from_rows([[0], [1]]), 20001))
+        # A 2-point set in Z_40^3 and Z_1000^3 takes the pointwise path.
+        pair = PointSet(3, ((0, 0, 0), (1, 0, 0)))
+        cert = find_spectrum(pair, 40)
+        assert cert is not None
+        assert cert.spectrum.numerators == IntMatrix.from_rows([[0, 0, 0], [20, 0, 0]])
+        assert not _dense_pays(2, 1000, 3)
+        half = PhaseMatrix(IntMatrix.from_rows([[0, 0, 0], [500, 7, 999]]), 1000)
+        assert is_m_spectral(pair, half)
+        assert is_m_spectral(pair, half) == pairwise_reference(pair, half)
+        off = PhaseMatrix(IntMatrix.from_rows([[0, 0, 0], [499, 0, 0]]), 1000)
+        assert not is_m_spectral(pair, off)
+
+    def test_find_spectrum_is_brute_force_lex_least(self, rng):
+        cases = [(line_set(0, 1, 2, 3), 4), (PointSet(2, ((0, 0), (1, 0), (0, 1), (1, 1))), 2)]
+        while len(cases) < 60:
+            d = rng.randint(1, 2)
+            m = rng.randint(1, 4 if d == 2 else 8)
+            cases.append((random_point_set(rng, d, rng.randint(1, 4), -4, 4), m))
+        found = 0
+        for point_set, m in cases:
+            cert = find_spectrum(point_set, m)
+            expected = brute_force_spectrum(point_set, m)
+            if expected is None:
+                assert cert is None
+            else:
+                assert cert is not None
+                rows = [cert.spectrum.numerators.row(i) for i in range(len(point_set))]
+                assert rows == expected
+                found += 1
+        assert 0 < found < len(cases)
