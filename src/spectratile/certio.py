@@ -9,6 +9,13 @@ Envelope layout (schema version "1")::
       "provenance": [{"operation": "...", "inputs": ["...", ...]}, ...]
     }
 
+One table per record type defines its wire fields: the record's JSON keys are
+exactly its dataclass field names, each mapped to a value codec, and that
+table drives encoding, decoding and the check for unknown or missing keys.
+One more table maps each envelope kind to its payload type, codec and
+verifier, so a new record kind is its field table, one entry there and a
+verifier.
+
 Every integer anywhere in the payload is encoded as a canonical decimal
 string so arbitrary-precision values survive any JSON implementation.
 Object keys are sorted and arrays keep the canonical orders the producing
@@ -28,9 +35,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Union
 
 from . import spectral, tiling
+from .guard import GuardExceeded
 from .modlinalg import IntMatrix, RankFactorization, is_rank_factorization, rank_mod_p
 from .spectral import (
     GroupSpec,
@@ -102,6 +112,17 @@ class ProvenanceEntry:
         object.__setattr__(self, "inputs", tuple(str(x) for x in self.inputs))
 
 
+_PART_TYPES = {"spectrum": SpectrumCertificate, "tiling": TilingCertificate}
+
+
+def _check_parts(record: str, certificate_type: str, *parts: object) -> None:
+    cls = _PART_TYPES.get(certificate_type)
+    if cls is None:
+        raise ValueError(f"unknown {record} type {certificate_type!r}")
+    if not all(isinstance(part, cls) for part in parts):
+        raise ValueError(f"{record} parts must be {cls.__name__}")
+
+
 @dataclass(frozen=True)
 class CompositionRecord:
     """Two certificates and their verified composition T + mS."""
@@ -112,13 +133,7 @@ class CompositionRecord:
     result: SpectrumCertificate | TilingCertificate
 
     def __post_init__(self) -> None:
-        expected = {"spectrum": SpectrumCertificate, "tiling": TilingCertificate}
-        cls = expected.get(self.certificate_type)
-        if cls is None:
-            raise ValueError(f"unknown composition type {self.certificate_type!r}")
-        for part in (self.left, self.right, self.result):
-            if not isinstance(part, cls):
-                raise ValueError(f"composition parts must be {cls.__name__}")
+        _check_parts("composition", self.certificate_type, self.left, self.right, self.result)
 
 
 @dataclass(frozen=True)
@@ -131,13 +146,7 @@ class LiftRecord:
     result: SpectrumCertificate | TilingCertificate
 
     def __post_init__(self) -> None:
-        expected = {"spectrum": SpectrumCertificate, "tiling": TilingCertificate}
-        cls = expected.get(self.certificate_type)
-        if cls is None:
-            raise ValueError(f"unknown lift type {self.certificate_type!r}")
-        for part in (self.base, self.result):
-            if not isinstance(part, cls):
-                raise ValueError(f"lift parts must be {cls.__name__}")
+        _check_parts("lift", self.certificate_type, self.base, self.result)
 
 
 @dataclass(frozen=True)
@@ -171,16 +180,6 @@ PayloadType = Union[
     CounterexampleRecord,
 ]
 
-_KIND_PAYLOAD: dict[str, type] = {
-    "spectrum": SpectrumCertificate,
-    "tiling": TilingCertificate,
-    "non-tiling": NonTilingCertificate,
-    "composition": CompositionRecord,
-    "lift": LiftRecord,
-    "independence-chain": IndependenceChain,
-    "counterexample": CounterexampleRecord,
-}
-
 
 @dataclass(frozen=True)
 class CertificateEnvelope:
@@ -190,605 +189,276 @@ class CertificateEnvelope:
     provenance: tuple[ProvenanceEntry, ...]
 
     def __post_init__(self) -> None:
-        cls = _KIND_PAYLOAD.get(self.kind)
-        if cls is None:
+        entry = _KINDS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if not isinstance(self.payload, cls):
-            raise ValueError(f"kind {self.kind!r} requires a {cls.__name__} payload")
+        if not isinstance(self.payload, entry.payload):
+            raise ValueError(f"kind {self.kind!r} requires a {entry.payload.__name__} payload")
         if not self.provenance:
             raise ValueError("provenance must be nonempty")
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# value codecs
+#
+# A codec has encode(value) -> JSON value and decode(JSON value) -> value.
+# Decoders raise _Bad and name no path on success; the records and arrays an
+# error passes through add their key or index to it on the way out.
 
 
-def _enc_int(x: int) -> str:
-    return str(int(x))
+class _Bad(Exception):
+    """A decoding error, located by the records and arrays it leaves."""
+
+    def __init__(self, msg: str, error: type[CertificateError] = MalformedCertificate) -> None:
+        super().__init__(msg)
+        self.msg = msg
+        self.error = error
+        self.path: list[str] = []  # innermost step first
+
+    def at(self, step: str) -> _Bad:
+        self.path.append(step)
+        return self
+
+    def located(self) -> CertificateError:
+        where = "".join(reversed(self.path)).lstrip(".") or "envelope"
+        return self.error(f"{where}: {self.msg}")
 
 
-def _enc_point(p: tuple[int, ...]) -> list[str]:
-    return [_enc_int(c) for c in p]
+class _Codec(NamedTuple):
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
 
 
-def _enc_group(g: GroupSpec) -> dict:
-    return {"modulus": _enc_int(g.modulus), "dimension": _enc_int(g.dimension)}
+def _dec_int(obj: Any) -> int:
+    if isinstance(obj, str):
+        try:
+            value = int(obj)
+        except ValueError:
+            pass
+        else:
+            if str(value) == obj:
+                return value
+    raise _Bad(f"must be a canonical decimal string, got {obj!r}")
 
 
-def _enc_point_set(ps: PointSet) -> dict:
-    return {
-        "dimension": _enc_int(ps.dimension),
-        "points": [_enc_point(p) for p in ps.points],
-    }
+def _check(cls: type, what: str) -> Callable[[Any], Any]:
+    def decode(obj: Any) -> Any:
+        if not isinstance(obj, cls):
+            raise _Bad(f"must be {what}")
+        return obj
+
+    return decode
 
 
-def _enc_matrix(m: IntMatrix) -> dict:
-    return {
-        "rows": _enc_int(m.rows),
-        "cols": _enc_int(m.cols),
-        "entries": [_enc_int(x) for x in m.entries],
-    }
+def _optional(codec: _Codec) -> _Codec:
+    return _Codec(
+        lambda value: None if value is None else codec.encode(value),
+        lambda obj: None if obj is None else codec.decode(obj),
+    )
 
 
-def _enc_phase(pm: PhaseMatrix) -> dict:
-    return {"denominator": _enc_int(pm.denominator), "numerators": _enc_matrix(pm.numerators)}
+def _list_of(item: _Codec) -> _Codec:
+    def decode(obj: Any) -> tuple:
+        if not isinstance(obj, list):
+            raise _Bad("must be an array")
+        dec = item.decode
+        out: list = []
+        try:
+            for x in obj:
+                out.append(dec(x))
+        except _Bad as exc:
+            raise exc.at(f"[{len(out)}]")
+        return tuple(out)
+
+    return _Codec(lambda values: [item.encode(v) for v in values], decode)
 
 
-def _enc_spectrum_cert(c: SpectrumCertificate) -> dict:
-    return {
-        "group": _enc_group(c.group),
-        "set": _enc_point_set(c.set),
-        "spectrum": _enc_phase(c.spectrum),
-    }
+_INT = _Codec(lambda x: str(int(x)), _dec_int)
+_BOOL = _Codec(bool, _check(bool, "a boolean"))
+_STR = _Codec(str, _check(str, "a string"))
+_INTS = _list_of(_INT)
+_POINTS = _list_of(_INTS)
 
 
-def _enc_tiling_cert(c: TilingCertificate) -> dict:
-    return {
-        "group": _enc_group(c.group),
-        "set": _enc_point_set(c.set),
-        "complement": _enc_point_set(c.complement),
-    }
+def _keys(obj: Any, keys: frozenset[str]) -> None:
+    if not isinstance(obj, dict):
+        raise _Bad("must be an object")
+    if obj.keys() != keys:
+        missing = keys - obj.keys()
+        if missing:
+            raise _Bad(f"is missing fields {sorted(missing)}")
+        raise _Bad(f"has unknown fields {sorted(obj.keys() - keys)}")
 
 
-def _enc_reason(reason: tiling.NonTilingReason) -> dict:
-    if isinstance(reason, DivisibilityObstruction):
-        return {
-            "kind": "divisibility",
-            "set_size": _enc_int(reason.set_size),
-            "group_order": _enc_int(reason.group_order),
-        }
-    if isinstance(reason, DuplicateResidues):
-        return {
-            "kind": "duplicate-residues",
-            "first": _enc_point(reason.first),
-            "second": _enc_point(reason.second),
-        }
-    return {"kind": "exhausted-search", "nodes": _enc_int(reason.nodes)}
+def _field(obj: dict, key: str, decode: Callable[[Any], Any]) -> Any:
+    try:
+        return decode(obj[key])
+    except _Bad as exc:
+        raise exc.at(f".{key}")
 
 
-def _enc_non_tiling_cert(c: NonTilingCertificate) -> dict:
-    return {
-        "group": _enc_group(c.group),
-        "set": _enc_point_set(c.set),
-        "reason": _enc_reason(c.reason),
-    }
+class _Record:
+    """A dataclass as a JSON object whose keys are exactly its field names.
+
+    ``make`` builds the value from the decoded fields; its ValueError means
+    the fields are well-formed but inconsistent, an InvariantViolation.
+    """
+
+    def __init__(self, make: Callable[..., Any], **fields: Any) -> None:
+        self.make = make
+        self.fields = tuple(fields.items())
+        self.keys = frozenset(fields)
+
+    def encode(self, value: Any) -> dict:
+        return {name: codec.encode(getattr(value, name)) for name, codec in self.fields}
+
+    def decode(self, obj: Any) -> Any:
+        _keys(obj, self.keys)
+        values = {}
+        try:
+            for name, codec in self.fields:
+                values[name] = codec.decode(obj[name])
+        except _Bad as exc:
+            raise exc.at(f".{name}")
+        try:
+            return self.make(**values)
+        except ValueError as exc:
+            raise _Bad(str(exc), InvariantViolation) from exc
 
 
-def _enc_factorization(f: RankFactorization) -> dict:
-    return {
-        "modulus": _enc_int(f.modulus),
-        "rank": _enc_int(f.rank),
-        "left": _enc_matrix(f.left),
-        "right": _enc_matrix(f.right),
-    }
+def _variant(variants: dict[str, Any], value: Any) -> str:
+    """The name of the variant whose record builds values of this type."""
+    return next(name for name, codec in variants.items() if codec.make is type(value))
 
 
-def _enc_either_cert(c: SpectrumCertificate | TilingCertificate) -> dict:
-    if isinstance(c, SpectrumCertificate):
-        return _enc_spectrum_cert(c)
-    return _enc_tiling_cert(c)
+def _pick(variants: dict[str, Any], obj: Any) -> Any:
+    name = _STR.decode(obj)
+    if name not in variants:
+        raise _Bad(f"is unknown: {name!r}")
+    return variants[name]
 
 
-def _enc_composition(rec: CompositionRecord) -> dict:
-    return {
-        "certificate_type": rec.certificate_type,
-        "left": _enc_either_cert(rec.left),
-        "right": _enc_either_cert(rec.right),
-        "result": _enc_either_cert(rec.result),
-    }
+class _Tagged:
+    """A tag key inside the object picks the codec of its other keys.
+
+    The tag is read from the value by ``tag_of``, or else from its type.
+    """
+
+    def __init__(
+        self, tag: str, variants: dict[str, Any], tag_of: Callable[[Any], str] | None = None
+    ) -> None:
+        self.tag = tag
+        self.variants = variants
+        self.tag_of = tag_of or partial(_variant, variants)
+
+    def encode(self, value: Any) -> dict:
+        name = self.tag_of(value)
+        return {self.tag: name, **self.variants[name].encode(value)}
+
+    def decode(self, obj: Any) -> Any:
+        if not isinstance(obj, dict):
+            raise _Bad("must be an object")
+        if self.tag not in obj:
+            raise _Bad(f"is missing fields {[self.tag]}")
+        codec = _field(obj, self.tag, partial(_pick, self.variants))
+        return codec.decode({k: v for k, v in obj.items() if k != self.tag})
 
 
-def _enc_lift(rec: LiftRecord) -> dict:
-    return {
-        "certificate_type": rec.certificate_type,
-        "transform": _enc_matrix(rec.transform),
-        "base": _enc_either_cert(rec.base),
-        "result": _enc_either_cert(rec.result),
-    }
+class _Wrapped:
+    """``{tag: name, body: value}``: the name picks the codec of the value."""
 
+    def __init__(self, tag: str, body: str, variants: dict[str, Any]) -> None:
+        self.tag = tag
+        self.body = body
+        self.variants = variants
+        self.keys = frozenset((tag, body))
 
-def _enc_chain(rec: IndependenceChain) -> dict:
-    return {
-        "selected_rows": [_enc_int(r) for r in rec.selected_rows],
-        "determinant": _enc_int(rec.determinant),
-        "modulus": _enc_int(rec.modulus),
-        "row_transform": _enc_matrix(rec.row_transform),
-        "one_dimensional": _enc_tiling_cert(rec.one_dimensional),
-        "projected": _enc_tiling_cert(rec.projected),
-        "final": _enc_tiling_cert(rec.final),
-    }
+    def encode(self, value: Any) -> dict:
+        name = _variant(self.variants, value)
+        return {self.tag: name, self.body: self.variants[name].encode(value)}
 
-
-def _enc_verdict(v: TilingCertificate | NonTilingCertificate) -> dict:
-    if isinstance(v, TilingCertificate):
-        return {"verdict": "tiling", "certificate": _enc_tiling_cert(v)}
-    return {"verdict": "non-tiling", "certificate": _enc_non_tiling_cert(v)}
-
-
-def _enc_obstructions(rep: ExtensionObstructionReport) -> dict:
-    return {
-        "modulus": _enc_int(rep.modulus),
-        "side_count": _enc_int(rep.side_count),
-        "dimension": _enc_int(rep.dimension),
-        "base_size": _enc_int(rep.base_size),
-        "extension_size": _enc_int(rep.extension_size),
-        "extended_group_order": _enc_int(rep.extended_group_order),
-        "size_divides": rep.size_divides,
-        "reduction_uniform": rep.reduction_uniform,
-        "reduction_multiplicity": (
-            None if rep.reduction_multiplicity is None else _enc_int(rep.reduction_multiplicity)
-        ),
-        "base_verdict": _enc_verdict(rep.base_verdict),
-        "asymptotic_claim": rep.asymptotic_claim,
-    }
-
-
-def _enc_counterexample(rec: CounterexampleRecord) -> dict:
-    return {
-        "side_count": _enc_int(rec.side_count),
-        "phase_exponents": _enc_phase(rec.phase_exponents),
-        "rank": _enc_int(rec.rank),
-        "published_factorization": _enc_factorization(rec.published_factorization),
-        "computed_factorization": _enc_factorization(rec.computed_factorization),
-        "base_spectrum": _enc_spectrum_cert(rec.base_spectrum),
-        "base_non_tiling_divisibility": _enc_non_tiling_cert(rec.base_non_tiling_divisibility),
-        "base_non_tiling_search": _enc_non_tiling_cert(rec.base_non_tiling_search),
-        "composed_spectrum": _enc_spectrum_cert(rec.composed_spectrum),
-        "obstructions": _enc_obstructions(rec.obstructions),
-    }
-
-
-_ENCODERS: dict[str, Callable[[Any], dict]] = {
-    "spectrum": _enc_spectrum_cert,
-    "tiling": _enc_tiling_cert,
-    "non-tiling": _enc_non_tiling_cert,
-    "composition": _enc_composition,
-    "lift": _enc_lift,
-    "independence-chain": _enc_chain,
-    "counterexample": _enc_counterexample,
-}
-
-
-def serialize(envelope: CertificateEnvelope) -> bytes:
-    """Canonical bytes for an envelope: sorted keys, decimal-string integers."""
-    doc = {
-        "schema_version": envelope.schema_version,
-        "kind": envelope.kind,
-        "payload": _ENCODERS[envelope.kind](envelope.payload),
-        "provenance": [
-            {"operation": p.operation, "inputs": list(p.inputs)}
-            for p in envelope.provenance
-        ],
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    def decode(self, obj: Any) -> Any:
+        _keys(obj, self.keys)
+        codec = _field(obj, self.tag, partial(_pick, self.variants))
+        return _field(obj, self.body, codec.decode)
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# record tables
 
-
-def _fail(msg: str) -> MalformedCertificate:
-    return MalformedCertificate(msg)
-
-
-def _expect_dict(obj: Any, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise _fail(f"{what} must be an object")
-    return obj
-
-
-def _expect_list(obj: Any, what: str) -> list:
-    if not isinstance(obj, list):
-        raise _fail(f"{what} must be an array")
-    return obj
-
-
-def _take(d: dict, key: str, what: str) -> Any:
-    if key not in d:
-        raise _fail(f"{what} is missing field {key!r}")
-    return d[key]
-
-
-def _no_extras(d: dict, allowed: set[str], what: str) -> None:
-    extras = set(d) - allowed
-    if extras:
-        raise _fail(f"{what} has unknown fields {sorted(extras)}")
-
-
-def _dec_int(obj: Any, what: str) -> int:
-    if not isinstance(obj, str):
-        raise _fail(f"{what} must be a decimal string")
-    try:
-        value = int(obj)
-    except ValueError:
-        raise _fail(f"{what} is not a decimal integer: {obj!r}") from None
-    if str(value) != obj:
-        raise _fail(f"{what} is not canonical decimal: {obj!r}")
-    return value
-
-
-def _dec_bool(obj: Any, what: str) -> bool:
-    if not isinstance(obj, bool):
-        raise _fail(f"{what} must be a boolean")
-    return obj
-
-
-def _dec_str(obj: Any, what: str) -> str:
-    if not isinstance(obj, str):
-        raise _fail(f"{what} must be a string")
-    return obj
-
-
-def _dec_point(obj: Any, what: str) -> tuple[int, ...]:
-    return tuple(_dec_int(c, f"{what} coordinate") for c in _expect_list(obj, what))
-
-
-def _build(factory: Callable[[], Any], what: str) -> Any:
-    # Domain constructors enforce their own invariants; surface violations
-    # under the certificate error hierarchy.
-    try:
-        return factory()
-    except CertificateError:
-        raise
-    except ValueError as exc:
-        raise InvariantViolation(f"{what}: {exc}") from exc
-
-
-def _dec_group(obj: Any, what: str) -> GroupSpec:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"modulus", "dimension"}, what)
-    modulus = _dec_int(_take(d, "modulus", what), f"{what}.modulus")
-    dimension = _dec_int(_take(d, "dimension", what), f"{what}.dimension")
-    return _build(lambda: GroupSpec(modulus, dimension), what)
-
-
-def _dec_point_set(obj: Any, what: str) -> PointSet:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"dimension", "points"}, what)
-    dimension = _dec_int(_take(d, "dimension", what), f"{what}.dimension")
-    points = tuple(
-        _dec_point(p, f"{what}.points[{i}]")
-        for i, p in enumerate(_expect_list(_take(d, "points", what), f"{what}.points"))
-    )
-    return _build(lambda: PointSet(dimension, points), what)
-
-
-def _dec_matrix(obj: Any, what: str) -> IntMatrix:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"rows", "cols", "entries"}, what)
-    rows = _dec_int(_take(d, "rows", what), f"{what}.rows")
-    cols = _dec_int(_take(d, "cols", what), f"{what}.cols")
-    entries = tuple(
-        _dec_int(x, f"{what}.entries[{i}]")
-        for i, x in enumerate(_expect_list(_take(d, "entries", what), f"{what}.entries"))
-    )
-    return _build(lambda: IntMatrix(rows, cols, entries), what)
-
-
-def _dec_phase(obj: Any, what: str) -> PhaseMatrix:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"denominator", "numerators"}, what)
-    denominator = _dec_int(_take(d, "denominator", what), f"{what}.denominator")
-    numerators = _dec_matrix(_take(d, "numerators", what), f"{what}.numerators")
-    return _build(lambda: PhaseMatrix(numerators, denominator), what)
-
-
-def _dec_spectrum_cert(obj: Any, what: str) -> SpectrumCertificate:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"group", "set", "spectrum"}, what)
-    group = _dec_group(_take(d, "group", what), f"{what}.group")
-    point_set = _dec_point_set(_take(d, "set", what), f"{what}.set")
-    phase = _dec_phase(_take(d, "spectrum", what), f"{what}.spectrum")
-    return _build(lambda: SpectrumCertificate(group, point_set, phase), what)
-
-
-def _dec_tiling_cert(obj: Any, what: str) -> TilingCertificate:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"group", "set", "complement"}, what)
-    group = _dec_group(_take(d, "group", what), f"{what}.group")
-    point_set = _dec_point_set(_take(d, "set", what), f"{what}.set")
-    complement = _dec_point_set(_take(d, "complement", what), f"{what}.complement")
-    return _build(lambda: TilingCertificate(group, point_set, complement), what)
-
-
-def _dec_reason(obj: Any, what: str) -> tiling.NonTilingReason:
-    d = _expect_dict(obj, what)
-    kind = _dec_str(_take(d, "kind", what), f"{what}.kind")
-    if kind == "divisibility":
-        _no_extras(d, {"kind", "set_size", "group_order"}, what)
-        set_size = _dec_int(_take(d, "set_size", what), f"{what}.set_size")
-        group_order = _dec_int(_take(d, "group_order", what), f"{what}.group_order")
-        return _build(lambda: DivisibilityObstruction(set_size, group_order), what)
-    if kind == "duplicate-residues":
-        _no_extras(d, {"kind", "first", "second"}, what)
-        first = _dec_point(_take(d, "first", what), f"{what}.first")
-        second = _dec_point(_take(d, "second", what), f"{what}.second")
-        return _build(lambda: DuplicateResidues(first, second), what)
-    if kind == "exhausted-search":
-        _no_extras(d, {"kind", "nodes"}, what)
-        nodes = _dec_int(_take(d, "nodes", what), f"{what}.nodes")
-        return _build(lambda: ExhaustedSearch(nodes), what)
-    raise _fail(f"{what}.kind is unknown: {kind!r}")
-
-
-def _dec_non_tiling_cert(obj: Any, what: str) -> NonTilingCertificate:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"group", "set", "reason"}, what)
-    group = _dec_group(_take(d, "group", what), f"{what}.group")
-    point_set = _dec_point_set(_take(d, "set", what), f"{what}.set")
-    reason = _dec_reason(_take(d, "reason", what), f"{what}.reason")
-    return _build(lambda: NonTilingCertificate(group, point_set, reason), what)
-
-
-def _dec_factorization(obj: Any, what: str) -> RankFactorization:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"modulus", "rank", "left", "right"}, what)
-    modulus = _dec_int(_take(d, "modulus", what), f"{what}.modulus")
-    rank = _dec_int(_take(d, "rank", what), f"{what}.rank")
-    left = _dec_matrix(_take(d, "left", what), f"{what}.left")
-    right = _dec_matrix(_take(d, "right", what), f"{what}.right")
-    return _build(
-        lambda: RankFactorization(modulus=modulus, left=left, right=right, rank=rank), what
-    )
-
-
-def _dec_either_cert(
-    obj: Any, certificate_type: str, what: str
-) -> SpectrumCertificate | TilingCertificate:
-    if certificate_type == "spectrum":
-        return _dec_spectrum_cert(obj, what)
-    if certificate_type == "tiling":
-        return _dec_tiling_cert(obj, what)
-    raise _fail(f"{what} has unknown certificate_type {certificate_type!r}")
-
-
-def _dec_composition(obj: Any, what: str) -> CompositionRecord:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"certificate_type", "left", "right", "result"}, what)
-    ctype = _dec_str(_take(d, "certificate_type", what), f"{what}.certificate_type")
-    left = _dec_either_cert(_take(d, "left", what), ctype, f"{what}.left")
-    right = _dec_either_cert(_take(d, "right", what), ctype, f"{what}.right")
-    result = _dec_either_cert(_take(d, "result", what), ctype, f"{what}.result")
-    return _build(lambda: CompositionRecord(ctype, left, right, result), what)
-
-
-def _dec_lift(obj: Any, what: str) -> LiftRecord:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"certificate_type", "transform", "base", "result"}, what)
-    ctype = _dec_str(_take(d, "certificate_type", what), f"{what}.certificate_type")
-    transform = _dec_matrix(_take(d, "transform", what), f"{what}.transform")
-    base = _dec_either_cert(_take(d, "base", what), ctype, f"{what}.base")
-    result = _dec_either_cert(_take(d, "result", what), ctype, f"{what}.result")
-    return _build(lambda: LiftRecord(ctype, transform, base, result), what)
-
-
-def _dec_chain(obj: Any, what: str) -> IndependenceChain:
-    d = _expect_dict(obj, what)
-    _no_extras(
-        d,
-        {
-            "selected_rows",
-            "determinant",
-            "modulus",
-            "row_transform",
-            "one_dimensional",
-            "projected",
-            "final",
-        },
-        what,
-    )
-    selected = tuple(
-        _dec_int(x, f"{what}.selected_rows[{i}]")
-        for i, x in enumerate(
-            _expect_list(_take(d, "selected_rows", what), f"{what}.selected_rows")
-        )
-    )
-    determinant = _dec_int(_take(d, "determinant", what), f"{what}.determinant")
-    modulus = _dec_int(_take(d, "modulus", what), f"{what}.modulus")
-    row_transform = _dec_matrix(_take(d, "row_transform", what), f"{what}.row_transform")
-    one_dim = _dec_tiling_cert(_take(d, "one_dimensional", what), f"{what}.one_dimensional")
-    projected = _dec_tiling_cert(_take(d, "projected", what), f"{what}.projected")
-    final = _dec_tiling_cert(_take(d, "final", what), f"{what}.final")
-    return _build(
-        lambda: IndependenceChain(
-            selected_rows=selected,
-            determinant=determinant,
-            modulus=modulus,
-            row_transform=row_transform,
-            one_dimensional=one_dim,
-            projected=projected,
-            final=final,
-        ),
-        what,
-    )
-
-
-def _dec_verdict(obj: Any, what: str) -> TilingCertificate | NonTilingCertificate:
-    d = _expect_dict(obj, what)
-    _no_extras(d, {"verdict", "certificate"}, what)
-    verdict = _dec_str(_take(d, "verdict", what), f"{what}.verdict")
-    if verdict == "tiling":
-        return _dec_tiling_cert(_take(d, "certificate", what), f"{what}.certificate")
-    if verdict == "non-tiling":
-        return _dec_non_tiling_cert(_take(d, "certificate", what), f"{what}.certificate")
-    raise _fail(f"{what}.verdict is unknown: {verdict!r}")
-
-
-def _dec_obstructions(obj: Any, what: str) -> ExtensionObstructionReport:
-    d = _expect_dict(obj, what)
-    _no_extras(
-        d,
-        {
-            "modulus",
-            "side_count",
-            "dimension",
-            "base_size",
-            "extension_size",
-            "extended_group_order",
-            "size_divides",
-            "reduction_uniform",
-            "reduction_multiplicity",
-            "base_verdict",
-            "asymptotic_claim",
-        },
-        what,
-    )
-    multiplicity_raw = _take(d, "reduction_multiplicity", what)
-    claim_raw = _take(d, "asymptotic_claim", what)
-    if claim_raw is not None and not isinstance(claim_raw, str):
-        raise _fail(f"{what}.asymptotic_claim must be a string or null")
-    return _build(
-        lambda: ExtensionObstructionReport(
-            modulus=_dec_int(_take(d, "modulus", what), f"{what}.modulus"),
-            side_count=_dec_int(_take(d, "side_count", what), f"{what}.side_count"),
-            dimension=_dec_int(_take(d, "dimension", what), f"{what}.dimension"),
-            base_size=_dec_int(_take(d, "base_size", what), f"{what}.base_size"),
-            extension_size=_dec_int(
-                _take(d, "extension_size", what), f"{what}.extension_size"
-            ),
-            extended_group_order=_dec_int(
-                _take(d, "extended_group_order", what), f"{what}.extended_group_order"
-            ),
-            size_divides=_dec_bool(_take(d, "size_divides", what), f"{what}.size_divides"),
-            reduction_uniform=_dec_bool(
-                _take(d, "reduction_uniform", what), f"{what}.reduction_uniform"
-            ),
-            reduction_multiplicity=(
-                None
-                if multiplicity_raw is None
-                else _dec_int(multiplicity_raw, f"{what}.reduction_multiplicity")
-            ),
-            base_verdict=_dec_verdict(_take(d, "base_verdict", what), f"{what}.base_verdict"),
-            asymptotic_claim=claim_raw,
-        ),
-        what,
-    )
-
-
-def _dec_counterexample(obj: Any, what: str) -> CounterexampleRecord:
-    d = _expect_dict(obj, what)
-    _no_extras(
-        d,
-        {
-            "side_count",
-            "phase_exponents",
-            "rank",
-            "published_factorization",
-            "computed_factorization",
-            "base_spectrum",
-            "base_non_tiling_divisibility",
-            "base_non_tiling_search",
-            "composed_spectrum",
-            "obstructions",
-        },
-        what,
-    )
-    return _build(
-        lambda: CounterexampleRecord(
-            side_count=_dec_int(_take(d, "side_count", what), f"{what}.side_count"),
-            phase_exponents=_dec_phase(
-                _take(d, "phase_exponents", what), f"{what}.phase_exponents"
-            ),
-            rank=_dec_int(_take(d, "rank", what), f"{what}.rank"),
-            published_factorization=_dec_factorization(
-                _take(d, "published_factorization", what), f"{what}.published_factorization"
-            ),
-            computed_factorization=_dec_factorization(
-                _take(d, "computed_factorization", what), f"{what}.computed_factorization"
-            ),
-            base_spectrum=_dec_spectrum_cert(
-                _take(d, "base_spectrum", what), f"{what}.base_spectrum"
-            ),
-            base_non_tiling_divisibility=_dec_non_tiling_cert(
-                _take(d, "base_non_tiling_divisibility", what),
-                f"{what}.base_non_tiling_divisibility",
-            ),
-            base_non_tiling_search=_dec_non_tiling_cert(
-                _take(d, "base_non_tiling_search", what), f"{what}.base_non_tiling_search"
-            ),
-            composed_spectrum=_dec_spectrum_cert(
-                _take(d, "composed_spectrum", what), f"{what}.composed_spectrum"
-            ),
-            obstructions=_dec_obstructions(
-                _take(d, "obstructions", what), f"{what}.obstructions"
-            ),
-        ),
-        what,
-    )
-
-
-_DECODERS: dict[str, Callable[[Any, str], PayloadType]] = {
-    "spectrum": _dec_spectrum_cert,
-    "tiling": _dec_tiling_cert,
-    "non-tiling": _dec_non_tiling_cert,
-    "composition": _dec_composition,
-    "lift": _dec_lift,
-    "independence-chain": _dec_chain,
-    "counterexample": _dec_counterexample,
-}
-
-
-def parse(data: bytes | str) -> CertificateEnvelope:
-    """Decode and verify an envelope; untrusted input never parses silently."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedCertificate(f"not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedCertificate(f"not valid JSON: {exc}") from exc
-    d = _expect_dict(doc, "envelope")
-    _no_extras(d, {"schema_version", "kind", "payload", "provenance"}, "envelope")
-    version = _dec_str(_take(d, "schema_version", "envelope"), "schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"schema version {version!r} is not supported (expected {SCHEMA_VERSION!r})"
-        )
-    kind = _dec_str(_take(d, "kind", "envelope"), "kind")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise MalformedCertificate(f"unknown certificate kind {kind!r}")
-    payload = decoder(_take(d, "payload", "envelope"), "payload")
-    prov_raw = _expect_list(_take(d, "provenance", "envelope"), "provenance")
-    if not prov_raw:
-        raise MalformedCertificate("provenance must be nonempty")
-    provenance = []
-    for i, entry in enumerate(prov_raw):
-        e = _expect_dict(entry, f"provenance[{i}]")
-        _no_extras(e, {"operation", "inputs"}, f"provenance[{i}]")
-        operation = _dec_str(_take(e, "operation", f"provenance[{i}]"), "operation")
-        inputs = tuple(
-            _dec_str(x, f"provenance[{i}].inputs")
-            for x in _expect_list(_take(e, "inputs", f"provenance[{i}]"), "inputs")
-        )
-        provenance.append(ProvenanceEntry(operation, inputs))
-    envelope = _build(
-        lambda: CertificateEnvelope(version, kind, payload, tuple(provenance)), "envelope"
-    )
-    verify_envelope(envelope)
-    return envelope
+_GROUP = _Record(GroupSpec, modulus=_INT, dimension=_INT)
+_POINT_SET = _Record(PointSet, dimension=_INT, points=_POINTS)
+_MATRIX = _Record(IntMatrix, rows=_INT, cols=_INT, entries=_INTS)
+_PHASE = _Record(PhaseMatrix, numerators=_MATRIX, denominator=_INT)
+_SPECTRUM = _Record(SpectrumCertificate, group=_GROUP, set=_POINT_SET, spectrum=_PHASE)
+_TILING = _Record(TilingCertificate, group=_GROUP, set=_POINT_SET, complement=_POINT_SET)
+_REASON = _Tagged(
+    "kind",
+    {
+        "divisibility": _Record(DivisibilityObstruction, set_size=_INT, group_order=_INT),
+        "duplicate-residues": _Record(DuplicateResidues, first=_INTS, second=_INTS),
+        "exhausted-search": _Record(ExhaustedSearch, nodes=_INT),
+    },
+)
+_NON_TILING = _Record(NonTilingCertificate, group=_GROUP, set=_POINT_SET, reason=_REASON)
+_FACTORIZATION = _Record(RankFactorization, modulus=_INT, left=_MATRIX, right=_MATRIX, rank=_INT)
+_PARTS = {"spectrum": _SPECTRUM, "tiling": _TILING}
+_COMPOSITION = _Tagged(
+    "certificate_type",
+    {
+        name: _Record(partial(CompositionRecord, name), left=part, right=part, result=part)
+        for name, part in _PARTS.items()
+    },
+    attrgetter("certificate_type"),
+)
+_LIFT = _Tagged(
+    "certificate_type",
+    {
+        name: _Record(partial(LiftRecord, name), transform=_MATRIX, base=part, result=part)
+        for name, part in _PARTS.items()
+    },
+    attrgetter("certificate_type"),
+)
+_CHAIN = _Record(
+    IndependenceChain,
+    selected_rows=_INTS,
+    determinant=_INT,
+    modulus=_INT,
+    row_transform=_MATRIX,
+    one_dimensional=_TILING,
+    projected=_TILING,
+    final=_TILING,
+)
+_OBSTRUCTIONS = _Record(
+    ExtensionObstructionReport,
+    modulus=_INT,
+    side_count=_INT,
+    dimension=_INT,
+    base_size=_INT,
+    extension_size=_INT,
+    extended_group_order=_INT,
+    size_divides=_BOOL,
+    reduction_uniform=_BOOL,
+    reduction_multiplicity=_optional(_INT),
+    base_verdict=_Wrapped(
+        "verdict", "certificate", {"tiling": _TILING, "non-tiling": _NON_TILING}
+    ),
+    asymptotic_claim=_optional(_STR),
+)
+_COUNTEREXAMPLE = _Record(
+    CounterexampleRecord,
+    side_count=_INT,
+    phase_exponents=_PHASE,
+    rank=_INT,
+    published_factorization=_FACTORIZATION,
+    computed_factorization=_FACTORIZATION,
+    base_spectrum=_SPECTRUM,
+    base_non_tiling_divisibility=_NON_TILING,
+    base_non_tiling_search=_NON_TILING,
+    composed_spectrum=_SPECTRUM,
+    obstructions=_OBSTRUCTIONS,
+)
+_PROVENANCE = _list_of(_Record(ProvenanceEntry, operation=_STR, inputs=_list_of(_STR)))
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +468,18 @@ def parse(data: bytes | str) -> CertificateEnvelope:
 def _require(condition: bool, msg: str) -> None:
     if not condition:
         raise InvariantViolation(msg)
+
+
+def _verify_spectrum(cert: SpectrumCertificate) -> None:
+    _require(verify_spectrum(cert), "spectrum certificate fails verification")
+
+
+def _verify_tiling(cert: TilingCertificate) -> None:
+    _require(verify_tiling(cert), "tiling certificate fails verification")
+
+
+def _verify_non_tiling(cert: NonTilingCertificate) -> None:
+    """Reasons are re-validated structurally on construction."""
 
 
 def _verify_composition(rec: CompositionRecord) -> None:
@@ -922,33 +604,80 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
     )
 
 
+class _Kind(NamedTuple):
+    payload: type
+    codec: Any
+    verify: Callable[[Any], None]
+
+
+_KINDS: dict[str, _Kind] = {
+    "spectrum": _Kind(SpectrumCertificate, _SPECTRUM, _verify_spectrum),
+    "tiling": _Kind(TilingCertificate, _TILING, _verify_tiling),
+    "non-tiling": _Kind(NonTilingCertificate, _NON_TILING, _verify_non_tiling),
+    "composition": _Kind(CompositionRecord, _COMPOSITION, _verify_composition),
+    "lift": _Kind(LiftRecord, _LIFT, _verify_lift),
+    "independence-chain": _Kind(IndependenceChain, _CHAIN, _verify_chain),
+    "counterexample": _Kind(CounterexampleRecord, _COUNTEREXAMPLE, _verify_counterexample),
+}
+
+
+# ---------------------------------------------------------------------------
+# envelopes
+
+_ENVELOPE_KEYS = frozenset(("schema_version", "kind", "payload", "provenance"))
+
+
+def serialize(envelope: CertificateEnvelope) -> bytes:
+    """Canonical bytes for an envelope: sorted keys, decimal-string integers."""
+    doc = {
+        "schema_version": envelope.schema_version,
+        "kind": envelope.kind,
+        "payload": _KINDS[envelope.kind].codec.encode(envelope.payload),
+        "provenance": _PROVENANCE.encode(envelope.provenance),
+    }
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def parse(data: bytes | str) -> CertificateEnvelope:
+    """Decode and verify an envelope; untrusted input never parses silently."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedCertificate(f"not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedCertificate(f"not valid JSON: {exc}") from exc
+    try:
+        # The version comes first: another version may have other fields.
+        if isinstance(doc, dict) and "schema_version" in doc:
+            version = _field(doc, "schema_version", _STR.decode)
+            if version != SCHEMA_VERSION:
+                raise SchemaVersionError(
+                    f"schema version {version!r} is not supported (expected {SCHEMA_VERSION!r})"
+                )
+        _keys(doc, _ENVELOPE_KEYS)
+        kind = _field(doc, "kind", partial(_pick, _KINDS))
+        payload = _field(doc, "payload", kind.codec.decode)
+        provenance = _field(doc, "provenance", _PROVENANCE.decode)
+        if not provenance:
+            raise _Bad("must be nonempty").at(".provenance")
+    except _Bad as exc:
+        raise exc.located() from None
+    envelope = CertificateEnvelope(SCHEMA_VERSION, doc["kind"], payload, provenance)
+    verify_envelope(envelope)
+    return envelope
+
+
 def verify_envelope(envelope: CertificateEnvelope) -> None:
     """Re-check an envelope's claims; raises InvariantViolation on failure.
 
     Exhausted-search node counts are the one claim that cannot be re-checked
     statically; see trust_marker.
     """
-    from .guard import GuardExceeded
-
-    kind = envelope.kind
-    payload = envelope.payload
     try:
-        if kind == "spectrum":
-            _require(verify_spectrum(payload), "spectrum certificate fails verification")
-        elif kind == "tiling":
-            _require(verify_tiling(payload), "tiling certificate fails verification")
-        elif kind == "non-tiling":
-            pass  # reasons are re-validated structurally on construction
-        elif kind == "composition":
-            _verify_composition(payload)
-        elif kind == "lift":
-            _verify_lift(payload)
-        elif kind == "independence-chain":
-            _verify_chain(payload)
-        elif kind == "counterexample":
-            _verify_counterexample(payload)
-        else:  # pragma: no cover - envelope construction rejects unknown kinds
-            raise InvariantViolation(f"unknown kind {kind!r}")
+        _KINDS[envelope.kind].verify(envelope.payload)
     except (CertificateError, GuardExceeded):
         raise
     except ValueError as exc:

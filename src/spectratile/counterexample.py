@@ -26,9 +26,9 @@ from .certio import (
     ProvenanceEntry,
 )
 from .modlinalg import (
-    IntMatrix,
     is_rank_factorization,
     matmul_mod,
+    parse_matrix,
     rank_factorize_mod_p,
     rank_mod_p,
     RankFactorization,
@@ -68,40 +68,6 @@ __all__ = [
 
 PHASE_DENOMINATOR = 3
 
-# 6x6 exponent matrix: divided by 3 it is log-Hadamard.
-HADAMARD_EXPONENTS = IntMatrix.from_rows(
-    [
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 1, 2, 2],
-        [0, 1, 0, 2, 2, 1],
-        [0, 1, 2, 0, 1, 2],
-        [0, 2, 2, 1, 0, 1],
-        [0, 2, 1, 2, 1, 0],
-    ]
-)
-
-# 6x4 left factor: its rows are the spectrum of the six-point set.
-SPECTRUM_ROWS = IntMatrix.from_rows(
-    [
-        [0, 0, 0, 0],
-        [0, 1, 1, 2],
-        [1, 0, 2, 2],
-        [1, 2, 0, 1],
-        [2, 2, 1, 0],
-        [2, 1, 2, 1],
-    ]
-)
-
-# 4x6 right factor: its columns are the six points in Z^4.
-POINT_COLUMNS = IntMatrix.from_rows(
-    [
-        [0, 1, 0, 0, 0, 2],
-        [0, 0, 1, 0, 0, 2],
-        [0, 0, 0, 1, 0, 2],
-        [0, 0, 0, 0, 1, 2],
-    ]
-)
-
 DATA_FILES = {
     "hadamard_exponents": "hadamard_exponents.txt",
     "spectrum_rows": "spectrum_rows.txt",
@@ -117,6 +83,16 @@ def data_path(name: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
+
+
+# 6x6 exponent matrix: divided by 3 it is log-Hadamard.
+HADAMARD_EXPONENTS = parse_matrix(data_path(DATA_FILES["hadamard_exponents"]).read_text())
+
+# 6x4 left factor: its rows are the spectrum of the six-point set.
+SPECTRUM_ROWS = parse_matrix(data_path(DATA_FILES["spectrum_rows"]).read_text())
+
+# 4x6 right factor: its columns are the six points in Z^4.
+POINT_COLUMNS = parse_matrix(data_path(DATA_FILES["point_columns"]).read_text())
 
 
 def base_point_set() -> PointSet:

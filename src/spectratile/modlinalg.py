@@ -2,10 +2,11 @@
 
 Matrices are immutable and stored row-major as a flat tuple of Python ints,
 so every result is exact no matter how large the entries grow.  Determinants
-use fraction-free (Bareiss) elimination; adjugates come from cofactors of
-Bareiss minors; mod-p routines run plain Gaussian elimination over the field
-with p elements with deterministic pivoting (first nonzero entry scanning
-columns left to right, rows top to bottom).
+and ranks over the rationals share one fraction-free (Bareiss) elimination;
+adjugates come from cofactors of Bareiss minors; mod-p routines run plain
+Gaussian elimination over the field with p elements with deterministic
+pivoting (first nonzero entry scanning columns left to right, rows top to
+bottom).
 
 The text interchange format is: a first line ``rows cols``, then one line per
 row of space-separated decimal integers.
@@ -20,6 +21,7 @@ __all__ = [
     "IntMatrix",
     "RankFactorization",
     "rank_mod_p",
+    "rank_over_rationals",
     "rank_factorize_mod_p",
     "is_rank_factorization",
     "det_and_adjugate",
@@ -208,25 +210,44 @@ def is_rank_factorization(matrix: IntMatrix, fact: RankFactorization) -> bool:
     )
 
 
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free row echelon form, in place: (rank, signed last pivot).
+
+    After each step the entries below the pivot row are minors of the
+    original matrix, so the division by the previous pivot is exact.  For a
+    square matrix of full rank the last pivot, signed by the row swaps, is
+    the determinant.
+    """
+    n_rows, n_cols = len(rows), len(rows[0])
+    sign, prev, r = 1, 1, 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        for i in range(r + 1, n_rows):
+            for j in range(c + 1, n_cols):
+                # Exact division: Bareiss guarantees prev divides the product.
+                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
+            rows[i][c] = 0
+        prev = rows[r][c]
+        r += 1
+    return r, sign * prev
+
+
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free determinant; mutates its argument."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: Bareiss guarantees prev divides the product.
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
+
+
+def rank_over_rationals(matrix: IntMatrix) -> int:
+    """Rank over the rationals, by fraction-free elimination."""
+    return _bareiss(matrix.to_rows())[0]
 
 
 def _minor_det(matrix: IntMatrix, skip_row: int, skip_col: int) -> int:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .guard import check_guard
-from .modlinalg import IntMatrix, det_and_adjugate, matmul_mod
+from .modlinalg import IntMatrix, det_and_adjugate, matmul_mod, rank_over_rationals
 from .spectral import GroupSpec, PointSet
 
 __all__ = [
@@ -331,29 +330,6 @@ def lift_tile(
     return lifted
 
 
-def _rank_over_rationals(rows: Sequence[Sequence[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(n_rows):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class IndependenceChain:
     """The constructive chain proving a linearly independent set tiles.
@@ -396,14 +372,14 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     k = len(point_set)
     d = point_set.dimension
     columns = point_set.to_columns_matrix()
-    if _rank_over_rationals([list(p) for p in point_set.points]) != k:
+    if rank_over_rationals(columns) != k:
         raise ValueError("points are not linearly independent over the rationals")
 
     selected: list[int] = []
     chosen_rows: list[list[int]] = []
     for i in range(d):
         candidate = chosen_rows + [list(columns.row(i))]
-        if _rank_over_rationals(candidate) > len(chosen_rows):
+        if rank_over_rationals(IntMatrix.from_rows(candidate)) > len(chosen_rows):
             selected.append(i)
             chosen_rows.append(list(columns.row(i)))
         if len(selected) == k:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,20 @@ class TestParseRejections:
         with pytest.raises(SchemaVersionError):
             parse(_mutate(samples["tiling"], ["schema_version"], "2"))
 
+    def test_schema_version_mismatch_with_other_fields(self, samples):
+        # Another version may have other fields; it is refused for its version.
+        doc = json.loads(serialize(samples["tiling"]))
+        doc["schema_version"] = "2"
+        del doc["provenance"]
+        with pytest.raises(SchemaVersionError):
+            parse(json.dumps(doc).encode())
+        doc["signature"] = "x"
+        with pytest.raises(SchemaVersionError):
+            parse(json.dumps(doc).encode())
+        del doc["schema_version"]
+        with pytest.raises(MalformedCertificate, match="missing"):
+            parse(json.dumps(doc).encode())
+
     def test_size_product_violation(self, samples):
         # Drop a complement point: |set| * |complement| no longer matches m^d.
         doc = json.loads(serialize(samples["tiling"]))
@@ -310,3 +325,105 @@ class TestHostileSpectrum:
         data = serialize(envelope("spectrum", cert))
         with pytest.raises(CertificateError, match="index must lie"):
             parse(data)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "counterexample_n2.json"
+WALKED = [
+    "golden-n2",
+    "spectrum",
+    "tiling",
+    "non-tiling-divisibility",
+    "non-tiling-exhausted",
+    "composition-tiling",
+    "composition-spectrum",
+    "lift-spectrum",
+    "lift-tiling",
+    "independence-chain",
+    "counterexample",
+]
+NON_CANONICAL = {
+    "leading-zero": lambda s: "-0" + s[1:] if s.startswith("-") else "0" + s,
+    "plus-sign": lambda s: "+" + s,
+    "json-number": int,
+}
+_DELETE = object()
+
+
+def _nodes(node, path=()):
+    """Every (path, value) of a decoded JSON document, parents first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _cases(doc, probe):
+    """(path, new value) for each edit one probe makes to a document."""
+    for path, value in _nodes(doc):
+        if probe == "extra-key" and isinstance(value, dict):
+            yield path + ("unexpected",), "0"
+        elif probe == "missing-key" and isinstance(value, dict):
+            for key in value:
+                yield path + (key,), _DELETE
+        elif (
+            probe in NON_CANONICAL
+            and path[:1] == ("payload",)
+            and isinstance(value, str)
+            and re.fullmatch(r"-?[0-9]+", value)
+        ):
+            yield path, NON_CANONICAL[probe](value)
+
+
+def _edit(data, path, new):
+    doc = json.loads(data)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if new is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return json.dumps(doc).encode()
+
+
+class TestShapeWalk:
+    """Every object of every envelope rejects an unknown key and each missing
+    key, and every integer leaf rejects non-canonical forms, all as
+    MalformedCertificate."""
+
+    @pytest.mark.parametrize("probe", ["extra-key", "missing-key", *NON_CANONICAL])
+    @pytest.mark.parametrize("name", WALKED)
+    def test_shape_errors_are_malformed(self, samples, name, probe):
+        data = GOLDEN.read_bytes() if name == "golden-n2" else serialize(samples[name])
+        cases = list(_cases(json.loads(data), probe))
+        assert cases
+        accepted = []
+        for path, new in cases:
+            try:
+                parse(_edit(data, path, new))
+            except MalformedCertificate:
+                continue
+            except CertificateError as exc:
+                accepted.append((path, repr(exc)))
+            else:
+                accepted.append((path, "parsed"))
+        assert accepted == []
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1.0, True, None, ["1"]])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("payload", "base_spectrum", "set", "points", 0, 0),
+            ("payload", "base_spectrum", "spectrum", "numerators", "entries", 0),
+            ("payload", "rank"),
+        ],
+    )
+    def test_non_string_integers_are_malformed(self, path, value):
+        # JSON reads Infinity and NaN as floats, which int() cannot take.
+        with pytest.raises(MalformedCertificate):
+            parse(_edit(GOLDEN.read_bytes(), path, value))

@@ -13,6 +13,7 @@ from spectratile.modlinalg import (
     parse_matrix,
     rank_factorize_mod_p,
     rank_mod_p,
+    rank_over_rationals,
 )
 
 
@@ -222,3 +223,51 @@ class TestTextFormat:
             parse_matrix("1 2\n1 2 3\n")
         with pytest.raises(ValueError):
             parse_matrix("not a header\n1\n")
+
+
+def fraction_rank(m: IntMatrix) -> int:
+    # Independent oracle: Gauss-Jordan elimination over Fraction.
+    from fractions import Fraction
+
+    rows = [[Fraction(x) for x in row] for row in m.to_rows()]
+    rank = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(m.rows):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankOverRationals:
+    def test_identity_and_zero(self):
+        assert rank_over_rationals(IntMatrix.identity(4)) == 4
+        assert rank_over_rationals(IntMatrix.zeros(3, 5)) == 0
+
+    def test_zero_columns_are_skipped(self):
+        m = IntMatrix.from_rows([[0, 2, 4], [0, 1, 2], [0, 0, 3]])
+        assert rank_over_rationals(m) == 2
+
+    def test_fixture_rank_drops_mod_3(self):
+        # Rank 5 over the rationals, 4 mod 3: the drop the construction uses.
+        assert rank_over_rationals(HADAMARD_EXPONENTS) == fraction_rank(HADAMARD_EXPONENTS) == 5
+        assert rank_mod_p(HADAMARD_EXPONENTS, 3) == 4
+
+    def test_matches_fraction_oracle(self, rng):
+        for _ in range(200):
+            rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            m = matmul_mod(random_matrix(rng, rows, inner), random_matrix(rng, inner, cols), None)
+            assert rank_over_rationals(m) == fraction_rank(m)
+            assert rank_over_rationals(m.transpose()) == fraction_rank(m)
+
+    def test_determinant_agrees_with_rank(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            m = random_matrix(rng, n, n, -2, 2)
+            det, _ = det_and_adjugate(m)
+            assert (det != 0) == (rank_over_rationals(m) == n)
