@@ -25,7 +25,9 @@ bytes.
 Parsing re-checks everything checkable without a search: spectrum and tiling
 payloads are re-verified outright, compositions, lifts and independence
 chains are recomputed and compared, and the counterexample bundle has each
-component re-checked.  The one thing a static file cannot prove is an
+component re-checked.  A tiling lift or an independence chain is recomputed
+over at most the group order its own result claims, so a tampered one costs
+no more than it says.  The one thing a static file cannot prove is an
 exhausted-search node count; such certificates parse but carry a
 "replay-required" trust marker (inside composite records an exhausted search
 is corroborating evidence only - the load-bearing claims are re-checked).
@@ -40,7 +42,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Union
 
 from . import spectral, tiling
-from .guard import GuardExceeded
+from .guard import GuardExceeded, check_guard
 from .modlinalg import IntMatrix, RankFactorization, is_rank_factorization, rank_mod_p
 from .spectral import (
     GroupSpec,
@@ -189,6 +191,11 @@ class CertificateEnvelope:
     provenance: tuple[ProvenanceEntry, ...]
 
     def __post_init__(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(
+                f"schema version {self.schema_version!r} is not supported "
+                f"(expected {SCHEMA_VERSION!r})"
+            )
         entry = _KINDS.get(self.kind)
         if entry is None:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
@@ -490,16 +497,39 @@ def _verify_composition(rec: CompositionRecord) -> None:
     _require(recomputed == rec.result, "composition result does not recompute")
 
 
+def _claimed_cells(cert: TilingCertificate) -> int:
+    """The group order a stored tiling claims, pinned by its own sizes.
+
+    The configured guard still caps it; a recomputation that needs more
+    cells than this contradicts the certificate, so it is refused as one.
+    """
+    cells = len(cert.set) * len(cert.complement)
+    check_guard(cells)
+    return cells
+
+
+def _overrun(what: str, cells: int) -> InvariantViolation:
+    return InvariantViolation(f"{what} recomputes a group larger than its claimed {cells} cells")
+
+
 def _verify_lift(rec: LiftRecord) -> None:
     if rec.certificate_type == "spectrum":
         recomputed = spectral.lift_spectrum(rec.result.set, rec.transform, rec.base)
     else:
-        recomputed = tiling.lift_tile(rec.result.set, rec.transform, rec.base)
+        cells = _claimed_cells(rec.result)
+        try:
+            recomputed = tiling.lift_tile(rec.result.set, rec.transform, rec.base, cells)
+        except GuardExceeded:
+            raise _overrun("lift result", cells) from None
     _require(recomputed == rec.result, "lift result does not recompute")
 
 
 def _verify_chain(rec: IndependenceChain) -> None:
-    recomputed = tiling.independent_tile(rec.final.set)
+    cells = _claimed_cells(rec.final)
+    try:
+        recomputed = tiling.independent_tile(rec.final.set, cells)
+    except GuardExceeded:
+        raise _overrun("independence chain", cells) from None
     _require(recomputed == rec, "independence chain does not recompute")
 
 
@@ -666,6 +696,9 @@ def parse(data: bytes | str) -> CertificateEnvelope:
     except _Bad as exc:
         raise exc.located() from None
     envelope = CertificateEnvelope(SCHEMA_VERSION, doc["kind"], payload, provenance)
+    # The JSON tree and text are garbage now; free them before the
+    # recomputation in verify_envelope builds its own copy of the payload.
+    del data, doc
     verify_envelope(envelope)
     return envelope
 

@@ -100,7 +100,15 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
-        points = tuple(tuple(int(c) for c in p) for p in self.points)
+        points = self.points
+        # Exact int tuples, as decoders and lifts produce, are kept as given;
+        # anything else (bools, other integer types, lists) is converted.
+        if not (
+            type(points) is tuple
+            and set(map(type, points)) == {tuple}
+            and set(map(type, itertools.chain.from_iterable(points))) == {int}
+        ):
+            points = tuple(tuple(int(c) for c in p) for p in points)
         if not points:
             raise ValueError("point set must be nonempty")
         for p in points:

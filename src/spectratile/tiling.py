@@ -7,12 +7,23 @@ the translates in the set's given point order.  Verdicts are certificates: a
 tiling comes with its complement, a refusal comes with a reason that can be
 re-checked (divisibility, a colliding residue pair) or replayed (an
 exhausted search with its node count).
+
+Lifts and coverage checks build no cell tuple they do not keep.  There a
+cell of Z_m^d is a packed integer, its lexicographic index; each
+coordinate's wrap table turns a sum of two residues into that coordinate's
+reduced term of the index, so a translate or an image is one table lookup
+per coordinate.
+verify_tiling counts the packed cells of every translate, and lift_tile
+walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
+the prefix's m cells at once against the packed base complement.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, product
+from operator import add
 from typing import Iterator, Sequence, Union
 
 from .guard import check_guard
@@ -119,18 +130,57 @@ class NonTilingCertificate:
             raise ValueError(f"unknown non-tiling reason {self.reason!r}")
 
 
+def _wraps(m: int, dimension: int) -> list[list[int]]:
+    """One wrap table per coordinate of Z_m^dimension.
+
+    A coordinate sum a + b with a, b in [0, m) indexes its table, which
+    holds the sum's residue times the coordinate's stride in the packed
+    (lexicographic) cell index.
+    """
+    strides = (m ** (dimension - 1 - j) for j in range(dimension))
+    return [list(range(0, m * stride, stride)) * 2 for stride in strides]
+
+
+def _residue_columns(points: PointSet, m: int) -> list[list[int]]:
+    return [[c % m for c in column] for column in zip(*points.points)]
+
+
+def _packed(
+    wraps: Sequence[list[int]], offsets: Sequence[int], columns: Sequence[list[int]]
+) -> Iterator[int]:
+    """Packed indices of the cells offsets + column entries, one per entry.
+
+    Offsets and column entries are residues; each coordinate's sum is
+    reduced and weighted by one lookup in its wrap table.
+    """
+    terms = [
+        map(wrap.__getitem__, map(offset.__add__, column))
+        for wrap, offset, column in zip(wraps, offsets, columns)
+    ]
+    cells = terms[0]
+    for term in terms[1:]:
+        cells = map(add, cells, term)
+    return cells
+
+
 def verify_tiling(cert: TilingCertificate) -> bool:
-    """Re-check a tiling certificate by direct coverage counting."""
+    """Re-check a tiling certificate by direct coverage counting.
+
+    Each translate's cells are counted as packed integer indices; the
+    sizes already multiply to the group order, so the translates tile
+    exactly when no index repeats.
+    """
     m = cert.group.modulus
-    if len(cert.set) * len(cert.complement) != cert.group.order():
+    size = len(cert.complement)
+    if len(cert.set) * size != cert.group.order():
         return False
-    seen: set[tuple[int, ...]] = set()
-    for sigma in cert.complement.points:
-        for t in cert.set.points:
-            cell = tuple((s + c) % m for s, c in zip(sigma, t))
-            if cell in seen:
-                return False
-            seen.add(cell)
+    wraps = _wraps(m, cert.group.dimension)
+    columns = _residue_columns(cert.complement, m)
+    seen: set[int] = set()
+    for count, t in enumerate(cert.set.points, 1):
+        seen.update(_packed(wraps, [c % m for c in t], columns))
+        if len(seen) != count * size:
+            return False
     return True
 
 
@@ -293,17 +343,37 @@ def lift_tile(
 
     If the columns of transform @ T are, mod m, exactly the base tiling's
     set (same order, pairwise distinct), then the preimage of the base
-    complement under the transform tiles Z_m^d with T.  The preimage is
-    found by full enumeration of Z_m^d and the result is re-verified.
+    complement under the transform tiles Z_m^d with T.  The base is
+    verified first; the preimage is found by one walk over Z_m^d (see
+    _lift) and the result is re-verified.
+    """
+    if not verify_tiling(base):
+        raise ValueError("base certificate fails verification")
+    return _lift(point_set, transform, base, guard)
+
+
+def _lift(
+    point_set: PointSet,
+    transform: IntMatrix,
+    base: TilingCertificate,
+    guard: int | None,
+) -> TilingCertificate:
+    """lift_tile for a base the caller has already verified.
+
+    Z_m^d is walked one prefix (all coordinates but the last) at a time, in
+    lexicographic order.  A prefix's image is computed once per image row;
+    its m cells are then decided together from the last column's residues,
+    each row's wrap table and the packed indices of the base complement, so
+    no cell outside the preimage is built.  Memory is O(m * d1) plus the
+    output.
     """
     if transform.cols != point_set.dimension:
         raise ValueError("transform width must equal the set dimension")
     if transform.rows != base.group.dimension:
         raise ValueError("transform height must equal the base group dimension")
-    if not verify_tiling(base):
-        raise ValueError("base certificate fails verification")
     m = base.group.modulus
-    group = GroupSpec(m, point_set.dimension)
+    d = point_set.dimension
+    group = GroupSpec(m, d)
     check_guard(group.order(), guard)
 
     mapped = matmul_mod(transform, point_set.to_columns_matrix(), m)
@@ -314,17 +384,18 @@ def lift_tile(
     if mapped_points != base_points:
         raise ValueError("base certificate's set does not match transform @ T")
 
-    base_complement = {tuple(c % m for c in p) for p in base.complement.points}
     d1 = base.group.dimension
-    sigma = []
-    for cell in group.elements():
-        image = tuple(
-            sum(transform.at(i, j) * cell[j] for j in range(transform.cols)) % m
-            for i in range(d1)
-        )
-        if image in base_complement:
-            sigma.append(cell)
-    lifted = TilingCertificate(group, point_set, PointSet(group.dimension, tuple(sigma)))
+    wraps = _wraps(m, d1)
+    targets = set(_packed(wraps, [0] * d1, _residue_columns(base.complement, m)))
+    rows = [transform.row(i) for i in range(d1)]
+    heads = [row[:-1] for row in rows]
+    last = [[row[-1] * t % m for t in range(m)] for row in rows]
+    sigma: list[tuple[int, ...]] = []
+    for prefix in product(range(m), repeat=d - 1):
+        image = [sum(a * x for a, x in zip(head, prefix)) % m for head in heads]
+        hits = map(targets.__contains__, _packed(wraps, image, last))
+        sigma += [prefix + (t,) for t in compress(range(m), hits)]
+    lifted = TilingCertificate(group, point_set, PointSet(d, tuple(sigma)))
     if not verify_tiling(lifted):
         raise RuntimeError("lifted tiling failed verification; implementation fault")
     return lifted
@@ -407,9 +478,10 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     if not verify_tiling(one_dim):
         raise RuntimeError("progression tiling failed verification; implementation fault")
 
+    # Each lift re-verifies its result, which is the next lift's base.
     projected_set = PointSet(k, tuple(block.column(j) for j in range(k)))
-    projected = lift_tile(projected_set, row_transform, one_dim, guard)
-    final = lift_tile(point_set, _projection_matrix(selected, d), projected, guard)
+    projected = _lift(projected_set, row_transform, one_dim, guard)
+    final = _lift(point_set, _projection_matrix(selected, d), projected, guard)
     return IndependenceChain(
         selected_rows=tuple(selected),
         determinant=det,

@@ -1,10 +1,11 @@
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from spectratile import certio
+from spectratile import certio, guard, tiling
 from spectratile.certio import (
     CertificateEnvelope,
     CertificateError,
@@ -34,6 +35,7 @@ from spectratile.tiling import (
     DivisibilityObstruction,
     ExhaustedSearch,
     NonTilingCertificate,
+    TilingCertificate,
     compose_tile,
     decide_m_tile,
     independent_tile,
@@ -293,6 +295,10 @@ class TestEnvelopeConstruction:
         with pytest.raises(ValueError):
             CertificateEnvelope("1", "tiling", samples["tiling"].payload, ())
 
+    def test_unsupported_schema_version_rejected(self, samples):
+        with pytest.raises(ValueError):
+            CertificateEnvelope("2", "tiling", samples["tiling"].payload, PROV)
+
 
 class TestHostileCounterexample:
     def test_inflated_side_count_rejected_before_building_the_extension(self, monkeypatch):
@@ -427,3 +433,83 @@ class TestShapeWalk:
         # JSON reads Infinity and NaN as floats, which int() cannot take.
         with pytest.raises(MalformedCertificate):
             parse(_edit(GOLDEN.read_bytes(), path, value))
+
+
+class TestRecomputationBoundedByTheClaim:
+    """A chain or lift envelope is recomputed over at most the group order
+    its own result claims; the cells each guard check admits are recorded."""
+
+    @pytest.fixture
+    def admitted(self, monkeypatch):
+        calls = []
+
+        def recording(cells, limit=None):
+            try:
+                guard.check_guard(cells, limit)
+            except guard.GuardExceeded:
+                calls.append((cells, False))
+                raise
+            calls.append((cells, True))
+
+        monkeypatch.setattr(certio, "check_guard", recording)
+        monkeypatch.setattr(tiling, "check_guard", recording)
+        return calls
+
+    def test_tampered_chain_rejected_within_its_claimed_order(self, admitted):
+        chain = independent_tile(PointSet(2, ((1, 0), (0, 1))))
+        assert len(chain.final.set) * len(chain.final.complement) == 4
+        doc = json.loads(serialize(envelope("independence-chain", chain)))
+        # det 1000, so the recomputed group would be Z_2000^2: 4,000,000 cells.
+        doc["payload"]["final"]["set"]["points"] = [["1", "0"], ["0", "1000"]]
+        with pytest.raises(InvariantViolation):
+            parse(json.dumps(doc))
+        assert max(cells for cells, ok in admitted if ok) <= 4
+        assert (2000**2, False) in admitted
+
+    def test_tampered_lift_rejected_within_its_claimed_order(self, admitted):
+        transform = IntMatrix.from_rows([[1, 0]])
+        wide_base = TilingCertificate(
+            GroupSpec(50, 1), line_set(0, 1), line_set(*range(0, 50, 2))
+        )
+        claimed = TilingCertificate(
+            GroupSpec(2, 2), PointSet(2, ((0, 0), (1, 0))), PointSet(2, ((0, 0), (0, 1)))
+        )
+        record = LiftRecord("tiling", transform, wide_base, claimed)
+        with pytest.raises(InvariantViolation):
+            parse(serialize(envelope("lift", record)))
+        assert max(cells for cells, ok in admitted if ok) <= 4
+        assert (50**2, False) in admitted
+
+    def test_honest_chain_over_the_configured_guard_is_refused(self, monkeypatch, samples):
+        data = serialize(samples["independence-chain"])
+        monkeypatch.setenv("SPECTRATILE_GUARD", "3")
+        with pytest.raises(guard.GuardExceeded):
+            parse(data)
+        monkeypatch.setenv("SPECTRATILE_GUARD", "4")
+        assert parse(data) == samples["independence-chain"]
+
+
+class TestParseFreesItsInput:
+    def test_json_tree_is_released_before_reverification(self, monkeypatch, samples):
+        class Tree(dict):
+            pass
+
+        trees = []
+        loads = certio.json.loads
+
+        def tracked_loads(text):
+            tree = Tree(loads(text))
+            trees.append(weakref.ref(tree))
+            return tree
+
+        alive_at_verify = []
+        verify = certio.verify_envelope
+
+        def checking_verify(env):
+            alive_at_verify.append(trees[-1]() is not None)
+            verify(env)
+
+        monkeypatch.setattr(certio.json, "loads", tracked_loads)
+        monkeypatch.setattr(certio, "verify_envelope", checking_verify)
+        assert parse(serialize(samples["independence-chain"])) == samples["independence-chain"]
+        assert alive_at_verify == [False]

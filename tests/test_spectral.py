@@ -538,3 +538,44 @@ class TestZeroSetSpectralChecks:
                 assert rows == expected
                 found += 1
         assert 0 < found < len(cases)
+
+
+class TestPointSetCoordinates:
+    """Exact int tuples are kept as given; everything else is converted, and
+    both give the same stored points."""
+
+    def test_int_tuples_kept(self):
+        points = ((1, -2), (3, 4))
+        ps = PointSet(2, points)
+        assert ps.points is points
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            ((True, 0), (0, 1)),
+            [(1, 0), (0, 1)],
+            ([1, 0], [0, 1]),
+            ((1, 0), [0, 1]),
+        ],
+    )
+    def test_conversion_matches_exact_ints(self, given):
+        ps = PointSet(2, given)
+        assert ps.points == ((1, 0), (0, 1))
+        assert all(type(p) is tuple for p in ps.points)
+        assert all(type(c) is int for p in ps.points for c in p)
+        assert ps == PointSet(2, ((1, 0), (0, 1)))
+
+    def test_int_subclass_converted(self):
+        class Coordinate(int):
+            pass
+
+        ps = PointSet(1, ((Coordinate(3),),))
+        assert type(ps.points[0][0]) is int
+
+    def test_validation_unchanged_on_the_fast_path(self):
+        with pytest.raises(ValueError):
+            PointSet(2, ((1, 2), (1, 2)))
+        with pytest.raises(ValueError):
+            PointSet(2, ((1, 2), (1,)))
+        with pytest.raises(ValueError):
+            PointSet(2, ())

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import spectratile.tiling as tiling_module
 from spectratile.counterexample import base_point_set
 from spectratile.guard import GuardExceeded
 from spectratile.modlinalg import IntMatrix
@@ -383,3 +384,163 @@ class TestInvariants:
             )
         with pytest.raises(ValueError):
             ExhaustedSearch(0)
+
+
+def tuple_scan_lift(point_set: PointSet, transform: IntMatrix, base: TilingCertificate):
+    # The full tuple-per-cell scan of Z_m^d that lift_tile replaced, kept
+    # as an oracle: every cell whose image lands in the base complement.
+    m = base.group.modulus
+    targets = {tuple(c % m for c in p) for p in base.complement.points}
+    return tuple(
+        cell
+        for cell in GroupSpec(m, point_set.dimension).elements()
+        if tuple(
+            sum(transform.at(i, j) * cell[j] for j in range(transform.cols)) % m
+            for i in range(transform.rows)
+        )
+        in targets
+    )
+
+
+def tuple_set_tiles(cert: TilingCertificate) -> bool:
+    # The set-of-tuples coverage count that verify_tiling replaced.
+    m = cert.group.modulus
+    if len(cert.set) * len(cert.complement) != cert.group.order():
+        return False
+    cells = {
+        tuple((s + c) % m for s, c in zip(sigma, t))
+        for sigma in cert.complement.points
+        for t in cert.set.points
+    }
+    return len(cells) == cert.group.order()
+
+
+def random_lift_case(rng, m: int, d1: int, d: int):
+    """A random transform (negative entries allowed) and a set whose image
+    tiles Z_m^d1, with the base tiling found by the exact-cover search."""
+    while True:
+        transform = IntMatrix(d1, d, tuple(rng.randint(-4, 4) for _ in range(d1 * d)))
+        k = rng.choice([1, 2, 3, 4])
+        points = {tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(k)}
+        point_set = PointSet(d, tuple(sorted(points)))
+        image = [
+            tuple(sum(transform.at(i, j) * p[j] for j in range(d)) % m for i in range(d1))
+            for p in point_set.points
+        ]
+        if len(set(image)) != len(image):
+            continue
+        base = decide_m_tile(PointSet(d1, tuple(image)), GroupSpec(m, d1))
+        if isinstance(base, TilingCertificate):
+            return point_set, transform, base
+
+
+class TestPackedLiftAgainstTupleScan:
+    @pytest.mark.parametrize(
+        "m, d1, d",
+        [(4, 2, 2), (6, 2, 3), (6, 1, 3), (4, 3, 2), (6, 2, 1), (9, 1, 1), (1, 2, 2)],
+    )
+    def test_random_transforms(self, rng, m, d1, d):
+        for _ in range(6):
+            point_set, transform, base = random_lift_case(rng, m, d1, d)
+            lifted = lift_tile(point_set, transform, base)
+            assert lifted.complement.points == tuple_scan_lift(point_set, transform, base)
+            assert lifted.group == GroupSpec(m, d)
+
+    def test_unreduced_base_complement(self, rng):
+        point_set, transform, base = random_lift_case(rng, 6, 2, 3)
+        shifted = TilingCertificate(
+            base.group,
+            base.set,
+            PointSet(2, tuple((a - 6, b + 12) for a, b in base.complement.points)),
+        )
+        assert lift_tile(point_set, transform, shifted) == lift_tile(point_set, transform, base)
+
+    def test_one_dimensional_set(self):
+        # d = 1: the walk has a single, empty prefix.
+        base = line_cert(6, (0, 3), (0, 1, 2))
+        lifted = lift_tile(line_set(0, 1), IntMatrix.from_rows([[3]]), base)
+        assert lifted.complement.points == ((0,), (2,), (4,))
+        assert lifted.complement.points == tuple_scan_lift(
+            line_set(0, 1), IntMatrix.from_rows([[3]]), base
+        )
+
+
+class TestPackedVerifyAgainstTupleSet:
+    def test_unreduced_and_negative_coordinates(self, rng):
+        for m, d in [(4, 2), (6, 2), (4, 3), (5, 1), (1, 3)]:
+            for _ in range(20):
+                pair = {tuple(rng.randint(0, m - 1) for _ in range(d)) for _ in range(2)}
+                found = decide_m_tile(PointSet(d, tuple(pair)), GroupSpec(m, d))
+                if not isinstance(found, TilingCertificate):
+                    continue
+
+                def shift(p):
+                    return tuple(c + m * rng.randint(-3, 3) for c in p)
+
+                cert = TilingCertificate(
+                    found.group,
+                    PointSet(d, tuple(shift(p) for p in found.set.points)),
+                    PointSet(d, tuple(shift(p) for p in found.complement.points)),
+                )
+                assert verify_tiling(cert) and tuple_set_tiles(cert)
+
+    def test_random_certificates_agree(self, rng):
+        verdicts = set()
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            d = rng.randint(1, 3)
+            k = rng.choice([c for c in range(1, m**d + 1) if m**d % c == 0])
+            if k > 8 or m**d // k > 40:
+                continue
+
+            def draw(n):
+                points = {tuple(rng.randint(-2 * m, 2 * m) for _ in range(d)) for _ in range(n)}
+                return PointSet(d, tuple(points))
+
+            point_set, complement = draw(k), draw(m**d // k)
+            if len(point_set) * len(complement) != m**d:
+                continue
+            cert = TilingCertificate(GroupSpec(m, d), point_set, complement)
+            verdict = verify_tiling(cert)
+            assert verdict == tuple_set_tiles(cert)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_colliding_complement(self):
+        # 1 and 5 collide mod 4, so the translates of {0, 2} overlap.
+        assert not verify_tiling(line_cert(4, (0, 2), (1, 5)))
+        assert verify_tiling(line_cert(4, (0, 2), (1, 6)))
+        plane = TilingCertificate(
+            GroupSpec(2, 2),
+            PointSet(2, ((0, 0), (1, 0))),
+            PointSet(2, ((0, 1), (2, -1))),
+        )
+        assert not verify_tiling(plane) and not tuple_set_tiles(plane)
+
+
+class TestIndependentTileChecksEachCertificateOnce:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every certificate verify_tiling is called on, in call order."""
+        calls = []
+        original = tiling_module.verify_tiling
+
+        def recording(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(tiling_module, "verify_tiling", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "points",
+        [((3, 1),), ((1, 0), (0, 1)), ((2, 0, 1), (0, 3, 0)), ((1, 2, 0), (0, 1, -1), (2, 0, 1))],
+    )
+    def test_three_coverage_checks_per_chain(self, checked, points):
+        chain = independent_tile(PointSet(len(points[0]), points))
+        assert checked == [chain.one_dimensional, chain.projected, chain.final]
+
+    def test_public_lift_still_checks_its_base(self, checked):
+        base = line_cert(2, (0, 1), (0,))
+        lifted = lift_tile(PointSet(2, ((0, 0), (1, 0))), IntMatrix.from_rows([[1, 0]]), base)
+        assert checked == [base, lifted]
