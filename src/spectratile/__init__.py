@@ -58,6 +58,7 @@ from .tiling import (
     extension_obstructions,
     independent_tile,
     lift_tile,
+    replay_search,
     verify_tiling,
 )
 from .certio import (

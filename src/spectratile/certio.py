@@ -31,6 +31,7 @@ no more than it says.  The one thing a static file cannot prove is an
 exhausted-search node count; such certificates parse but carry a
 "replay-required" trust marker (inside composite records an exhausted search
 is corroborating evidence only - the load-bearing claims are re-checked).
+tiling.replay_search re-runs such a search and compares its node count.
 """
 
 from __future__ import annotations

@@ -32,12 +32,14 @@ from .spectral import (
     parse_point_set,
 )
 from .tiling import (
+    ExhaustedSearch,
     NonTilingCertificate,
     TilingCertificate,
     compose_tile,
     decide_m_tile,
     independent_tile,
     lift_tile,
+    replay_search,
 )
 
 EXIT_YES = 0
@@ -125,6 +127,22 @@ def _describe_non_tiling(cert: NonTilingCertificate) -> str:
     return f"not a tile: exact-cover search exhausted after {reason.nodes} nodes"
 
 
+def _replay(envelope: certio.CertificateEnvelope, out: _Output) -> int:
+    """Re-run the exhausted search an envelope records, if it records one."""
+    if envelope.kind == "counterexample":
+        cert = envelope.payload.base_non_tiling_search
+    elif envelope.kind == "non-tiling" and isinstance(envelope.payload.reason, ExhaustedSearch):
+        cert = envelope.payload
+    else:
+        out.say("replay: no exhausted search to replay")
+        return EXIT_YES
+    if replay_search(cert):
+        out.say(f"replay: search exhausted after {cert.reason.nodes} nodes, as recorded")
+        return EXIT_YES
+    out.say(f"replay fails: the search does not exhaust after {cert.reason.nodes} nodes")
+    return EXIT_NO
+
+
 def _cmd_tile(args) -> int:
     out = _Output(args.quiet)
     if args.subcommand == "decide":
@@ -149,6 +167,8 @@ def _cmd_tile(args) -> int:
             out.say(f"does not verify: {exc}")
             return EXIT_NO
         out.say(f"verifies ({envelope.kind}); trust: {certio.trust_marker(envelope)}")
+        if args.replay:
+            return _replay(envelope, out)
         return EXIT_YES
     if args.subcommand == "compose":
         left = _load_tiling_envelope(args.left)
@@ -251,6 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_tile)
     v = tsub.add_parser("verify", help="verify a certificate envelope file")
     v.add_argument("certificate", metavar="CERT")
+    v.add_argument(
+        "--replay",
+        action="store_true",
+        help="also re-run a recorded exhausted search and compare its node count",
+    )
     v.set_defaults(func=_cmd_tile)
     co = tsub.add_parser("compose", help="compose two tiling certificates")
     co.add_argument("left", metavar="CERT_T")

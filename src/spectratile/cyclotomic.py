@@ -86,15 +86,50 @@ def poly_divrem(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, 
     return IntPolynomial(tuple(quo)), IntPolynomial(tuple(rem))
 
 
+def _prime_divisors(m: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic(m: int) -> IntPolynomial:
-    # x^m - 1 divided by the cyclotomic polynomials of all proper divisors.
-    poly = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = poly_divrem(poly, _cyclotomic(d))
-            assert rem.is_zero()
-    return poly
+    """Phi_m as the Moebius product of binomials (x^d - 1)^mu(m/d), d | m.
+
+    mu(m/d) is nonzero only when m/d is a product of distinct primes of m.
+    The binomials with mu = +1 are multiplied in, then those with mu = -1
+    divided out exactly; each step is one O(degree) shift-and-subtract.
+    """
+    squarefree = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of m
+    for p in _prime_divisors(m):
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    coeffs = [1]
+    for e, mu in squarefree:
+        if mu == 1:
+            d = m // e
+            product = [0] * d + coeffs  # x^d * P - P
+            for i, c in enumerate(coeffs):
+                product[i] -= c
+            coeffs = product
+    for e, mu in squarefree:
+        if mu == -1:
+            d = m // e
+            # Q with (x^d - 1) * Q == P, from the bottom: Q[i] = Q[i - d] - P[i].
+            size = len(coeffs) - d
+            for i in range(size):
+                coeffs[i] = (coeffs[i - d] if i >= d else 0) - coeffs[i]
+            # The top d coefficients of P must be Q's, shifted up by d.
+            assert coeffs[size:] == [coeffs[i - d] if i >= d else 0 for i in range(size, size + d)]
+            del coeffs[size:]
+    return IntPolynomial(tuple(coeffs))
 
 
 def cyclotomic_polynomial(m: int, bound: int = MAX_CYCLOTOMIC_INDEX) -> IntPolynomial:

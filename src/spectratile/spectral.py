@@ -482,8 +482,9 @@ def compose_spectral(
     """Combine an m-spectral set T and an n-spectral set S into T + mS.
 
     The composed set pairs every t with every s as t + m*s, and the composed
-    spectrum pairs the witness rows as (n*l + q)/(m*n).  The result is
-    re-verified before being returned.
+    spectrum pairs the witness rows as (n*l + q)/(m*n).  Both inputs are
+    verified first (see _compose) and the result is re-verified before being
+    returned.
     """
     if cert_t.set.dimension != cert_s.set.dimension:
         raise ValueError("composed certificates must share a dimension")
@@ -491,6 +492,12 @@ def compose_spectral(
         raise ValueError("left certificate fails verification")
     if not verify_spectrum(cert_s):
         raise ValueError("right certificate fails verification")
+    return _compose(cert_t, cert_s)
+
+
+def _compose(cert_t: SpectrumCertificate, cert_s: SpectrumCertificate) -> SpectrumCertificate:
+    """compose_spectral for inputs of one dimension that the caller has
+    already verified; the composed certificate is built and verified."""
     m = cert_t.group.modulus
     n = cert_s.group.modulus
     d = cert_t.set.dimension

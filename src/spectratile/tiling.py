@@ -6,13 +6,16 @@ cover: always branch on the lexicographically least uncovered cell, trying
 the translates in the set's given point order.  Verdicts are certificates: a
 tiling comes with its complement, a refusal comes with a reason that can be
 re-checked (divisibility, a colliding residue pair) or replayed (an
-exhausted search with its node count).
+exhausted search with its node count; see replay_search).
 
-Lifts and coverage checks build no cell tuple they do not keep.  There a
-cell of Z_m^d is a packed integer, its lexicographic index; each
-coordinate's wrap table turns a sum of two residues into that coordinate's
-reduced term of the index, so a translate or an image is one table lookup
-per coordinate.
+The search, lifts and coverage checks build no cell tuple they do not
+keep.  There a cell of Z_m^d is a packed integer, its lexicographic index;
+each coordinate's wrap table turns a sum of two residues into that
+coordinate's reduced term of the index, so a translate or an image is one
+table lookup per coordinate.
+The search keeps, per cell it has branched on, a row of the placements
+that cover that cell with their cell bitmasks, so a node is one bit scan
+and one AND per placement tried.
 verify_tiling counts the packed cells of every translate, and lift_tile
 walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
 the prefix's m cells at once against the packed base complement.
@@ -41,6 +44,7 @@ __all__ = [
     "ASYMPTOTIC_NON_TILING_CLAIM",
     "verify_tiling",
     "decide_m_tile",
+    "replay_search",
     "compose_tile",
     "lift_tile",
     "independent_tile",
@@ -184,13 +188,6 @@ def verify_tiling(cert: TilingCertificate) -> bool:
     return True
 
 
-def _cell_index(cell: Sequence[int], m: int) -> int:
-    idx = 0
-    for c in cell:
-        idx = idx * m + c
-    return idx
-
-
 def _cell_vector(idx: int, m: int, dimension: int) -> tuple[int, ...]:
     coords = []
     for _ in range(dimension):
@@ -205,51 +202,55 @@ def _exact_cover(
     """First exact cover in deterministic order, plus the visited node count.
 
     Branches on the lexicographically least uncovered cell; candidate
-    translates follow the given point order.  Covered cells live in one big
-    bitmask, lexicographic cell index = bit index.
+    placements follow the given point order.  Cells and placements are
+    packed lexicographic indices, and covered cells live in one bitmask,
+    cell index = bit index.  A cell's row lists, for each point t in order,
+    the placement sigma = cell - t with its mask OR(1 << (sigma + t)).  A
+    row is built the first time the search branches on its cell and masks
+    are shared between rows, so the table grows with the cells branched on,
+    not with order * k.  A node costs one bit scan for its cell plus one AND
+    per row entry tried; the residues must be distinct mod m.
     """
     order = m**dimension
     full = (1 << order) - 1
-    mask_cache: dict[tuple[int, ...], int] = {}
+    wraps = _wraps(m, dimension)
+    columns = list(zip(*residues))
+    negated = [[-c % m for c in column] for column in columns]
+    masks: dict[int, int] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
 
-    def placement_mask(sigma: tuple[int, ...]) -> int:
-        mask = mask_cache.get(sigma)
-        if mask is None:
-            mask = 0
-            for t in residues:
-                mask |= 1 << _cell_index(tuple((s + c) % m for s, c in zip(sigma, t)), m)
-            mask_cache[sigma] = mask
-        return mask
-
-    def branches(covered: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        low = ~covered & full
-        cell = _cell_vector((low & -low).bit_length() - 1, m, dimension)
-        for t in residues:
-            sigma = tuple((a - b) % m for a, b in zip(cell, t))
-            mask = placement_mask(sigma)
-            if not mask & covered:
-                yield sigma, mask
+    def row(cell: int) -> list[tuple[int, int]]:
+        entries = []
+        for sigma in _packed(wraps, _cell_vector(cell, m, dimension), negated):
+            mask = masks.get(sigma)
+            if mask is None:
+                cells = _packed(wraps, _cell_vector(sigma, m, dimension), columns)
+                mask = masks[sigma] = sum(map((1).__lshift__, cells))
+            entries.append((sigma, mask))
+        rows[cell] = entries
+        return entries
 
     nodes = 1  # the root state
     covered = 0
-    if covered == full:
-        return [], nodes
-    trail: list[tuple[tuple[int, ...], int, Iterator[tuple[tuple[int, ...], int]]]] = []
-    it = branches(covered)
+    trail: list[tuple[int, Iterator[tuple[int, int]], int]] = []
+    entries = iter(row(0))
     while True:
-        step = next(it, None)
-        if step is None:
+        for sigma, mask in entries:
+            if not mask & covered:
+                break
+        else:
             if not trail:
                 return None, nodes
-            _, covered, it = trail.pop()
+            covered, entries, _ = trail.pop()
             continue
-        sigma, mask = step
-        trail.append((sigma, covered, it))
+        trail.append((covered, entries, sigma))
         covered |= mask
         nodes += 1
         if covered == full:
-            return [entry[0] for entry in trail], nodes
-        it = branches(covered)
+            return [_cell_vector(entry[2], m, dimension) for entry in trail], nodes
+        # covered ^ (covered + 1) sets the bits up to the least uncovered cell.
+        cell = (covered ^ (covered + 1)).bit_length() - 1
+        entries = iter(rows.get(cell) or row(cell))
 
 
 def decide_m_tile(
@@ -293,6 +294,19 @@ def decide_m_tile(
         return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes))
     complement = PointSet(group.dimension, tuple(sorted(solution)))
     return TilingCertificate(group, point_set, complement)
+
+
+def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
+    """Re-run the exhausted search a certificate records and compare.
+
+    The search is decide_m_tile with the divisibility shortcut disabled; the
+    replay holds when it ends in the same reason, an exhausted search with
+    the recorded node count.
+    """
+    if not isinstance(cert.reason, ExhaustedSearch):
+        raise ValueError("only an exhausted-search certificate can be replayed")
+    verdict = decide_m_tile(cert.set, cert.group, guard, divisibility_shortcut=False)
+    return isinstance(verdict, NonTilingCertificate) and verdict.reason == cert.reason
 
 
 def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> TilingCertificate:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import DATA_DIR
 from spectratile import certio
 from spectratile.cli import main
 from spectratile.counterexample import DATA_FILES, data_path
@@ -241,3 +242,46 @@ class TestGuardEnvironment:
         set_file = line_file(write, "set.txt", 0, 1)
         monkeypatch.setenv("SPECTRATILE_GUARD", "2")
         assert main(["tile", "decide", "--set", set_file, "-m", "4", "--guard", "100"]) == 0
+
+
+class TestVerifyReplay:
+    GOLDEN_NODES = b'"nodes":"750"'
+
+    def golden(self, tmp_path, nodes=b"750"):
+        data = (DATA_DIR / "counterexample_n2.json").read_bytes()
+        assert data.count(self.GOLDEN_NODES) == 1
+        path = tmp_path / "bundle.json"
+        path.write_bytes(data.replace(self.GOLDEN_NODES, b'"nodes":"' + nodes + b'"'))
+        return str(path)
+
+    def test_golden_bundle_replays(self, tmp_path, capsys):
+        assert main(["tile", "verify", "--replay", self.golden(tmp_path)]) == 0
+        assert "exhausted after 750 nodes, as recorded" in capsys.readouterr().out
+
+    def test_tampered_node_count_fails_only_on_replay(self, tmp_path, capsys):
+        bundle = self.golden(tmp_path, b"751")
+        assert main(["tile", "verify", bundle]) == 0
+        assert main(["tile", "verify", "--replay", bundle]) == 1
+        assert "replay fails" in capsys.readouterr().out
+
+    def test_non_tiling_envelope(self, files, capsys):
+        tmp_path, write = files
+        # {0, 1, 3} has a size dividing 6 but does not tile Z_6.
+        set_file = line_file(write, "set.txt", 0, 1, 3)
+        out = tmp_path / "non.json"
+        assert main(["tile", "decide", "--set", set_file, "-m", "6", "--json", str(out)]) == 1
+        assert main(["tile", "verify", "--replay", str(out)]) == 0
+        assert "trust: replay-required" in capsys.readouterr().out
+        doc = json.loads(out.read_bytes())
+        doc["payload"]["reason"]["nodes"] = str(int(doc["payload"]["reason"]["nodes"]) - 1)
+        out.write_text(json.dumps(doc))
+        assert main(["tile", "verify", str(out)]) == 0
+        assert main(["tile", "verify", "--replay", str(out)]) == 1
+
+    def test_nothing_to_replay(self, files, capsys):
+        tmp_path, write = files
+        set_file = line_file(write, "set.txt", 0, 1)
+        out = tmp_path / "tile.json"
+        main(["tile", "decide", "--set", set_file, "-m", "4", "--json", str(out)])
+        assert main(["tile", "verify", "--replay", str(out)]) == 0
+        assert "no exhausted search" in capsys.readouterr().out

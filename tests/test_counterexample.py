@@ -1,5 +1,7 @@
 import pytest
 
+import spectratile.counterexample as counterexample_module
+import spectratile.spectral as spectral_module
 from conftest import DATA_DIR
 from spectratile.certio import trust_marker
 from spectratile.counterexample import (
@@ -127,3 +129,21 @@ class TestPipeline:
         assert [(s.name, s.passed, s.detail) for s in a.steps] == [
             (s.name, s.passed, s.detail) for s in b.steps
         ]
+
+
+class TestEachSpectrumVerifiedOnce:
+    def test_base_and_composed_verified_once_each(self, monkeypatch):
+        checked = []
+        original = spectral_module.verify_spectrum
+
+        def recording(cert):
+            checked.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(spectral_module, "verify_spectrum", recording)
+        monkeypatch.setattr(counterexample_module, "verify_spectrum", recording)
+        report = run_counterexample(2)
+        assert report.overall
+        assert tuple(s.name for s in report.steps) == EXPECTED_STEPS
+        record = report.envelope.payload
+        assert checked == [base_spectrum_certificate(), record.composed_spectrum]

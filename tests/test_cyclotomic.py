@@ -1,4 +1,6 @@
 import cmath
+import functools
+import math
 
 import pytest
 
@@ -88,6 +90,41 @@ class TestCyclotomicPolynomial:
     def test_bounds(self, m):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(m)
+
+
+@functools.lru_cache(maxsize=None)
+def division_oracle(m):
+    # Phi_m as x^m - 1 divided by Phi_d for every proper divisor d.
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = naive_divide(poly, division_oracle(d))
+            assert rem == []
+    return tuple(poly)
+
+
+def euler_phi(m):
+    return sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+
+
+class TestMoebiusProduct:
+    def test_matches_division_oracle(self):
+        for m in range(1, 401):
+            assert cyclotomic_polynomial(m).coefficients == division_oracle(m), m
+
+    def test_index_105_coefficients(self):
+        coefficients = cyclotomic_polynomial(105).coefficients
+        assert [i for i, c in enumerate(coefficients) if c == -2] == [7, 41]
+        assert set(coefficients) == {-2, -1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "ms", [range(1, 1001), (2310, 2520, 4096, 9240, 9699, MAX_CYCLOTOMIC_INDEX)]
+    )
+    def test_degree_is_euler_phi(self, ms):
+        for m in ms:
+            poly = cyclotomic_polynomial(m)
+            assert poly.degree == euler_phi(m), m
+            assert poly.coefficients[-1] == 1
 
 
 class TestPolyDivrem:

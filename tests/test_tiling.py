@@ -21,6 +21,7 @@ from spectratile.tiling import (
     extension_obstructions,
     independent_tile,
     lift_tile,
+    replay_search,
     verify_tiling,
 )
 
@@ -544,3 +545,147 @@ class TestIndependentTileChecksEachCertificateOnce:
         base = line_cert(2, (0, 1), (0,))
         lifted = lift_tile(PointSet(2, ((0, 0), (1, 0))), IntMatrix.from_rows([[1, 0]]), base)
         assert checked == [base, lifted]
+
+
+def lex_first_oracle(residues, m, dimension):
+    """The tuple-keyed lex-first exact cover that the placement table
+    replaced, kept verbatim as an oracle: branch on the least uncovered cell
+    as a tuple, try the points in their given order."""
+    order = m**dimension
+    full = (1 << order) - 1
+    mask_cache = {}
+
+    def cell_index(cell):
+        idx = 0
+        for c in cell:
+            idx = idx * m + c
+        return idx
+
+    def cell_vector(idx):
+        coords = []
+        for _ in range(dimension):
+            idx, r = divmod(idx, m)
+            coords.append(r)
+        return tuple(reversed(coords))
+
+    def placement_mask(sigma):
+        mask = mask_cache.get(sigma)
+        if mask is None:
+            mask = 0
+            for t in residues:
+                mask |= 1 << cell_index(tuple((s + c) % m for s, c in zip(sigma, t)))
+            mask_cache[sigma] = mask
+        return mask
+
+    def branches(covered):
+        low = ~covered & full
+        cell = cell_vector((low & -low).bit_length() - 1)
+        for t in residues:
+            sigma = tuple((a - b) % m for a, b in zip(cell, t))
+            mask = placement_mask(sigma)
+            if not mask & covered:
+                yield sigma, mask
+
+    nodes = 1
+    covered = 0
+    if covered == full:
+        return [], nodes
+    trail = []
+    it = branches(covered)
+    while True:
+        step = next(it, None)
+        if step is None:
+            if not trail:
+                return None, nodes
+            _, covered, it = trail.pop()
+            continue
+        sigma, mask = step
+        trail.append((sigma, covered, it))
+        covered |= mask
+        nodes += 1
+        if covered == full:
+            return [entry[0] for entry in trail], nodes
+        it = branches(covered)
+
+
+class TestPlacementTableAgainstLexFirstOracle:
+    """Same branching order, node count and first solution as the oracle."""
+
+    def check(self, residues, m, d, rng):
+        expected = lex_first_oracle(residues, m, d)
+        assert tiling_module._exact_cover(residues, m, d) == expected
+        # decide_m_tile reduces unreduced coordinates to the same residues.
+        shifted = tuple(tuple(c + m * rng.randint(-2, 2) for c in r) for r in residues)
+        verdict = decide_m_tile(
+            PointSet(d, shifted), GroupSpec(m, d), divisibility_shortcut=False
+        )
+        solution, nodes = expected
+        if solution is None:
+            assert verdict.reason == ExhaustedSearch(nodes)
+        else:
+            assert verdict.complement.points == tuple(sorted(solution))
+        return solution is not None
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_random_residue_sets(self, rng, m, d):
+        cells = list(itertools.product(range(m), repeat=d))
+        order = len(cells)
+        # Lex-first search is exponential for small sets in Z_m^3 (a 3-point
+        # set in Z_4^3 can take 970,000 nodes), so there the sizes start
+        # higher; the singleton and the whole group are tested below.
+        low = {1: 1, 2: 1, 3: {4: 7, 5: 12, 6: 12}.get(m, 1)}[d]
+        sizes = range(low, min(order, low + 8) + 1)
+        dividing = [k for k in sizes if order % k == 0]
+        other = [k for k in sizes if order % k != 0]
+        outcomes = set()
+        for draw in range(30):
+            k = rng.choice(other if draw % 2 and other or not dividing else dividing)
+            outcomes.add(self.check(rng.sample(cells, k), m, d, rng))
+        if other:
+            assert False in outcomes
+
+    @pytest.mark.parametrize("m, d", [(2, 1), (3, 2), (4, 3), (6, 3), (5, 2)])
+    def test_singleton_and_whole_group(self, rng, m, d):
+        cells = list(itertools.product(range(m), repeat=d))
+        point = rng.choice(cells)
+        assert self.check([point], m, d, rng)
+        assert lex_first_oracle([point], m, d)[1] == m**d + 1
+        shuffled = rng.sample(cells, len(cells))
+        assert self.check(shuffled, m, d, rng)
+        assert lex_first_oracle(shuffled, m, d)[1] == 2
+
+    def test_deep_exhausted_search_node_count(self):
+        # z5d3k5-142 of the benchmark pool: the deepest exhausted search there.
+        points = PointSet(3, ((2, 4, 1), (3, 3, 1), (4, 1, 1), (3, 0, 0), (0, 3, 2)))
+        verdict = decide_m_tile(points, GroupSpec(5, 3))
+        assert verdict.reason == ExhaustedSearch(160_299)
+
+
+class TestReplaySearch:
+    def test_honest_and_tampered_counts(self):
+        verdict = decide_m_tile(line_set(0, 1, 3), GroupSpec(6, 1))
+        assert isinstance(verdict.reason, ExhaustedSearch)
+        assert replay_search(verdict)
+        for nodes in (verdict.reason.nodes - 1, verdict.reason.nodes + 1):
+            tampered = NonTilingCertificate(verdict.group, verdict.set, ExhaustedSearch(nodes))
+            assert not replay_search(tampered)
+
+    def test_search_run_without_the_divisibility_shortcut(self):
+        # The bundle's search: six points, whose size does not divide 3^4.
+        cert = NonTilingCertificate(GroupSpec(3, 4), base_point_set(), ExhaustedSearch(750))
+        assert replay_search(cert)
+
+    def test_a_tiling_set_does_not_replay(self):
+        cert = NonTilingCertificate(GroupSpec(4, 1), line_set(0, 1), ExhaustedSearch(3))
+        assert not replay_search(cert)
+
+    def test_only_exhausted_searches_replay(self):
+        verdict = decide_m_tile(base_point_set(), GroupSpec(3, 4))
+        with pytest.raises(ValueError):
+            replay_search(verdict)
+
+    def test_guard(self):
+        cert = NonTilingCertificate(GroupSpec(3, 4), base_point_set(), ExhaustedSearch(750))
+        with pytest.raises(GuardExceeded):
+            replay_search(cert, guard=80)
