@@ -23,11 +23,14 @@ operations define, so serializing the same envelope twice yields identical
 bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
-payloads are re-verified outright, compositions, lifts and independence
-chains are recomputed and compared, and the counterexample bundle has each
-component re-checked.  A tiling lift or an independence chain is recomputed
-over at most the group order its own result claims, so a tampered one costs
-no more than it says.  The one thing a static file cannot prove is an
+payloads are re-verified outright, compositions and lifts are recomputed and
+compared, and the counterexample bundle has each component re-checked.  A
+tiling lift is recomputed over at most the group order its own result
+claims, so a tampered one costs no more than it says.  An independence
+chain stores the premises of the pullback lemma, not the tilings they
+imply: parse recomputes the selected block's determinant, maps each point
+to Z_M and verifies the one-dimensional tiling, which is O(k*d + k^3 + M)
+work and never walks Z_M^d.  The one thing a static file cannot prove is an
 exhausted-search node count; such certificates parse but carry a
 "replay-required" trust marker (inside composite records an exhausted search
 is corroborating evidence only - the load-bearing claims are re-checked).
@@ -44,7 +47,13 @@ from typing import Any, Callable, NamedTuple, Union
 
 from . import spectral, tiling
 from .guard import GuardExceeded, check_guard
-from .modlinalg import IntMatrix, RankFactorization, is_rank_factorization, rank_mod_p
+from .modlinalg import (
+    IntMatrix,
+    RankFactorization,
+    _det_bareiss,
+    is_rank_factorization,
+    rank_mod_p,
+)
 from .spectral import (
     GroupSpec,
     PhaseMatrix,
@@ -429,13 +438,12 @@ _LIFT = _Tagged(
 )
 _CHAIN = _Record(
     IndependenceChain,
+    set=_POINT_SET,
     selected_rows=_INTS,
     determinant=_INT,
     modulus=_INT,
     row_transform=_MATRIX,
     one_dimensional=_TILING,
-    projected=_TILING,
-    final=_TILING,
 )
 _OBSTRUCTIONS = _Record(
     ExtensionObstructionReport,
@@ -526,12 +534,43 @@ def _verify_lift(rec: LiftRecord) -> None:
 
 
 def _verify_chain(rec: IndependenceChain) -> None:
-    cells = _claimed_cells(rec.final)
-    try:
-        recomputed = tiling.independent_tile(rec.final.set, cells)
-    except GuardExceeded:
-        raise _overrun("independence chain", cells) from None
-    _require(recomputed == rec, "independence chain does not recompute")
+    """Check the premises of the pullback lemma (see IndependenceChain).
+
+    The work is O(k*d + k^3 + M): the selected block's determinant, phi on
+    each point and the tiling of Z_M.  No lift is recomputed, and neither
+    Z_M^k nor Z_M^d is walked; the guard admits Z_M^d only so that reading
+    the chain's on-demand tilings later stays within it.
+    """
+    points = rec.set.points
+    k, d = len(points), rec.set.dimension
+    rows = rec.selected_rows
+    _require(
+        len(rows) == k
+        and all(0 <= r < d for r in rows)
+        and all(a < b for a, b in zip(rows, rows[1:])),
+        "selected rows must be k strictly increasing indices in [0, d)",
+    )
+    block = [[p[r] for p in points] for r in rows]
+    _require(
+        _det_bareiss(block) == rec.determinant,
+        "determinant does not recompute from the selected rows",
+    )
+    # IndependenceChain itself requires modulus = k * |det|, so the power
+    # below is bounded by the envelope's own coordinates.
+    m = rec.modulus
+    check_guard(m**d)
+    weights = rec.row_transform
+    _require(weights.rows == 1 and weights.cols == k, "row transform must be 1 x k")
+    images = [sum(w * p[r] for w, r in zip(weights.entries, rows)) % m for p in points]
+    one = rec.one_dimensional
+    _require(one.group == GroupSpec(m, 1), "one-dimensional tiling is not of Z_M")
+    _require(
+        images == [p[0] % m for p in one.set.points],
+        "row transform does not map the set onto the one-dimensional tiling's set",
+    )
+    # A tiling's set has distinct residues, so this also makes phi injective
+    # on the set.
+    _verify_tiling(one)
 
 
 def _verify_counterexample(rec: CounterexampleRecord) -> None:

@@ -197,9 +197,10 @@ def _cmd_tile(args) -> int:
     # independent
     point_set = parse_point_set(_read(args.set))
     chain = independent_tile(point_set, args.guard)
+    d = point_set.dimension
     out.say(
-        f"independent set tiles Z_{chain.modulus}^{point_set.dimension}; complement size "
-        f"{len(chain.final.complement)}"
+        f"independent set tiles Z_{chain.modulus}^{d}; complement size "
+        f"{chain.modulus**d // len(point_set)}"
     )
     _write_envelope(
         args.json, "independence-chain", chain, "independent_tile", (f"set={args.set}",)

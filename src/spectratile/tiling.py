@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, product
 from operator import add
 from typing import Iterator, Sequence, Union
@@ -197,7 +198,7 @@ def _cell_vector(idx: int, m: int, dimension: int) -> tuple[int, ...]:
 
 
 def _exact_cover(
-    residues: Sequence[tuple[int, ...]], m: int, dimension: int
+    residues: Sequence[tuple[int, ...]], m: int, dimension: int, limit: int | None = None
 ) -> tuple[list[tuple[int, ...]] | None, int]:
     """First exact cover in deterministic order, plus the visited node count.
 
@@ -210,7 +211,11 @@ def _exact_cover(
     are shared between rows, so the table grows with the cells branched on,
     not with order * k.  A node costs one bit scan for its cell plus one AND
     per row entry tried; the residues must be distinct mod m.
+
+    With a limit, the search stops without a cover as soon as it visits
+    node limit + 1, and returns that count.
     """
+    stop = 0 if limit is None else limit + 1  # nodes never returns to 0
     order = m**dimension
     full = (1 << order) - 1
     wraps = _wraps(m, dimension)
@@ -246,11 +251,28 @@ def _exact_cover(
         trail.append((covered, entries, sigma))
         covered |= mask
         nodes += 1
+        if nodes == stop:
+            return None, nodes
         if covered == full:
             return [_cell_vector(entry[2], m, dimension) for entry in trail], nodes
         # covered ^ (covered + 1) sets the bits up to the least uncovered cell.
         cell = (covered ^ (covered + 1)).bit_length() - 1
         entries = iter(rows.get(cell) or row(cell))
+
+
+def _distinct_residues(
+    point_set: PointSet, m: int
+) -> list[tuple[int, ...]] | DuplicateResidues:
+    """The points' residues mod m, or the first pair of points that collide."""
+    residues: list[tuple[int, ...]] = []
+    first_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in point_set.points:
+        res = tuple(c % m for c in p)
+        if res in first_seen:
+            return DuplicateResidues(first_seen[res], p)
+        first_seen[res] = p
+        residues.append(res)
+    return residues
 
 
 def decide_m_tile(
@@ -268,19 +290,10 @@ def decide_m_tile(
     """
     if point_set.dimension != group.dimension:
         raise ValueError("set dimension does not match the group")
-    m = group.modulus
     check_guard(group.order(), guard)
-
-    residues: list[tuple[int, ...]] = []
-    first_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in point_set.points:
-        res = tuple(c % m for c in p)
-        if res in first_seen:
-            return NonTilingCertificate(
-                group, point_set, DuplicateResidues(first_seen[res], p)
-            )
-        first_seen[res] = p
-        residues.append(res)
+    residues = _distinct_residues(point_set, group.modulus)
+    if isinstance(residues, DuplicateResidues):
+        return NonTilingCertificate(group, point_set, residues)
 
     if divisibility_shortcut and group.order() % len(point_set) != 0:
         return NonTilingCertificate(
@@ -289,7 +302,7 @@ def decide_m_tile(
             DivisibilityObstruction(len(point_set), group.order()),
         )
 
-    solution, nodes = _exact_cover(residues, m, group.dimension)
+    solution, nodes = _exact_cover(residues, group.modulus, group.dimension)
     if solution is None:
         return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes))
     complement = PointSet(group.dimension, tuple(sorted(solution)))
@@ -299,14 +312,22 @@ def decide_m_tile(
 def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
     """Re-run the exhausted search a certificate records and compare.
 
-    The search is decide_m_tile with the divisibility shortcut disabled; the
-    replay holds when it ends in the same reason, an exhausted search with
-    the recorded node count.
+    The search is decide_m_tile's with the divisibility shortcut disabled;
+    the replay holds when it exhausts after exactly the recorded node count.
+    It stops as soon as it passes that count, so a replay costs no more
+    nodes than the certificate claims, plus one.
     """
     if not isinstance(cert.reason, ExhaustedSearch):
         raise ValueError("only an exhausted-search certificate can be replayed")
-    verdict = decide_m_tile(cert.set, cert.group, guard, divisibility_shortcut=False)
-    return isinstance(verdict, NonTilingCertificate) and verdict.reason == cert.reason
+    check_guard(cert.group.order(), guard)
+    residues = _distinct_residues(cert.set, cert.group.modulus)
+    if isinstance(residues, DuplicateResidues):
+        return False
+    claimed = cert.reason.nodes
+    solution, nodes = _exact_cover(
+        residues, cert.group.modulus, cert.group.dimension, limit=claimed
+    )
+    return solution is None and nodes == claimed
 
 
 def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> TilingCertificate:
@@ -417,27 +438,58 @@ def _lift(
 
 @dataclass(frozen=True)
 class IndependenceChain:
-    """The constructive chain proving a linearly independent set tiles.
+    """Why a linearly independent set A of k points tiles Z_M^d, as premises.
 
-    Project onto coordinates where the point matrix stays invertible, map
-    the projected columns to an arithmetic progression with one integer row
-    vector, observe that the progression tiles Z_M for M = k * |det|, then
-    lift the tiling back up through both maps.
+    The pullback lemma: let phi: G -> H be a group homomorphism that is
+    injective on A, and let phi(A) + C = H be a tiling.  Then A + phi^-1(C)
+    = G is a tiling.  (Every g has phi(g) = phi(a) + c for one a and c, so
+    g - a lies in phi^-1(C); and a + x = a' + x' with x, x' in phi^-1(C)
+    gives phi(a) + phi(x) = phi(a') + phi(x'), so phi(a) = phi(a') by
+    uniqueness in H, a = a' by injectivity on A, and then x = x'.)
+
+    Here G = Z_M^d, H = Z_M and phi(x) = row_transform . x[selected_rows]
+    mod M.  The selected rows of the point matrix form an invertible k x k
+    block with the given determinant; row_transform is sign(det) * (0, 1,
+    ..., k - 1) times its adjugate, so phi maps the i-th point to |det| * i.
+    That progression tiles Z_M, M = k * |det|, with complement [0, |det|):
+    the one_dimensional certificate.
+
+    Only these premises are stored.  The tilings they imply are built on
+    demand: projected, of Z_M^k, pulls one_dimensional back through
+    row_transform, and final, of Z_M^d, pulls projected back through the
+    projection onto the selected rows.  Each walks its group once, within
+    the order modulus**dimension that independent_tile or parse admitted,
+    and is verified once, the first time it is read.
     """
 
+    set: PointSet
     selected_rows: tuple[int, ...]
     determinant: int
     modulus: int
     row_transform: IntMatrix
     one_dimensional: TilingCertificate
-    projected: TilingCertificate
-    final: TilingCertificate
 
     def __post_init__(self) -> None:
         if self.determinant == 0:
             raise ValueError("determinant must be nonzero")
         if self.modulus != len(self.selected_rows) * abs(self.determinant):
             raise ValueError("modulus must equal k * |det|")
+
+    @cached_property
+    def projected(self) -> TilingCertificate:
+        """The tiling of Z_M^k by the selected coordinates of the set."""
+        k = len(self.selected_rows)
+        block_columns = tuple(tuple(p[r] for r in self.selected_rows) for p in self.set.points)
+        return _lift(
+            PointSet(k, block_columns), self.row_transform, self.one_dimensional, self.modulus**k
+        )
+
+    @cached_property
+    def final(self) -> TilingCertificate:
+        """The tiling of Z_M^d by the set itself."""
+        d = self.set.dimension
+        projection = _projection_matrix(self.selected_rows, d)
+        return _lift(self.set, projection, self.projected, self.modulus**d)
 
 
 def _projection_matrix(selected_rows: Sequence[int], dimension: int) -> IntMatrix:
@@ -447,12 +499,17 @@ def _projection_matrix(selected_rows: Sequence[int], dimension: int) -> IntMatri
 
 
 def independent_tile(point_set: PointSet, guard: int | None = None) -> IndependenceChain:
-    """Build a verified tiling certificate for a linearly independent set.
+    """Certify that a linearly independent set tiles Z_M^d.
 
     The k points must be linearly independent over the rationals.  The
-    returned chain carries every intermediate certificate: the arithmetic
-    progression in Z_M, the projected tiling in Z_M^k, and the final tiling
-    in Z_M^d, each re-verified by coverage counting.
+    first k rows of the point matrix that keep it of full rank form the
+    block; its determinant and adjugate give M = k * |det| and the row
+    vector mapping the points onto the progression |det| * (0, ..., k - 1)
+    of Z_M.  The guard admits the order M**d, and the progression's tiling
+    of Z_M is verified.  The pullback lemma (if phi: G -> H is injective on
+    A and phi(A) + C = H, then A + phi^-1(C) = G; see IndependenceChain),
+    applied to that row vector, then makes the set tile Z_M^d.  Nothing here
+    walks Z_M^k or Z_M^d.
     """
     k = len(point_set)
     d = point_set.dimension
@@ -491,19 +548,13 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     )
     if not verify_tiling(one_dim):
         raise RuntimeError("progression tiling failed verification; implementation fault")
-
-    # Each lift re-verifies its result, which is the next lift's base.
-    projected_set = PointSet(k, tuple(block.column(j) for j in range(k)))
-    projected = _lift(projected_set, row_transform, one_dim, guard)
-    final = _lift(point_set, _projection_matrix(selected, d), projected, guard)
     return IndependenceChain(
+        set=point_set,
         selected_rows=tuple(selected),
         determinant=det,
         modulus=modulus,
         row_transform=row_transform,
         one_dimensional=one_dim,
-        projected=projected,
-        final=final,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import weakref
 from pathlib import Path
@@ -459,12 +460,13 @@ class TestRecomputationBoundedByTheClaim:
         chain = independent_tile(PointSet(2, ((1, 0), (0, 1))))
         assert len(chain.final.set) * len(chain.final.complement) == 4
         doc = json.loads(serialize(envelope("independence-chain", chain)))
-        # det 1000, so the recomputed group would be Z_2000^2: 4,000,000 cells.
-        doc["payload"]["final"]["set"]["points"] = [["1", "0"], ["0", "1000"]]
+        # det 1000, so an honest chain for this set would be over Z_2000^2:
+        # 4,000,000 cells.
+        doc["payload"]["set"]["points"] = [["1", "0"], ["0", "1000"]]
         with pytest.raises(InvariantViolation):
             parse(json.dumps(doc))
         assert max(cells for cells, ok in admitted if ok) <= 4
-        assert (2000**2, False) in admitted
+        assert max(cells for cells, _ in admitted) <= 4
 
     def test_tampered_lift_rejected_within_its_claimed_order(self, admitted):
         transform = IntMatrix.from_rows([[1, 0]])
@@ -487,6 +489,105 @@ class TestRecomputationBoundedByTheClaim:
             parse(data)
         monkeypatch.setenv("SPECTRATILE_GUARD", "4")
         assert parse(data) == samples["independence-chain"]
+
+
+CHAIN_GOLDEN = GOLDEN.parent / "independence_chain.json"
+CHAIN_SET = PointSet(3, ((2, 0, 1), (0, 3, 0)))
+
+
+class TestChainPremises:
+    """An independence chain stores the premises of the pullback lemma, and
+    parse checks them without recomputing either lift."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("selected_rows",), ["1", "0"]),
+            (("selected_rows",), ["0", "3"]),
+            (("determinant",), "-6"),
+            (("modulus",), "24"),
+            (("row_transform", "entries", 1), "1"),
+            (("row_transform", "entries", 1), "4"),  # not injective
+            (("one_dimensional", "set", "points", 1, 0), "7"),
+            (("one_dimensional", "complement", "points", 0, 0), "7"),
+            (("set", "points", 0, 1), "1"),
+            # A true tiling of Z_24 by the same progression, not of Z_M.
+            (
+                ("one_dimensional",),
+                certio._TILING.encode(
+                    TilingCertificate(
+                        GroupSpec(24, 1), line_set(0, 6), line_set(*range(6), *range(12, 18))
+                    )
+                ),
+            ),
+        ],
+    )
+    def test_each_stored_field_is_checked(self, path, value):
+        data = CHAIN_GOLDEN.read_bytes()
+        parse(data)
+        with pytest.raises(InvariantViolation):
+            parse(_edit(data, ("payload",) + path, value))
+
+    def test_an_unselected_coordinate_is_free(self):
+        # phi reads only the selected rows, so the premises still hold and
+        # the chain's set still tiles.
+        data = _edit(CHAIN_GOLDEN.read_bytes(), ("payload", "set", "points", 0, 2), "5")
+        chain = parse(data).payload
+        assert chain.set.points[0] == (2, 0, 5)
+        assert tiling.verify_tiling(chain.final)
+
+    def test_old_shape_is_malformed(self):
+        chain = independent_tile(CHAIN_SET)
+        doc = json.loads(serialize(envelope("independence-chain", chain)))
+        del doc["payload"]["set"]
+        doc["payload"]["projected"] = certio._TILING.encode(chain.projected)
+        doc["payload"]["final"] = certio._TILING.encode(chain.final)
+        with pytest.raises(MalformedCertificate):
+            parse(json.dumps(doc))
+
+    def test_on_demand_tilings_match_the_public_lift(self):
+        # The tier-1 draw rule: d in {2, 3}, k <= d, coordinates in [-3, 3],
+        # guard 200,000; dependent and oversized draws are skipped.
+        rng = random.Random(69)
+        checked = 0
+        while checked < 30:
+            d = rng.choice([2, 3])
+            k = rng.randint(1, min(d, 3))
+            points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
+            if len(set(points)) != k:
+                continue
+            try:
+                chain = independent_tile(PointSet(d, tuple(points)), guard=200_000)
+            except ValueError:  # a dependent draw, or GuardExceeded
+                continue
+            rows = chain.selected_rows
+            block = PointSet(k, tuple(tuple(p[r] for r in rows) for p in chain.set.points))
+            projection = IntMatrix.from_rows(
+                [[int(j == r) for j in range(d)] for r in rows]
+            )
+            projected = lift_tile(block, chain.row_transform, chain.one_dimensional)
+            assert chain.projected == projected
+            assert chain.final == lift_tile(chain.set, projection, projected)
+            assert parse(serialize(envelope("independence-chain", chain))).payload == chain
+            checked += 1
+
+    def test_no_lift_is_built_to_certify_or_parse(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_lift called")
+
+        monkeypatch.setattr(tiling, "_lift", refuse)
+        chain = independent_tile(CHAIN_SET)
+        data = serialize(envelope("independence-chain", chain))
+        assert parse(data).payload == chain
+        with pytest.raises(AssertionError):
+            chain.final
+
+    def test_golden_chain(self):
+        data = CHAIN_GOLDEN.read_bytes()
+        env = parse(data)
+        assert trust_marker(env) == "verified"
+        assert serialize(env) == data
+        assert env.payload == independent_tile(CHAIN_SET)
 
 
 class TestParseFreesItsInput:

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from conftest import DATA_DIR
-from spectratile import certio
+from spectratile import certio, tiling
 from spectratile.cli import main
 from spectratile.counterexample import DATA_FILES, data_path
 from spectratile.modlinalg import IntMatrix, format_matrix
 from spectratile.spectral import PointSet, format_phase_matrix, format_point_set
-from spectratile.spectral import PhaseMatrix
+from spectratile.spectral import GroupSpec, PhaseMatrix
+from spectratile.tiling import ExhaustedSearch, NonTilingCertificate
 
 
 @pytest.fixture
@@ -194,6 +195,18 @@ class TestTileCommands:
         assert main(["tile", "independent", "--set", set_file, "--json", str(out)]) == 0
         assert certio.parse(out.read_bytes()).kind == "independence-chain"
 
+    def test_independent_walks_no_group(self, files, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_lift called")
+
+        monkeypatch.setattr(tiling, "_lift", refuse)
+        tmp_path, write = files
+        set_file = write("indep.txt", format_point_set(PointSet(3, ((2, 0, 1), (0, 3, 0)))))
+        out = tmp_path / "chain.json"
+        assert main(["tile", "independent", "--set", set_file, "--json", str(out)]) == 0
+        assert "tiles Z_12^3; complement size 864" in capsys.readouterr().out
+        assert certio.parse(out.read_bytes()).kind == "independence-chain"
+
     def test_independent_dependent_input_is_exit_two(self, files):
         _, write = files
         set_file = write(
@@ -277,6 +290,21 @@ class TestVerifyReplay:
         out.write_text(json.dumps(doc))
         assert main(["tile", "verify", str(out)]) == 0
         assert main(["tile", "verify", "--replay", str(out)]) == 1
+
+    def test_hostile_claim_is_refused_on_replay(self, tmp_path, capsys):
+        points = PointSet(3, ((0, 0, 0), (1, 2, 3)))
+        cert = NonTilingCertificate(GroupSpec(5, 3), points, ExhaustedSearch(5))
+        envelope = certio.CertificateEnvelope(
+            certio.SCHEMA_VERSION,
+            "non-tiling",
+            cert,
+            (certio.ProvenanceEntry("decide_m_tile", ("hostile",)),),
+        )
+        out = tmp_path / "hostile.json"
+        out.write_bytes(certio.serialize(envelope))
+        assert main(["tile", "verify", str(out)]) == 0
+        assert main(["tile", "verify", "--replay", str(out)]) == 1
+        assert "replay fails" in capsys.readouterr().out
 
     def test_nothing_to_replay(self, files, capsys):
         tmp_path, write = files

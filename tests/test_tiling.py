@@ -689,3 +689,37 @@ class TestReplaySearch:
         cert = NonTilingCertificate(GroupSpec(3, 4), base_point_set(), ExhaustedSearch(750))
         with pytest.raises(GuardExceeded):
             replay_search(cert, guard=80)
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The node count of every exact-cover search run, in call order."""
+        counts = []
+        original = tiling_module._exact_cover
+
+        def recording(*args, **kwargs):
+            solution, nodes = original(*args, **kwargs)
+            counts.append(nodes)
+            return solution, nodes
+
+        monkeypatch.setattr(tiling_module, "_exact_cover", recording)
+        return counts
+
+    def test_hostile_claim_stops_past_its_count(self, searched):
+        # Two points whose size does not divide 5^3: the full lex-first
+        # search is exponential, but the claim of 5 nodes bounds the replay.
+        points = PointSet(3, ((0, 0, 0), (1, 2, 3)))
+        cert = NonTilingCertificate(GroupSpec(5, 3), points, ExhaustedSearch(5))
+        assert not replay_search(cert)
+        assert searched == [6]
+
+    def test_golden_search_replays_in_its_recorded_nodes(self, searched):
+        cert = NonTilingCertificate(GroupSpec(3, 4), base_point_set(), ExhaustedSearch(750))
+        assert replay_search(cert)
+        low = NonTilingCertificate(GroupSpec(3, 4), base_point_set(), ExhaustedSearch(749))
+        assert not replay_search(low)
+        assert searched == [750, 750]
+
+    def test_duplicate_residues_do_not_replay(self, searched):
+        cert = NonTilingCertificate(GroupSpec(4, 1), line_set(0, 4), ExhaustedSearch(3))
+        assert not replay_search(cert)
+        assert searched == []
