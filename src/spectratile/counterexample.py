@@ -38,7 +38,7 @@ from .spectral import (
     PhaseMatrix,
     PointSet,
     SpectrumCertificate,
-    _compose,
+    compose_spectral,
     cube_spectrum,
     is_log_hadamard,
     verify_spectrum,
@@ -258,10 +258,9 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
     composed_holder: list[SpectrumCertificate] = []
 
     def check_composed():
-        # The base set passed base-set-spectral and the cube is the full
-        # character system, so only the composed certificate is verified;
-        # _compose raises if it fails.
-        composed = _compose(base_cert, cube)
+        # compose_spectral verifies only the composed certificate, and
+        # raises if it fails; the base set passed base-set-spectral.
+        composed = compose_spectral(base_cert, cube)
         composed_holder.append(composed)
         k = len(composed.set)
         return True, f"{k} points, {k * (k - 1) // 2} row pairs vanish, denominator {m * n}"

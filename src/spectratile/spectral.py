@@ -34,6 +34,11 @@ and d up to 4:
 
 find_spectrum searches for cliques with the zero set.  is_log_hadamard is
 the generic pairwise check on a phase matrix.
+
+The constructions compose_spectral and lift_spectrum verify the certificate
+they return, once, and never the ones they are given: the output check
+alone proves what is returned.  Certificates from outside are verified
+where they enter, in certio.parse.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cyclotomic import ExponentMultiset, cyclotomic_polynomial, is_vanishing_sum
-from .guard import check_guard, resolve_guard
+from .guard import check_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, format_matrix, matmul_mod, parse_matrix
 
 __all__ = [
@@ -59,6 +64,7 @@ __all__ = [
     "verify_spectrum",
     "find_spectrum",
     "compose_spectral",
+    "composed_set",
     "composed_spectrum_rows",
     "lift_spectrum",
     "cube_spectrum",
@@ -84,6 +90,10 @@ class GroupSpec:
 
     def order(self) -> int:
         return self.modulus**self.dimension
+
+    def has_order(self, n: int) -> bool:
+        """Whether the order is n; m**d is computed only when in reach of n."""
+        return power_in_reach(self.modulus, self.dimension, n) and self.order() == n
 
     def elements(self) -> Iterable[tuple[int, ...]]:
         """All group elements in lexicographic order."""
@@ -461,6 +471,18 @@ def find_spectrum(
     return SpectrumCertificate(group, point_set, PhaseMatrix(numerators, m))
 
 
+def composed_set(left: PointSet, right: PointSet, m: int) -> PointSet:
+    """T + mS: each t + m*s, t in the outer loop and s in the inner."""
+    if left.dimension != right.dimension:
+        raise ValueError("composed sets must share a dimension")
+    return PointSet(
+        left.dimension,
+        tuple(
+            tuple(tc + m * sc for tc, sc in zip(t, s)) for t in left.points for s in right.points
+        ),
+    )
+
+
 def composed_spectrum_rows(left: IntMatrix, right: IntMatrix, m: int, n: int) -> IntMatrix:
     """Spectrum numerators of T + mS over denominator m*n.
 
@@ -482,39 +504,18 @@ def compose_spectral(
     """Combine an m-spectral set T and an n-spectral set S into T + mS.
 
     The composed set pairs every t with every s as t + m*s, and the composed
-    spectrum pairs the witness rows as (n*l + q)/(m*n).  Both inputs are
-    verified first (see _compose) and the result is re-verified before being
-    returned.
+    spectrum pairs the witness rows as (n*l + q)/(m*n).  Only the result is
+    verified; a bad input fails that check with ValueError.
     """
-    if cert_t.set.dimension != cert_s.set.dimension:
-        raise ValueError("composed certificates must share a dimension")
-    if not verify_spectrum(cert_t):
-        raise ValueError("left certificate fails verification")
-    if not verify_spectrum(cert_s):
-        raise ValueError("right certificate fails verification")
-    return _compose(cert_t, cert_s)
-
-
-def _compose(cert_t: SpectrumCertificate, cert_s: SpectrumCertificate) -> SpectrumCertificate:
-    """compose_spectral for inputs of one dimension that the caller has
-    already verified; the composed certificate is built and verified."""
     m = cert_t.group.modulus
     n = cert_s.group.modulus
-    d = cert_t.set.dimension
-    cert_t.set.reduced_mod(m)  # raises unless T is distinct mod m
-    gamma = tuple(
-        tuple(tc + m * sc for tc, sc in zip(t, s))
-        for t in cert_t.set.points
-        for s in cert_s.set.points
-    )
-    if len(set(gamma)) != len(gamma):
-        raise ValueError("composition collides: T + mS has repeated points")
+    gamma = composed_set(cert_t.set, cert_s.set, m)
     rows = composed_spectrum_rows(cert_t.spectrum.numerators, cert_s.spectrum.numerators, m, n)
     composed = SpectrumCertificate(
-        GroupSpec(m * n, d), PointSet(d, gamma), PhaseMatrix(rows, m * n)
+        GroupSpec(m * n, gamma.dimension), gamma, PhaseMatrix(rows, m * n)
     )
     if not verify_spectrum(composed):
-        raise RuntimeError("composed spectrum failed verification; implementation fault")
+        raise ValueError("composed spectrum fails verification")
     return composed
 
 
@@ -525,12 +526,11 @@ def lift_spectrum(
 
     If the columns of transform @ T form the base certificate's set (same
     order), then base_spectrum @ transform is a spectrum for T itself over
-    the same denominator.
+    the same denominator.  Only the result is verified; a base that is not
+    a spectrum fails that check with ValueError.
     """
     if transform.cols != point_set.dimension:
         raise ValueError("transform width must equal the set dimension")
-    if not verify_spectrum(base):
-        raise ValueError("base certificate fails verification")
     mapped = matmul_mod(transform, point_set.to_columns_matrix(), None)
     mapped_points = tuple(mapped.column(j) for j in range(mapped.cols))
     if mapped_points != base.set.points:
@@ -543,7 +543,7 @@ def lift_spectrum(
         PhaseMatrix(numerators, m),
     )
     if not verify_spectrum(lifted):
-        raise RuntimeError("lifted spectrum failed verification; implementation fault")
+        raise ValueError("lifted spectrum fails verification")
     return lifted
 
 

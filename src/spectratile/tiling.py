@@ -19,6 +19,11 @@ and one AND per placement tried.
 verify_tiling counts the packed cells of every translate, and lift_tile
 walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
 the prefix's m cells at once against the packed base complement.
+
+The constructions compose_tile and lift_tile verify the certificate they
+return, once, and never the ones they are given: the output check alone
+proves what is returned.  Certificates from outside are verified where they
+enter, in certio.parse.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from itertools import compress, product
 from operator import add
 from typing import Iterator, Sequence, Union
 
-from .guard import check_guard
+from .guard import check_guard, check_power_guard
 from .modlinalg import IntMatrix, det_and_adjugate, matmul_mod, rank_over_rationals
-from .spectral import GroupSpec, PointSet
+from .spectral import GroupSpec, PointSet, composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -68,7 +73,7 @@ class TilingCertificate:
             raise ValueError("set dimension does not match the group")
         if self.complement.dimension != self.group.dimension:
             raise ValueError("complement dimension does not match the group")
-        if len(self.set) * len(self.complement) != self.group.order():
+        if not self.group.has_order(len(self.set) * len(self.complement)):
             raise ValueError("set and complement sizes must multiply to the group order")
 
 
@@ -123,7 +128,7 @@ class NonTilingCertificate:
         if isinstance(self.reason, DivisibilityObstruction):
             if self.reason.set_size != len(self.set):
                 raise ValueError("recorded set size disagrees with the set")
-            if self.reason.group_order != self.group.order():
+            if not self.group.has_order(self.reason.group_order):
                 raise ValueError("recorded group order disagrees with the group")
         elif isinstance(self.reason, DuplicateResidues):
             a, b = self.reason.first, self.reason.second
@@ -172,13 +177,11 @@ def verify_tiling(cert: TilingCertificate) -> bool:
     """Re-check a tiling certificate by direct coverage counting.
 
     Each translate's cells are counted as packed integer indices; the
-    sizes already multiply to the group order, so the translates tile
-    exactly when no index repeats.
+    certificate's constructor makes the sizes multiply to the group order,
+    so the translates tile exactly when no index repeats.
     """
     m = cert.group.modulus
     size = len(cert.complement)
-    if len(cert.set) * size != cert.group.order():
-        return False
     wraps = _wraps(m, cert.group.dimension)
     columns = _residue_columns(cert.complement, m)
     seen: set[int] = set()
@@ -319,7 +322,7 @@ def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
     """
     if not isinstance(cert.reason, ExhaustedSearch):
         raise ValueError("only an exhausted-search certificate can be replayed")
-    check_guard(cert.group.order(), guard)
+    check_power_guard(cert.group.modulus, cert.group.dimension, guard)
     residues = _distinct_residues(cert.set, cert.group.modulus)
     if isinstance(residues, DuplicateResidues):
         return False
@@ -333,38 +336,17 @@ def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
 def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> TilingCertificate:
     """Combine an m-tile T and an n-tile S into the mn-tile T + mS.
 
-    The composed complement is Sigma_T + m*Sigma_S reduced mod mn.  The
-    result is re-verified by direct coverage counting before being returned;
-    a verification failure is surfaced, never silently accepted.
+    The composed complement is Sigma_T + m*Sigma_S reduced mod mn.  Only the
+    result is verified, by direct coverage counting; a bad input fails that
+    check with ValueError.
     """
-    if cert_t.set.dimension != cert_s.set.dimension:
-        raise ValueError("composed certificates must share a dimension")
-    if not verify_tiling(cert_t):
-        raise ValueError("left certificate fails verification")
-    if not verify_tiling(cert_s):
-        raise ValueError("right certificate fails verification")
     m = cert_t.group.modulus
     n = cert_s.group.modulus
-    d = cert_t.set.dimension
-    gamma = tuple(
-        tuple(tc + m * sc for tc, sc in zip(t, s))
-        for t in cert_t.set.points
-        for s in cert_s.set.points
-    )
-    if len(set(gamma)) != len(gamma):
-        raise ValueError("composition collides: T + mS has repeated points")
-    sigma = tuple(
-        tuple((a + m * b) % (m * n) for a, b in zip(st, ss))
-        for st in cert_t.complement.points
-        for ss in cert_s.complement.points
-    )
-    if len(set(sigma)) != len(sigma):
-        raise ValueError("composition collides: the combined complement has repeated points")
-    composed = TilingCertificate(
-        GroupSpec(m * n, d), PointSet(d, gamma), PointSet(d, sigma)
-    )
+    gamma = composed_set(cert_t.set, cert_s.set, m)
+    sigma = composed_set(cert_t.complement, cert_s.complement, m).reduced_mod(m * n)
+    composed = TilingCertificate(GroupSpec(m * n, gamma.dimension), gamma, sigma)
     if not verify_tiling(composed):
-        raise RuntimeError("composed tiling failed verification; implementation fault")
+        raise ValueError("composed tiling fails verification")
     return composed
 
 
@@ -377,23 +359,9 @@ def lift_tile(
     """Pull a tiling back through an integer linear map.
 
     If the columns of transform @ T are, mod m, exactly the base tiling's
-    set (same order, pairwise distinct), then the preimage of the base
-    complement under the transform tiles Z_m^d with T.  The base is
-    verified first; the preimage is found by one walk over Z_m^d (see
-    _lift) and the result is re-verified.
-    """
-    if not verify_tiling(base):
-        raise ValueError("base certificate fails verification")
-    return _lift(point_set, transform, base, guard)
-
-
-def _lift(
-    point_set: PointSet,
-    transform: IntMatrix,
-    base: TilingCertificate,
-    guard: int | None,
-) -> TilingCertificate:
-    """lift_tile for a base the caller has already verified.
+    set (same order), then the preimage of the base complement under the
+    transform tiles Z_m^d with T.  Only the result is verified; a base that
+    is not a tiling fails that check with ValueError.
 
     Z_m^d is walked one prefix (all coordinates but the last) at a time, in
     lexicographic order.  A prefix's image is computed once per image row;
@@ -413,8 +381,6 @@ def _lift(
 
     mapped = matmul_mod(transform, point_set.to_columns_matrix(), m)
     mapped_points = tuple(mapped.column(j) for j in range(mapped.cols))
-    if len(set(mapped_points)) != len(mapped_points):
-        raise ValueError("transformed points are not distinct mod m")
     base_points = tuple(tuple(c % m for c in p) for p in base.set.points)
     if mapped_points != base_points:
         raise ValueError("base certificate's set does not match transform @ T")
@@ -432,7 +398,7 @@ def _lift(
         sigma += [prefix + (t,) for t in compress(range(m), hits)]
     lifted = TilingCertificate(group, point_set, PointSet(d, tuple(sigma)))
     if not verify_tiling(lifted):
-        raise RuntimeError("lifted tiling failed verification; implementation fault")
+        raise ValueError("lifted tiling fails verification")
     return lifted
 
 
@@ -480,7 +446,7 @@ class IndependenceChain:
         """The tiling of Z_M^k by the selected coordinates of the set."""
         k = len(self.selected_rows)
         block_columns = tuple(tuple(p[r] for r in self.selected_rows) for p in self.set.points)
-        return _lift(
+        return lift_tile(
             PointSet(k, block_columns), self.row_transform, self.one_dimensional, self.modulus**k
         )
 
@@ -489,7 +455,7 @@ class IndependenceChain:
         """The tiling of Z_M^d by the set itself."""
         d = self.set.dimension
         projection = _projection_matrix(self.selected_rows, d)
-        return _lift(self.set, projection, self.projected, self.modulus**d)
+        return lift_tile(self.set, projection, self.projected, self.modulus**d)
 
 
 def _projection_matrix(selected_rows: Sequence[int], dimension: int) -> IntMatrix:
@@ -567,14 +533,8 @@ def build_extension(point_set: PointSet, m: int, n: int) -> PointSet:
     for p in point_set.points:
         if any(not 0 <= c < m for c in p):
             raise ValueError(f"point {p} lies outside [0, {m})^d")
-    cube = GroupSpec(n, point_set.dimension).elements()
-    offsets = list(cube)
-    points = tuple(
-        tuple(tc + m * vc for tc, vc in zip(t, v))
-        for t in point_set.points
-        for v in offsets
-    )
-    return PointSet(point_set.dimension, points)
+    cube = PointSet(point_set.dimension, tuple(GroupSpec(n, point_set.dimension).elements()))
+    return composed_set(point_set, cube, m)
 
 
 def _reduction_multiplicity(big: PointSet, m: int, base: PointSet) -> int | None:

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import time
 import weakref
 from pathlib import Path
 
 import pytest
 
-from spectratile import certio, guard, tiling
+from spectratile import certio, guard, spectral, tiling
 from spectratile.certio import (
     CertificateEnvelope,
     CertificateError,
@@ -41,6 +42,7 @@ from spectratile.tiling import (
     decide_m_tile,
     independent_tile,
     lift_tile,
+    replay_search,
 )
 
 PROV = (ProvenanceEntry("test", ("inline",)),)
@@ -334,6 +336,112 @@ class TestHostileSpectrum:
             parse(data)
 
 
+TWO_LINE = TilingCertificate(GroupSpec(2, 1), line_set(0), line_set(0, 1))
+
+
+class TestHostileGroupOrder:
+    """Envelopes over Z_m^d with a 4000-digit m and d = 2000, whose order
+    m**d has millions of digits: each is refused, or replayed, without
+    computing that power."""
+
+    MODULUS = "9" * 4000
+    DIMENSION = 2000
+
+    @pytest.fixture(autouse=True)
+    def bounded_orders(self, monkeypatch):
+        order = GroupSpec.order
+
+        def bounded(group):
+            if group.modulus.bit_length() * group.dimension > 10**6:
+                raise AssertionError("computed the order of a huge group")
+            return order(group)
+
+        monkeypatch.setattr(GroupSpec, "order", bounded)
+
+    def _doc(self, kind, npoints, **payload):
+        d = self.DIMENSION
+        points = {
+            "dimension": str(d),
+            "points": [[str(int(i == j)) for j in range(d)] for i in range(npoints)],
+        }
+        payload["group"] = {"modulus": self.MODULUS, "dimension": str(d)}
+        payload["set"] = points
+        if kind == "tiling":
+            payload["complement"] = points
+        return self._raw(kind, payload)
+
+    @staticmethod
+    def _raw(kind, payload):
+        provenance = [{"operation": "test", "inputs": []}]
+        doc = {"schema_version": "1", "kind": kind, "payload": payload, "provenance": provenance}
+        return json.dumps(doc)
+
+    def test_tiling(self):
+        with pytest.raises(InvariantViolation, match="multiply to the group order"):
+            parse(self._doc("tiling", 1))
+
+    def test_divisibility(self):
+        reason = {"kind": "divisibility", "set_size": "2", "group_order": "3"}
+        with pytest.raises(InvariantViolation, match="group order disagrees"):
+            parse(self._doc("non-tiling", 2, reason=reason))
+
+    def test_chain_with_a_huge_modulus(self):
+        # M = |det| is a 4000-digit number; computing M**d takes about 10 s.
+        d = self.DIMENSION
+        point = [self.MODULUS] + ["0"] * (d - 1)
+        payload = {
+            "set": {"dimension": str(d), "points": [point]},
+            "selected_rows": ["0"],
+            "determinant": self.MODULUS,
+            "modulus": self.MODULUS,
+            "row_transform": {"rows": "1", "cols": "1", "entries": ["0"]},
+            "one_dimensional": json.loads(serialize(envelope("tiling", TWO_LINE)))["payload"],
+        }
+        start = time.perf_counter()
+        with pytest.raises(guard.GuardExceeded):
+            parse(self._raw("independence-chain", payload))
+        assert time.perf_counter() - start < 1.0
+
+    def test_exhausted_search_replay(self):
+        reason = {"kind": "exhausted-search", "nodes": "5"}
+        env = parse(self._doc("non-tiling", 2, reason=reason))
+        assert trust_marker(env) == "replay-required"
+        with pytest.raises(guard.GuardExceeded):
+            replay_search(env.payload)
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """Every certificate verify_spectrum or verify_tiling is called on, in order."""
+    calls = []
+    for module, name in (
+        (certio, "verify_spectrum"),
+        (spectral, "verify_spectrum"),
+        (certio, "verify_tiling"),
+        (tiling, "verify_tiling"),
+    ):
+        original = getattr(module, name)
+
+        def recording(cert, original=original):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestParseVerifiesEachCertificateOnce:
+    @pytest.mark.parametrize("name", ["composition-tiling", "composition-spectrum"])
+    def test_composition(self, samples, verified, name):
+        record = parse(serialize(samples[name])).payload
+        assert verified == [record.left, record.right, record.result]
+
+    @pytest.mark.parametrize("name", ["lift-tiling", "lift-spectrum"])
+    def test_lift(self, samples, verified, name):
+        record = parse(serialize(samples[name])).payload
+        assert verified == [record.base, record.result]
+
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "counterexample_n2.json"
 WALKED = [
     "golden-n2",
@@ -573,9 +681,9 @@ class TestChainPremises:
 
     def test_no_lift_is_built_to_certify_or_parse(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("_lift called")
+            raise AssertionError("lift_tile called")
 
-        monkeypatch.setattr(tiling, "_lift", refuse)
+        monkeypatch.setattr(tiling, "lift_tile", refuse)
         chain = independent_tile(CHAIN_SET)
         data = serialize(envelope("independence-chain", chain))
         assert parse(data).payload == chain

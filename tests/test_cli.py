@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import DATA_DIR
-from spectratile import certio, tiling
+from spectratile import certio, spectral, tiling
 from spectratile.cli import main
 from spectratile.counterexample import DATA_FILES, data_path
 from spectratile.modlinalg import IntMatrix, format_matrix
@@ -197,9 +197,9 @@ class TestTileCommands:
 
     def test_independent_walks_no_group(self, files, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("_lift called")
+            raise AssertionError("lift_tile called")
 
-        monkeypatch.setattr(tiling, "_lift", refuse)
+        monkeypatch.setattr(tiling, "lift_tile", refuse)
         tmp_path, write = files
         set_file = write("indep.txt", format_point_set(PointSet(3, ((2, 0, 1), (0, 3, 0)))))
         out = tmp_path / "chain.json"
@@ -313,3 +313,51 @@ class TestVerifyReplay:
         main(["tile", "decide", "--set", set_file, "-m", "4", "--json", str(out)])
         assert main(["tile", "verify", "--replay", str(out)]) == 0
         assert "no exhausted search" in capsys.readouterr().out
+
+
+class TestEachCertificateVerifiedOnce:
+    """tile compose and tile lift verify each input once, in parse, and
+    their output once."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        calls = []
+        original = tiling.verify_tiling
+
+        def recording(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(certio, "verify_tiling", recording)
+        monkeypatch.setattr(tiling, "verify_tiling", recording)
+        return calls
+
+    def _decide(self, tmp_path, write, name, m):
+        out = tmp_path / f"{name}.json"
+        set_file = line_file(write, f"{name}.txt", 0, 1)
+        assert main(["tile", "decide", "--set", set_file, "-m", str(m), "--json", str(out)]) == 0
+        return out
+
+    def test_compose(self, files, verified):
+        tmp_path, write = files
+        left = self._decide(tmp_path, write, "left", 2)
+        right = self._decide(tmp_path, write, "right", 4)
+        out = tmp_path / "composed.json"
+        verified.clear()
+        assert main(["tile", "compose", str(left), str(right), "--json", str(out)]) == 0
+        calls = list(verified)
+        record = certio.parse(out.read_bytes()).payload
+        assert calls == [record.left, record.right, record.result]
+
+    def test_lift(self, files, verified):
+        tmp_path, write = files
+        base = self._decide(tmp_path, write, "base", 2)
+        plane = write("plane.txt", format_point_set(PointSet(2, ((0, 0), (1, 0)))))
+        transform = write("transform.txt", format_matrix(IntMatrix.from_rows([[1, 0]])))
+        out = tmp_path / "lifted.json"
+        verified.clear()
+        argv = ["tile", "lift", "--set", plane, "--matrix", transform, str(base)]
+        assert main(argv + ["--json", str(out)]) == 0
+        calls = list(verified)
+        record = certio.parse(out.read_bytes()).payload
+        assert calls == [record.base, record.result]

@@ -147,3 +147,17 @@ class TestEachSpectrumVerifiedOnce:
         assert tuple(s.name for s in report.steps) == EXPECTED_STEPS
         record = report.envelope.payload
         assert checked == [base_spectrum_certificate(), record.composed_spectrum]
+
+    def test_composes_through_the_public_function(self, monkeypatch):
+        composed = []
+        original = spectral_module.compose_spectral
+
+        def recording(left, right):
+            composed.append(original(left, right))
+            return composed[-1]
+
+        monkeypatch.setattr(spectral_module, "compose_spectral", recording)
+        monkeypatch.setattr(counterexample_module, "compose_spectral", recording)
+        report = run_counterexample(2)
+        assert report.overall
+        assert composed == [report.envelope.payload.composed_spectrum]

@@ -296,6 +296,18 @@ class TestLiftSpectrum:
         with pytest.raises(ValueError):
             lift_spectrum(PointSet(2, ((0, 0), (0, 1))), IntMatrix.from_rows([[1, 0]]), base)
 
+    def test_non_spectral_base_rejected(self):
+        # {0, 1} with rows {0, 1}/3 is not orthogonal, and neither is a lift of it.
+        bogus = SpectrumCertificate(
+            GroupSpec(3, 1),
+            line_set(0, 1),
+            PhaseMatrix(IntMatrix.from_rows([[0], [1]]), 3),
+        )
+        with pytest.raises(ValueError):
+            lift_spectrum(line_set(0, 1), IntMatrix.identity(1), bogus)
+        with pytest.raises(ValueError):
+            lift_spectrum(PointSet(2, ((0, 0), (1, 1))), IntMatrix.from_rows([[1, 0]]), bogus)
+
 
 class TestCubeSpectrum:
     def test_side_two_line(self):
