@@ -24,18 +24,19 @@ bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
 payloads are re-verified outright, and so are the inputs of a composition
-or lift, whose result is then recomputed (the producer verifies what it
-returns) and compared, so each certificate is verified once.  The
-counterexample bundle has each component re-checked.  A tiling lift is
-recomputed over at most the group order its own result claims, so a
-tampered one costs no more than it says.  An independence
-chain stores the premises of the pullback lemma, not the tilings they
-imply: parse recomputes the selected block's determinant, maps each point
-to Z_M and verifies the one-dimensional tiling, which is O(k*d + k^3 + M)
-work and never walks Z_M^d.  The one thing a static file cannot prove is an
-exhausted-search node count; such certificates parse but carry a
-"replay-required" trust marker (inside composite records an exhausted search
-is corroborating evidence only - the load-bearing claims are re-checked).
+or lift.  The counterexample bundle has each component re-checked.  A
+derived certificate (a composition's or lift's result, the bundle's composed
+spectrum) must have the group and set size its construction produces; only
+then is the construction run (it verifies what it returns, so each
+certificate is verified once) and compared, so a tampered one costs no more
+than the envelope lists.  An independence chain stores the premises of the
+pullback lemma, not the tilings they imply: parse recomputes the selected
+block's determinant, maps each point to Z_M and verifies the one-dimensional
+tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
+thing a static file cannot prove is an exhausted-search node count; such
+certificates parse but carry a "replay-required" trust marker (inside
+composite records an exhausted search is corroborating evidence only - the
+load-bearing claims are re-checked).
 tiling.replay_search re-runs such a search and compares its node count.
 """
 
@@ -48,7 +49,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Union
 
 from . import spectral, tiling
-from .guard import GuardExceeded, check_guard, check_power_guard
+from .guard import GuardExceeded, check_power_guard
 from .modlinalg import (
     IntMatrix,
     RankFactorization,
@@ -125,15 +126,12 @@ class ProvenanceEntry:
         object.__setattr__(self, "inputs", tuple(str(x) for x in self.inputs))
 
 
-_PART_TYPES = {"spectrum": SpectrumCertificate, "tiling": TilingCertificate}
-
-
 def _check_parts(record: str, certificate_type: str, *parts: object) -> None:
-    cls = _PART_TYPES.get(certificate_type)
-    if cls is None:
+    codec = _PARTS.get(certificate_type)
+    if codec is None:
         raise ValueError(f"unknown {record} type {certificate_type!r}")
-    if not all(isinstance(part, cls) for part in parts):
-        raise ValueError(f"{record} parts must be {cls.__name__}")
+    if not all(isinstance(part, codec.make) for part in parts):
+        raise ValueError(f"{record} parts must be {codec.make.__name__}")
 
 
 @dataclass(frozen=True)
@@ -499,44 +497,50 @@ def _verify_non_tiling(cert: NonTilingCertificate) -> None:
     """Reasons are re-validated structurally on construction."""
 
 
+_COMPOSE = {"spectrum": spectral.compose_spectral, "tiling": tiling.compose_tile}
+_LIFT_BACK = {"spectrum": spectral.lift_spectrum, "tiling": tiling.lift_tile}
+
+
+def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
+    """Pin a derived certificate's group and set size, then recompute it.
+
+    Only once both equal the construction's does the construction run (it
+    verifies what it returns) and its output get compared with the result.
+    A tiling's sizes multiply to its group order, so a tiling construction
+    then builds no more cells, and a spectral one checks no more points,
+    than the result lists.
+    """
+    for field in ("modulus", "dimension"):
+        _require(getattr(result.group, field) == getattr(group, field), f"{what} {field} mismatch")
+    _require(len(result.set) == size, f"{what} set size is not the construction's")
+    _require(construct() == result, f"{what} result does not recompute")
+
+
 def _verify_composition(rec: CompositionRecord) -> None:
     """Verify both parts; the recomputation verifies the result it equals."""
-    _KINDS[rec.certificate_type].verify(rec.left)
-    _KINDS[rec.certificate_type].verify(rec.right)
-    if rec.certificate_type == "spectrum":
-        recomputed = spectral.compose_spectral(rec.left, rec.right)
-    else:
-        recomputed = tiling.compose_tile(rec.left, rec.right)
-    _require(recomputed == rec.result, "composition result does not recompute")
-
-
-def _claimed_cells(cert: TilingCertificate) -> int:
-    """The group order a stored tiling claims, pinned by its own sizes.
-
-    The configured guard still caps it; a recomputation that needs more
-    cells than this contradicts the certificate, so it is refused as one.
-    """
-    cells = len(cert.set) * len(cert.complement)
-    check_guard(cells)
-    return cells
-
-
-def _overrun(what: str, cells: int) -> InvariantViolation:
-    return InvariantViolation(f"{what} recomputes a group larger than its claimed {cells} cells")
+    left, right = rec.left, rec.right
+    _KINDS[rec.certificate_type].verify(left)
+    _KINDS[rec.certificate_type].verify(right)
+    _recompute(
+        "composition",
+        rec.result,
+        GroupSpec(left.group.modulus * right.group.modulus, left.group.dimension),
+        len(left.set) * len(right.set),
+        partial(_COMPOSE[rec.certificate_type], left, right),
+    )
 
 
 def _verify_lift(rec: LiftRecord) -> None:
     """Verify the base; the recomputation verifies the result it equals."""
-    _KINDS[rec.certificate_type].verify(rec.base)
-    if rec.certificate_type == "spectrum":
-        recomputed = spectral.lift_spectrum(rec.result.set, rec.transform, rec.base)
-    else:
-        cells = _claimed_cells(rec.result)
-        try:
-            recomputed = tiling.lift_tile(rec.result.set, rec.transform, rec.base, cells)
-        except GuardExceeded:
-            raise _overrun("lift result", cells) from None
-    _require(recomputed == rec.result, "lift result does not recompute")
+    base, points = rec.base, rec.result.set
+    _KINDS[rec.certificate_type].verify(base)
+    _recompute(
+        "lift",
+        rec.result,
+        GroupSpec(base.group.modulus, points.dimension),
+        len(base.set),
+        partial(_LIFT_BACK[rec.certificate_type], points, rec.transform, base),
+    )
 
 
 def _verify_chain(rec: IndependenceChain) -> None:
@@ -629,21 +633,17 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
         "search certificate carries the wrong reason",
     )
 
-    composed = rec.composed_spectrum
-    dimension = base.set.dimension
-    # Cheap size checks first: they bound the recomputation below by the
+    # The pinned group and set size bound the recomputation by the
     # envelope's own size, whatever side count it claims.
-    _require(composed.group.modulus == p * n, "composed spectrum modulus mismatch")
-    _require(
-        len(composed.set) == len(base.set) * n**dimension,
-        "composed set size is not the cube extension's size",
+    dimension = base.set.dimension
+    _recompute(
+        "composed",
+        rec.composed_spectrum,
+        GroupSpec(p * n, dimension),
+        len(base.set) * n**dimension,
+        lambda: spectral.compose_spectral(base, cube_spectrum(n, dimension)),
     )
     extension = build_extension(base.set, p, n)
-    # compose_spectral verifies the certificate it returns, once.
-    _require(
-        spectral.compose_spectral(base, cube_spectrum(n, dimension)) == composed,
-        "composed spectrum does not recompute from the base and cube spectra",
-    )
 
     rep = rec.obstructions
     _require(rep.modulus == p and rep.side_count == n, "obstruction parameters mismatch")

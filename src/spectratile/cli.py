@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import certio
 from .counterexample import run_counterexample
-from .guard import GuardExceeded
 from .modlinalg import (
     format_matrix,
     parse_matrix,
@@ -319,13 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except certio.CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GuardExceeded, CertificateError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

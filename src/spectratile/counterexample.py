@@ -27,7 +27,6 @@ from .certio import (
 )
 from .modlinalg import (
     is_rank_factorization,
-    matmul_mod,
     parse_matrix,
     rank_factorize_mod_p,
     rank_mod_p,
@@ -178,8 +177,6 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         try:
             passed, detail = check()
         except Exception as exc:  # surfaced in the report, not swallowed
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
             passed, detail = False, f"error: {exc}"
         steps.append(PipelineStep(name, passed, detail, certificate, time.perf_counter() - start))
         return passed
@@ -201,8 +198,7 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         "published-factorization",
         "payload.published_factorization",
         lambda: (
-            matmul_mod(published.left, published.right, m) == HADAMARD_EXPONENTS.reduced_mod(m)
-            and is_rank_factorization(HADAMARD_EXPONENTS, published),
+            is_rank_factorization(HADAMARD_EXPONENTS, published),
             "left @ right re-multiplies to the phase matrix mod 3",
         ),
     )

@@ -131,12 +131,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence[int]]) -> "PointSet":
-        if not points:
-            raise ValueError("point set must be nonempty")
-        return cls(len(points[0]), tuple(tuple(p) for p in points))
-
     def to_columns_matrix(self) -> IntMatrix:
         """The d x k matrix whose j-th column is the j-th point."""
         k = len(self.points)

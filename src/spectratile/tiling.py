@@ -336,15 +336,18 @@ def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
 def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> TilingCertificate:
     """Combine an m-tile T and an n-tile S into the mn-tile T + mS.
 
-    The composed complement is Sigma_T + m*Sigma_S reduced mod mn.  Only the
-    result is verified, by direct coverage counting; a bad input fails that
-    check with ValueError.
+    The composed complement is Sigma_T + m*Sigma_S reduced mod mn.  The
+    composed order is checked against the configured guard before anything
+    is built.  Only the result is verified, by direct coverage counting; a
+    bad input fails that check with ValueError.
     """
     m = cert_t.group.modulus
     n = cert_s.group.modulus
+    group = GroupSpec(m * n, cert_t.group.dimension)
+    check_guard(group.order())
     gamma = composed_set(cert_t.set, cert_s.set, m)
     sigma = composed_set(cert_t.complement, cert_s.complement, m).reduced_mod(m * n)
-    composed = TilingCertificate(GroupSpec(m * n, gamma.dimension), gamma, sigma)
+    composed = TilingCertificate(group, gamma, sigma)
     if not verify_tiling(composed):
         raise ValueError("composed tiling fails verification")
     return composed

@@ -560,7 +560,6 @@ class TestRecomputationBoundedByTheClaim:
                 raise
             calls.append((cells, True))
 
-        monkeypatch.setattr(certio, "check_guard", recording)
         monkeypatch.setattr(tiling, "check_guard", recording)
         return calls
 
@@ -587,8 +586,7 @@ class TestRecomputationBoundedByTheClaim:
         record = LiftRecord("tiling", transform, wide_base, claimed)
         with pytest.raises(InvariantViolation):
             parse(serialize(envelope("lift", record)))
-        assert max(cells for cells, ok in admitted if ok) <= 4
-        assert (50**2, False) in admitted
+        assert max((cells for cells, _ in admitted), default=0) <= 4
 
     def test_honest_chain_over_the_configured_guard_is_refused(self, monkeypatch, samples):
         data = serialize(samples["independence-chain"])
@@ -597,6 +595,57 @@ class TestRecomputationBoundedByTheClaim:
             parse(data)
         monkeypatch.setenv("SPECTRATILE_GUARD", "4")
         assert parse(data) == samples["independence-chain"]
+
+
+def _refused_quickly(data):
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation):
+        parse(data)
+    assert time.perf_counter() - start < 1.0
+
+
+class TestDerivedCertificatesPinnedFirst:
+    """A composition's or lift's result is checked against the group and set
+    size its construction produces before the construction runs, so a
+    tampered result costs no more than the envelope lists, and the configured
+    guard is applied by the construction itself."""
+
+    def test_tiling_composition_of_large_groups(self):
+        # About 16 KB; composing would build the 1,000,000 cells of Z_1000000.
+        big = TilingCertificate(GroupSpec(1000, 1), line_set(0), line_set(*range(1000)))
+        small = decide_m_tile(line_set(0, 1), GroupSpec(4, 1))
+        record = CompositionRecord("tiling", big, big, small)
+        _refused_quickly(serialize(envelope("composition", record)))
+
+    def test_spectrum_composition_of_large_sets(self):
+        # About 1.6 KB; composing would verify a 1600-point spectrum.
+        cube = cube_spectrum(40, 1)
+        small = find_spectrum(line_set(0, 1), 2)
+        record = CompositionRecord("spectrum", cube, cube, small)
+        _refused_quickly(serialize(envelope("composition", record)))
+
+    def test_lift_over_another_modulus_refused_before_any_guard_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tiling, "check_guard", lambda *args: calls.append(args))
+        base = TilingCertificate(GroupSpec(4, 1), line_set(0, 1), line_set(0, 2))
+        claimed = TilingCertificate(
+            GroupSpec(2, 2), PointSet(2, ((0, 0), (1, 0))), PointSet(2, ((0, 0), (0, 1)))
+        )
+        record = LiftRecord("tiling", IntMatrix.from_rows([[1, 0]]), base, claimed)
+        with pytest.raises(InvariantViolation, match="lift modulus mismatch"):
+            parse(serialize(envelope("lift", record)))
+        assert calls == []
+
+    @pytest.mark.parametrize("name, cells", [("lift-tiling", 4), ("composition-tiling", 16)])
+    def test_honest_result_over_the_configured_guard_is_refused(
+        self, monkeypatch, samples, name, cells
+    ):
+        data = serialize(samples[name])
+        monkeypatch.setenv("SPECTRATILE_GUARD", str(cells - 1))
+        with pytest.raises(guard.GuardExceeded):
+            parse(data)
+        monkeypatch.setenv("SPECTRATILE_GUARD", str(cells))
+        assert parse(data) == samples[name]
 
 
 CHAIN_GOLDEN = GOLDEN.parent / "independence_chain.json"

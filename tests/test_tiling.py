@@ -168,6 +168,16 @@ class TestComposeTile:
         with pytest.raises(ValueError):
             compose_tile(broken, line_cert(2, (0, 1), (0,)))
 
+    def test_guard_refuses_before_anything_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a composed set past the guard")
+
+        monkeypatch.setattr(tiling_module, "composed_set", refuse)
+        monkeypatch.setenv("SPECTRATILE_GUARD", "100")
+        twenty = line_cert(20, (0, 1), range(0, 20, 2))
+        with pytest.raises(GuardExceeded):
+            compose_tile(twenty, twenty)
+
     def test_random_compositions_verify(self, rng):
         certs_1d = []
         certs_2d = []
