@@ -2,8 +2,13 @@
 
 A multiset of m-th roots of unity sums to zero iff the cyclotomic polynomial
 of index m divides the integer polynomial whose coefficient at x^j is the
-count of the residue j.  That divisibility is decided by exact long division
-over the integers, so the trusted path involves no floating point at all.
+count of the residue j.  Since x^m - 1 is Phi_m times the inverse cyclotomic
+polynomial Psi_m = (x^m - 1)/Phi_m, that divisibility holds exactly when the
+product with Psi_m vanishes mod x^m - 1.  VanishingDecision decides it on
+count polynomials packed into ints: two int products and one comparison, in
+integer arithmetic throughout, so the trusted path involves no floating point
+at all.  Both Phi_m and Psi_m come from one Moebius product of binomials.
+Long division (poly_divrem) stays as public API and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ __all__ = [
     "ExponentMultiset",
     "MAX_CYCLOTOMIC_INDEX",
     "cyclotomic_polynomial",
+    "inverse_cyclotomic_polynomial",
+    "VanishingDecision",
+    "vanishing_decision",
     "poly_divrem",
     "poly_mul",
     "is_vanishing_sum",
@@ -37,9 +45,10 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coefficients", coeffs[:end])
 
     @property
     def degree(self) -> int:
@@ -100,28 +109,34 @@ def _prime_divisors(m: int) -> list[int]:
     return primes
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> IntPolynomial:
-    """Phi_m as the Moebius product of binomials (x^d - 1)^mu(m/d), d | m.
+def _check_index(m: int, bound: int) -> None:
+    if not 1 <= m <= bound:
+        raise ValueError(f"index must lie in [1, {bound}], got {m}")
 
-    mu(m/d) is nonzero only when m/d is a product of distinct primes of m.
-    The binomials with mu = +1 are multiplied in, then those with mu = -1
-    divided out exactly; each step is one O(degree) shift-and-subtract.
+
+@functools.lru_cache(maxsize=None)
+def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
+    """Phi_m, or Psi_m = (x^m - 1)/Phi_m when inverse, as a product of binomials.
+
+    Phi_m is the product of (x^(m/e) - 1)^mu(e) over the squarefree divisors e
+    of m.  Psi_m is the same product with every exponent negated and e = 1
+    left out, where x^m - 1 cancels.  The binomials with exponent +1 are
+    multiplied in, then those with exponent -1 divided out exactly; each step
+    is one O(degree) shift-and-subtract.
     """
     squarefree = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of m
     for p in _prime_divisors(m):
         squarefree += [(e * p, -mu) for e, mu in squarefree]
+    factors = [(m // e, -mu if inverse else mu) for e, mu in squarefree if e > 1 or not inverse]
     coeffs = [1]
-    for e, mu in squarefree:
-        if mu == 1:
-            d = m // e
+    for d, power in factors:
+        if power == 1:
             product = [0] * d + coeffs  # x^d * P - P
             for i, c in enumerate(coeffs):
                 product[i] -= c
             coeffs = product
-    for e, mu in squarefree:
-        if mu == -1:
-            d = m // e
+    for d, power in factors:
+        if power == -1:
             # Q with (x^d - 1) * Q == P, from the bottom: Q[i] = Q[i - d] - P[i].
             size = len(coeffs) - d
             for i in range(size):
@@ -134,9 +149,63 @@ def _cyclotomic(m: int) -> IntPolynomial:
 
 def cyclotomic_polynomial(m: int, bound: int = MAX_CYCLOTOMIC_INDEX) -> IntPolynomial:
     """The m-th cyclotomic polynomial, memoized across calls."""
-    if not 1 <= m <= bound:
-        raise ValueError(f"index must lie in [1, {bound}], got {m}")
-    return _cyclotomic(m)
+    _check_index(m, bound)
+    return _moebius_product(m, False)
+
+
+def inverse_cyclotomic_polynomial(m: int) -> IntPolynomial:
+    """Psi_m = (x^m - 1)/Phi_m, the product of Phi_d over d | m, d < m; memoized."""
+    _check_index(m, MAX_CYCLOTOMIC_INDEX)
+    return _moebius_product(m, True)
+
+
+class VanishingDecision:
+    """Whether Phi_m divides a packed count polynomial of total count at most k.
+
+    A count polynomial P = sum c_j x^j of degree below m, with nonnegative
+    counts summing to at most the total k the decision was built for, is
+    packed as the int sum c_j << (width * j).  Since x^m - 1 = Phi_m * Psi_m,
+    Phi_m divides P exactly when P * Psi_m is 0 mod x^m - 1.  Write
+    Psi_m = plus - minus with nonnegative parts.  The product has degree
+    below 2m, so reducing it mod x^m - 1 is one fold,
+    fold(y) = (y mod 2^(m*width)) + (y >> m*width), which adds digit j + m
+    onto digit j.  P vanishes exactly when fold(P * plus) == fold(P * minus).
+    Every digit of either side is at most k * max(|plus|_1, |minus|_1) <
+    2^(width - 1), so no product or sum carries across digits, and comparing
+    the two ints compares the folded polynomials coefficient by coefficient:
+    two int products and one comparison, exact.
+    """
+
+    __slots__ = ("modulus", "width", "_plus", "_minus", "_low", "_high")
+
+    def __init__(self, m: int, total: int) -> None:
+        psi = inverse_cyclotomic_polynomial(m).coefficients
+        plus = [max(c, 0) for c in psi]
+        minus = [max(-c, 0) for c in psi]
+        self.modulus = m
+        self.width = w = (total * max(sum(plus), sum(minus))).bit_length() + 1
+        self._plus = sum(c << w * j for j, c in enumerate(plus) if c)
+        self._minus = sum(c << w * j for j, c in enumerate(minus) if c)
+        self._high = m * w
+        self._low = (1 << m * w) - 1
+
+    def pack(self, exponents: Iterable[int]) -> int:
+        """The packed count polynomial of the exponents, reduced mod m."""
+        w, m = self.width, self.modulus
+        return sum(1 << w * (e % m) for e in exponents)
+
+    def __call__(self, packed: int) -> bool:
+        """Whether the packed count polynomial is a vanishing sum."""
+        plus = packed * self._plus
+        minus = packed * self._minus
+        low, high = self._low, self._high
+        return (plus & low) + (plus >> high) == (minus & low) + (minus >> high)
+
+
+@functools.lru_cache(maxsize=128)
+def vanishing_decision(m: int, total: int) -> VanishingDecision:
+    """The decision for index m and total count `total`, built once per pair."""
+    return VanishingDecision(m, total)
 
 
 @dataclass(frozen=True)
@@ -174,10 +243,13 @@ class ExponentMultiset:
 def is_vanishing_sum(exps: ExponentMultiset) -> bool:
     """Whether sum_j counts[j] * exp(2*pi*i*j/m) equals zero, decided exactly.
 
-    The empty sum vanishes by convention.
+    The nonzero counts are packed and decided by the VanishingDecision for
+    the modulus and the total count.  The empty sum vanishes by convention,
+    whatever the modulus.
     """
-    if exps.total() == 0:
+    total = exps.total()
+    if total == 0:
         return True
-    poly = IntPolynomial(exps.counts)
-    _, rem = poly_divrem(poly, cyclotomic_polynomial(exps.modulus))
-    return rem.is_zero()
+    decide = vanishing_decision(exps.modulus, total)
+    w = decide.width
+    return decide(sum(c << w * j for j, c in enumerate(exps.counts) if c))

@@ -19,12 +19,13 @@ difference xi = l - l' lies in the zero set
 of the Fourier transform of T, points that collide mod m counted with
 multiplicity.  So a spectrum is a k-clique in the Cayley graph
 Cay(Z_m^d, Z(1_T)), and every spectral check asks which characters xi lie
-in Z(1_T), each decided exactly by is_vanishing_sum.  A character is
-evaluated either pointwise (its count vector summed over the k points) or
-densely (a separable transform gives the count polynomials of all of Z_m^d
-at once, m digits per character).  Which one runs depends on input size
-alone, from timings of both on sets of 2 to 1296 points with m up to 100
-and d up to 4:
+in Z(1_T).  A character's count polynomial is packed into one int at the
+width of the cyclotomic VanishingDecision for m and k, and that one
+decision settles it exactly, each distinct polynomial once.  The polynomial
+comes either pointwise (packed from the k residues xi.t mod m) or densely (a
+separable transform gives the packed polynomials of all of Z_m^d at once,
+m digits per character).  Which one runs depends on input size alone, from
+timings of both on sets of 2 to 1296 points with m up to 100 and d up to 4:
 
 - fourier_zero_set transforms when m <= k and the transform's m^(d+1)
   digits fit the guard; otherwise it evaluates each character pointwise.
@@ -43,13 +44,14 @@ where they enter, in certio.parse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cyclotomic import ExponentMultiset, cyclotomic_polynomial, is_vanishing_sum
+from .cyclotomic import ExponentMultiset, VanishingDecision, is_vanishing_sum, vanishing_decision
 from .guard import check_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, format_matrix, matmul_mod, parse_matrix
 
@@ -231,23 +233,19 @@ def is_log_hadamard(mat: PhaseMatrix) -> bool:
 
 
 class _Pointwise:
-    """Characters decided one at a time; each distinct count vector is decided once."""
+    """Characters decided one at a time, from the count polynomial packed from k residues.
 
-    def __init__(self, points: Sequence[Sequence[int]], m: int) -> None:
+    Each distinct packed polynomial is decided once.
+    """
+
+    def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision) -> None:
         self.points = points
-        self.m = m
-        self._decided: dict[tuple[int, ...], bool] = {}
+        self.pack = decide.pack
+        self.decided = functools.cache(decide)
 
     def vanishes(self, xi: Sequence[int]) -> bool:
         """Whether xi lies in Z(1_T)."""
-        counts = [0] * self.m
-        for t in self.points:
-            counts[sum(map(operator.mul, xi, t)) % self.m] += 1
-        key = tuple(counts)
-        verdict = self._decided.get(key)
-        if verdict is None:
-            verdict = self._decided[key] = is_vanishing_sum(ExponentMultiset(self.m, key))
-        return verdict
+        return self.decided(self.pack(sum(map(operator.mul, xi, t)) for t in self.points))
 
 
 def _mask(flags: Iterable[bool]) -> int:
@@ -267,15 +265,17 @@ class _Characters:
     Axis by axis, each cell holds the count polynomial sum_t x^(xi . t), in
     Z[x]/(x^m - 1), over the transformed axes of the points that agree with
     the cell on the axes not yet transformed.  A polynomial is packed into one
-    int with w bits per coefficient.  Every coefficient is at most k < 2^(w-1),
-    so sums never carry across digits, and multiplying by x^s is a cyclic
-    shift.  Character xi lies in Z(1_T) when its polynomial is a vanishing
-    sum; each distinct polynomial is decided once, on first demand.
+    int at the width of the vanishing decision, w bits per coefficient: w is
+    at least k.bit_length() + 1, so every coefficient is at most k < 2^(w-1),
+    sums never carry across digits, and multiplying by x^s is a cyclic shift.
+    Character xi lies in Z(1_T) when the decision accepts its packed
+    polynomial as it stands; each distinct polynomial is decided once, on
+    first demand.
     """
 
-    def __init__(self, points: Sequence[Sequence[int]], m: int, d: int) -> None:
-        self.m = m
-        self.w = w = len(points).bit_length() + 1
+    def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision, d: int) -> None:
+        m = decide.modulus
+        w = decide.width
         width = w * m
         full = (1 << width) - 1
         shifts = [w * (m - s) for s in range(m)]  # doubled >> shifts[s] multiplies by x^s
@@ -294,17 +294,11 @@ class _Characters:
                     total = sum(doubled >> shifts[xi * t % m] for t, doubled in terms)
                     cells[base + xi * stride] = total & full
         self.polys = cells
-        self._decided: dict[int, bool] = {}
+        self.decided = functools.cache(decide)
 
     def vanishes(self, index: int) -> bool:
         """Whether the index-th character in lexicographic order lies in Z(1_T)."""
-        poly = self.polys[index]
-        verdict = self._decided.get(poly)
-        if verdict is None:
-            digit = (1 << self.w) - 1
-            counts = tuple(poly >> self.w * j & digit for j in range(self.m))
-            verdict = self._decided[poly] = is_vanishing_sum(ExponentMultiset(self.m, counts))
-        return verdict
+        return self.decided(self.polys[index])
 
     def zero_mask(self) -> int:
         """Z(1_T) as a bitmask in lexicographic index order."""
@@ -338,12 +332,6 @@ class _Torus:
         return mask
 
 
-def _require_decidable(m: int) -> None:
-    # Every decision divides by the m-th cyclotomic polynomial; an m beyond its
-    # bound fails here with that error, before any transform is built.
-    cyclotomic_polynomial(m)
-
-
 def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> int:
     """The zero set Z(1_T) of the Fourier transform of T in Z_m^d, exactly.
 
@@ -354,10 +342,11 @@ def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> i
     group = GroupSpec(m, point_set.dimension)
     limit = resolve_guard(guard)
     check_guard(group.order(), limit)
-    _require_decidable(m)
+    # Built first: an m beyond the cyclotomic bound fails here, before any transform.
+    decide = vanishing_decision(m, len(point_set))
     if m <= len(point_set) and group.order() * m <= limit:
-        return _Characters(point_set.points, m, group.dimension).zero_mask()
-    characters = _Pointwise(point_set.points, m)
+        return _Characters(point_set.points, decide, group.dimension).zero_mask()
+    characters = _Pointwise(point_set.points, decide)
     return _mask(characters.vanishes(xi) for xi in group.elements())
 
 
@@ -385,7 +374,8 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     if k == 1:
         return True  # no row pairs
     m = spectrum.denominator
-    _require_decidable(m)
+    # Built first: an m beyond the cyclotomic bound fails here, before any transform.
+    decide = vanishing_decision(m, k)
     rows = [spectrum.row(i) for i in range(k)]
     if not _dense_pays(k, m, d):
         differences = {
@@ -393,11 +383,11 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
             for i in range(k)
             for j in range(i + 1, k)
         }
-        characters = _Pointwise(point_set.points, m)
+        characters = _Pointwise(point_set.points, decide)
         return all(characters.vanishes(xi) for xi in differences)
     if len(set(rows)) != k:
         return False  # a repeated row differs by 0, which is never in Z(1_T)
-    characters = _Characters(point_set.points, m, d)
+    characters = _Characters(point_set.points, decide, d)
     torus = _Torus(m, d)
     later = sum(1 << torus.index(row) for row in rows)
     difference_mask = 0
