@@ -24,14 +24,25 @@ width of the cyclotomic VanishingDecision for m and k, and that one
 decision settles it exactly, each distinct polynomial once.  The polynomial
 comes either pointwise (packed from the k residues xi.t mod m) or densely (a
 separable transform gives the packed polynomials of all of Z_m^d at once,
-m digits per character).  Which one runs depends on input size alone, from
-timings of both on sets of 2 to 1296 points with m up to 100 and d up to 4:
+m digits per character).  Which one runs, and how the transform treats a
+line, depends on input size alone, from timings of both sides:
 
 - fourier_zero_set transforms when m <= k and the transform's m^(d+1)
-  digits fit the guard; otherwise it evaluates each character pointwise.
+  digits fit the guard; otherwise it evaluates each character pointwise
+  (sets of 2 to 1296 points, m up to 100, d up to 4).
 - is_m_spectral transforms when m^(d+1) <= 2k(k-1), at most four digits
   per row pair; otherwise it decides each distinct row difference
   pointwise, so a small set in a large group never pays for the transform.
+- The transform maps each line of m cells with one Kronecker product per
+  residue when the line kernel, 2*m^2*w bits at digit width w, is at most
+  _KERNEL_BITS = 12,000 bits, and by shifts and adds otherwise.  In two
+  timing runs (best of 5 to 9 transforms of random sets, k from m to 4m),
+  the kernel was 1.2-5.3x faster at every size up to 12,000 bits for d = 2
+  to 4; at d = 2 it ran 0.85-1.9x from 12,168 to 20,736 bits and
+  0.5-1.0x from 23,328 bits on.  At d = 1 its products are by single
+  counts, so it mostly won up to 115,200 bits (0.8-2.3x) and lost from
+  165,888, but there building the kernel, once per (m, w), costs more
+  than a transform.
 
 find_spectrum searches for cliques with the zero set.  is_log_hadamard is
 the generic pairwise check on a phase matrix.
@@ -47,9 +58,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import ExponentMultiset, VanishingDecision, is_vanishing_sum, vanishing_decision
 from .guard import check_guard, power_in_reach, resolve_guard
@@ -259,6 +269,96 @@ def _mask(flags: Iterable[bool]) -> int:
     return int.from_bytes(packed, "little")
 
 
+_Line = Callable[[list[int]], list[int]]
+
+
+def _shift_add_line(m: int, w: int) -> _Line:
+    """One line of the transform by shifts and adds, one Python step per (xi, t).
+
+    Each nonzero input is doubled (two copies side by side), so multiplying it
+    by x^s mod x^m - 1 is one right shift of the doubled int; the bits above
+    the low m digits are debris of the doubling, and since carries only move
+    up, one mask of the sum leaves the low digits exact.
+    """
+    width = w * m
+    full = (1 << width) - 1
+    shifts = [w * (m - s) for s in range(m)]  # doubled >> shifts[s] multiplies by x^s
+
+    def line(terms: list[int]) -> list[int]:
+        doubled = [(t, p | p << width) for t, p in enumerate(terms) if p]
+        return [sum(dp >> shifts[xi * t % m] for t, dp in doubled) & full for xi in range(m)]
+
+    return line
+
+
+@functools.lru_cache(maxsize=32)
+def _line_kernels(m: int, w: int) -> tuple[int, ...]:
+    """K_s = sum over xi of x^(xi*s mod m) in slot xi, for each residue s.
+
+    Slot xi holds 2m digits of w bits, room for a product of degree below
+    2m - 1.  _Characters builds kernels only up to _KERNEL_BITS bits, where
+    m <= 54 since w >= 2, so each cached entry holds at most
+    54 * _KERNEL_BITS bits.
+    """
+    slot = 2 * m * w
+    return tuple(sum(1 << xi * slot + xi * s % m * w for xi in range(m)) for s in range(m))
+
+
+def _kernel_line(m: int, w: int) -> _Line:
+    """One line of the transform by Kronecker substitution: one product per residue.
+
+    The outputs O_xi = sum over t of x^(xi*t mod m) * P_t are the slots of
+    sum over t of P_t * K_t: slot xi receives P_t shifted by (xi*t mod m)
+    digits.  Every digit stays at most k < 2^(w-1) and the degree stays below
+    2m - 1, so no digit or slot carries.  One fold of the high m digits of
+    every slot onto its low m digits, (y & low) + (y >> m*w & low), reduces
+    all slots mod x^m - 1 at once, and slot xi is then read out.
+    """
+    width = w * m
+    full = (1 << width) - 1
+    kernels = _line_kernels(m, w)
+    offsets = range(0, 2 * width * m, 2 * width)
+    low = full * sum(1 << offset for offset in offsets)
+
+    def line(terms: list[int]) -> list[int]:
+        y = sum(map(operator.mul, terms, kernels))
+        y = (y & low) + (y >> width & low)
+        return [y >> offset & full for offset in offsets]
+
+    return line
+
+
+# The largest kernel, 2*m^2*w bits, for which _kernel_line runs.  A product
+# costs with the kernel's size and a shift-add step costs one Python-level
+# step, so the kernel wins on small kernels and loses on large ones (the
+# module docstring has the timings).
+_KERNEL_BITS = 12_000
+
+
+def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> list[int]:
+    """The count polynomials of all of Z_m^d, axis by axis, one line at a time.
+
+    Cells are kept densely in lexicographic index order.  Along an axis, a
+    line is the m cells that differ only in that axis's digit; line maps
+    their polynomials P_t (t the digit) to the outputs O_xi = sum over t of
+    x^(xi*t mod m) * P_t, which replace them.  Lines with no points are left
+    at zero.
+    """
+    size = m**d
+    strides = [m ** (d - 1 - a) for a in range(d)]
+    cells = [0] * size
+    for p in points:
+        cells[sum(c % m * s for c, s in zip(p, strides))] += 1
+    for stride in strides:
+        span = m * stride
+        for block in range(0, size, span):
+            for base in range(block, block + stride):
+                terms = cells[base : base + span : stride]
+                if any(terms):
+                    cells[base : base + span : stride] = line(terms)
+    return cells
+
+
 class _Characters:
     """The character sums of T over Z_m^d as count polynomials, by a separable transform.
 
@@ -267,7 +367,9 @@ class _Characters:
     the cell on the axes not yet transformed.  A polynomial is packed into one
     int at the width of the vanishing decision, w bits per coefficient: w is
     at least k.bit_length() + 1, so every coefficient is at most k < 2^(w-1),
-    sums never carry across digits, and multiplying by x^s is a cyclic shift.
+    and sums never carry across digits.  Each line is transformed with one
+    Kronecker product per residue when its kernel, 2*m^2*w bits, is at most
+    _KERNEL_BITS, and by shifts and adds otherwise; both give the same ints.
     Character xi lies in Z(1_T) when the decision accepts its packed
     polynomial as it stands; each distinct polynomial is decided once, on
     first demand.
@@ -276,24 +378,8 @@ class _Characters:
     def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision, d: int) -> None:
         m = decide.modulus
         w = decide.width
-        width = w * m
-        full = (1 << width) - 1
-        shifts = [w * (m - s) for s in range(m)]  # doubled >> shifts[s] multiplies by x^s
-        strides = [m ** (d - 1 - a) for a in range(d)]
-        cells: dict[int, int] = Counter(sum(c % m * s for c, s in zip(p, strides)) for p in points)
-        for stride in strides:
-            groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for key, poly in cells.items():
-                t = key // stride % m
-                groups[key - t * stride].append((t, poly | poly << width))
-            cells = {}
-            for base, terms in groups.items():
-                for xi in range(m):
-                    # Bits above the low m digits are debris of the doubling; carries
-                    # only move up, so one mask of the sum leaves the low digits exact.
-                    total = sum(doubled >> shifts[xi * t % m] for t, doubled in terms)
-                    cells[base + xi * stride] = total & full
-        self.polys = cells
+        line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
+        self.polys = _transform(points, m, d, line(m, w))
         self.decided = functools.cache(decide)
 
     def vanishes(self, index: int) -> bool:
@@ -302,7 +388,7 @@ class _Characters:
 
     def zero_mask(self) -> int:
         """Z(1_T) as a bitmask in lexicographic index order."""
-        return _mask(self.vanishes(index) for index in range(len(self.polys)))
+        return _mask(map(self.decided, self.polys))
 
 
 class _Torus:
@@ -431,24 +517,23 @@ def find_spectrum(
         return SpectrumCertificate(group, point_set, zero_row)  # no row pairs to check
     zero = fourier_zero_set(point_set, m, guard)
     torus = _Torus(m, group.dimension)
+    # Depth-first with an explicit stack: left[i] holds the candidates still
+    # untried for the row after chosen[i].
     chosen = [0]
-
-    def extend(candidates: int) -> bool:
-        missing = k - len(chosen)
-        if missing == 0:
-            return True
-        while candidates.bit_count() >= missing:
-            lowest = candidates & -candidates
-            candidates ^= lowest
-            index = lowest.bit_length() - 1
-            chosen.append(index)
-            if extend(candidates & torus.translate(zero, torus.row(index))):
-                return True
+    left = [zero]
+    while len(chosen) < k:
+        candidates = left[-1]
+        if candidates.bit_count() < k - len(chosen):
+            left.pop()
             chosen.pop()
-        return False
-
-    if not extend(zero):
-        return None
+            if not left:
+                return None
+            continue
+        lowest = candidates & -candidates
+        left[-1] = candidates = candidates ^ lowest
+        index = lowest.bit_length() - 1
+        chosen.append(index)
+        left.append(candidates & torus.translate(zero, torus.row(index)))
     numerators = IntMatrix(
         k, group.dimension, tuple(c for index in chosen for c in torus.row(index))
     )
