@@ -23,13 +23,14 @@ operations define, so serializing the same envelope twice yields identical
 bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
-payloads are re-verified outright, and so are the inputs of a composition
-or lift.  The counterexample bundle has each component re-checked.  A
-derived certificate (a composition's or lift's result, the bundle's composed
-spectrum) must have the group and set size its construction produces; only
-then is the construction run (it verifies what it returns, so each
-certificate is verified once) and compared, so a tampered one costs no more
-than the envelope lists.  An independence chain stores the premises of the
+payloads are re-verified outright, and so is the base of a lift.  The
+counterexample bundle has each component re-checked.  A derived certificate
+(a composition's or lift's result, the bundle's composed spectrum) must
+have the group and set size its construction produces; only then is the
+construction run and its output compared, so a tampered one costs no more
+than the envelope lists.  The construction does the rest of the checking:
+a composition verifies its two parts and its lemma proves the product, and
+a lift verifies its output.  An independence chain stores the premises of the
 pullback lemma, not the tilings they imply: parse recomputes the selected
 block's determinant, maps each point to Z_M and verifies the one-dimensional
 tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
@@ -504,11 +505,13 @@ _LIFT_BACK = {"spectrum": spectral.lift_spectrum, "tiling": tiling.lift_tile}
 def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
     """Pin a derived certificate's group and set size, then recompute it.
 
-    Only once both equal the construction's does the construction run (it
-    verifies what it returns) and its output get compared with the result.
-    A tiling's sizes multiply to its group order, so a tiling construction
-    then builds no more cells, and a spectral one checks no more points,
-    than the result lists.
+    Only once both equal the construction's does the construction run and
+    its output get compared with the result.  The construction does the
+    verifying: a composition checks its two parts and proves the product by
+    its lemma, and a lift checks its output, which is no larger than its
+    base.  A tiling's sizes multiply to its group order, so a tiling
+    construction then builds no more cells, and a spectral one checks no
+    more points, than the result lists.
     """
     for field in ("modulus", "dimension"):
         _require(getattr(result.group, field) == getattr(group, field), f"{what} {field} mismatch")
@@ -517,10 +520,8 @@ def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: C
 
 
 def _verify_composition(rec: CompositionRecord) -> None:
-    """Verify both parts; the recomputation verifies the result it equals."""
+    """Pin the result, then compose: the construction verifies both parts."""
     left, right = rec.left, rec.right
-    _KINDS[rec.certificate_type].verify(left)
-    _KINDS[rec.certificate_type].verify(right)
     _recompute(
         "composition",
         rec.result,
@@ -616,7 +617,6 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
         base.spectrum.numerators == rec.published_factorization.left,
         "base spectrum numerators are not the left factor",
     )
-    _require(verify_spectrum(base), "base spectrum fails verification")
 
     for name, cert in (
         ("divisibility", rec.base_non_tiling_divisibility),
@@ -634,7 +634,8 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
     )
 
     # The pinned group and set size bound the recomputation by the
-    # envelope's own size, whatever side count it claims.
+    # envelope's own size, whatever side count it claims.  compose_spectral
+    # verifies both the base and the cube it is given.
     dimension = base.set.dimension
     _recompute(
         "composed",
@@ -643,7 +644,10 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
         len(base.set) * n**dimension,
         lambda: spectral.compose_spectral(base, cube_spectrum(n, dimension)),
     )
-    extension = build_extension(base.set, p, n)
+    # Exactly build_extension(base.set, p, n): the same base and lexicographic
+    # cube, and its range check holds, since the base set is the right
+    # factor's columns and RankFactorization keeps those in [0, p).
+    extension = rec.composed_spectrum.set
 
     rep = rec.obstructions
     _require(rep.modulus == p and rep.side_count == n, "obstruction parameters mismatch")

@@ -173,7 +173,7 @@ def _cmd_tile(args) -> int:
         left = _load_tiling_envelope(args.left)
         right = _load_tiling_envelope(args.right)
         composed = compose_tile(left, right)
-        out.say("composed tiling verified; complement:")
+        out.say("composed tiling is the product of two verified tilings; complement:")
         out.say(format_point_set(composed.complement).rstrip("\n"))
         record = certio.CompositionRecord("tiling", left, right, composed)
         _write_envelope(

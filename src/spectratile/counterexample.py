@@ -254,12 +254,14 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
     composed_holder: list[SpectrumCertificate] = []
 
     def check_composed():
-        # compose_spectral verifies only the composed certificate, and
-        # raises if it fails; the base set passed base-set-spectral.
+        # compose_spectral verifies the base and the cube, and raises if
+        # either fails; the product lemma makes the composed rows a spectrum.
         composed = compose_spectral(base_cert, cube)
         composed_holder.append(composed)
-        k = len(composed.set)
-        return True, f"{k} points, {k * (k - 1) // 2} row pairs vanish, denominator {m * n}"
+        return True, (
+            "product of the base spectrum and the cube spectrum, both verified: "
+            f"{len(composed.set)} points, denominator {m * n}"
+        )
 
     step("composed-set-spectral", "payload.composed_spectrum", check_composed)
 

@@ -47,10 +47,14 @@ line, depends on input size alone, from timings of both sides:
 find_spectrum searches for cliques with the zero set.  is_log_hadamard is
 the generic pairwise check on a phase matrix.
 
-The constructions compose_spectral and lift_spectrum verify the certificate
-they return, once, and never the ones they are given: the output check
-alone proves what is returned.  Certificates from outside are verified
-where they enter, in certio.parse.
+Each construction checks either its inputs or its output, and raises
+ValueError on a bad input.  compose_spectral verifies its two inputs and
+never its product: the product lemma (in its docstring) makes the premises
+prove the result, and they have k_T^2 + k_S^2 row pairs against the
+product's (k_T*k_S)^2.  lift_spectrum verifies its output, which has as
+many points as its base, so that check costs no more than the premise's
+would.  Certificates from outside are verified where they enter, in
+certio.parse.
 """
 
 from __future__ import annotations
@@ -573,19 +577,28 @@ def compose_spectral(
     """Combine an m-spectral set T and an n-spectral set S into T + mS.
 
     The composed set pairs every t with every s as t + m*s, and the composed
-    spectrum pairs the witness rows as (n*l + q)/(m*n).  Only the result is
-    verified; a bad input fails that check with ValueError.
+    spectrum pairs the witness rows as (n*l + q)/(m*n).  Both inputs are
+    verified (k_T^2 + k_S^2 row pairs, not (k_T*k_S)^2); a bad input fails
+    that check with ValueError.  The result is not verified, because the
+    product lemma proves it:
+
+    If T is spectral with rows L over m, and S is spectral with rows Q over
+    n, then T + mS is spectral with rows (n*l + q)/(m*n).  (Write
+    Delta = n*Delta_l + Delta_q.  The pair's sum factors as
+    sum_t e(Delta.t/(mn)) * sum_s e(Delta_q.s/n).  If the rows differ in q,
+    the second factor is 0.  If they share q, the first factor is
+    sum_t e(Delta_l.t/m) = 0.  A spectral set has distinct residues, because
+    its character matrix is invertible, so the points t + m*s are distinct.)
     """
+    if not verify_spectrum(cert_t):
+        raise ValueError("left spectrum fails verification")
+    if not verify_spectrum(cert_s):
+        raise ValueError("right spectrum fails verification")
     m = cert_t.group.modulus
     n = cert_s.group.modulus
     gamma = composed_set(cert_t.set, cert_s.set, m)
     rows = composed_spectrum_rows(cert_t.spectrum.numerators, cert_s.spectrum.numerators, m, n)
-    composed = SpectrumCertificate(
-        GroupSpec(m * n, gamma.dimension), gamma, PhaseMatrix(rows, m * n)
-    )
-    if not verify_spectrum(composed):
-        raise ValueError("composed spectrum fails verification")
-    return composed
+    return SpectrumCertificate(GroupSpec(m * n, gamma.dimension), gamma, PhaseMatrix(rows, m * n))
 
 
 def lift_spectrum(

