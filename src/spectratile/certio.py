@@ -23,14 +23,15 @@ operations define, so serializing the same envelope twice yields identical
 bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
-payloads are re-verified outright, and so is the base of a lift.  The
-counterexample bundle has each component re-checked.  A derived certificate
-(a composition's or lift's result, the bundle's composed spectrum) must
-have the group and set size its construction produces; only then is the
-construction run and its output compared, so a tampered one costs no more
-than the envelope lists.  The construction does the rest of the checking:
-a composition verifies its two parts and its lemma proves the product, and
-a lift verifies its output.  An independence chain stores the premises of the
+payloads are re-verified outright.  The counterexample bundle has each
+component re-checked.  A derived certificate (a composition's or lift's
+result, the bundle's composed spectrum) must have the group and set size its
+construction produces; only then is the construction run and its output
+compared, so a tampered one costs no more than the envelope lists.  The
+construction does the rest of the checking, since every construction checks
+its inputs and never its output: a composition verifies its two parts and
+its lemma proves the product, and a lift verifies its base and its lemma
+proves the pullback.  An independence chain stores the premises of the
 pullback lemma, not the tilings they imply: parse recomputes the selected
 block's determinant, maps each point to Z_M and verifies the one-dimensional
 tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
@@ -76,7 +77,6 @@ from .tiling import (
     IndependenceChain,
     NonTilingCertificate,
     TilingCertificate,
-    build_extension,
     verify_tiling,
 )
 
@@ -507,11 +507,11 @@ def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: C
 
     Only once both equal the construction's does the construction run and
     its output get compared with the result.  The construction does the
-    verifying: a composition checks its two parts and proves the product by
-    its lemma, and a lift checks its output, which is no larger than its
-    base.  A tiling's sizes multiply to its group order, so a tiling
-    construction then builds no more cells, and a spectral one checks no
-    more points, than the result lists.
+    verifying, of its inputs and never of its output: a composition checks
+    its two parts and proves the product by its lemma, and a lift checks its
+    base and proves the pullback by its lemma.  A tiling's sizes multiply to
+    its group order, so a tiling construction then builds no more cells,
+    and a spectral one checks no more points, than the result lists.
     """
     for field in ("modulus", "dimension"):
         _require(getattr(result.group, field) == getattr(group, field), f"{what} {field} mismatch")
@@ -532,9 +532,8 @@ def _verify_composition(rec: CompositionRecord) -> None:
 
 
 def _verify_lift(rec: LiftRecord) -> None:
-    """Verify the base; the recomputation verifies the result it equals."""
+    """Pin the result, then lift: the construction verifies the base."""
     base, points = rec.base, rec.result.set
-    _KINDS[rec.certificate_type].verify(base)
     _recompute(
         "lift",
         rec.result,
@@ -545,7 +544,7 @@ def _verify_lift(rec: LiftRecord) -> None:
 
 
 def _verify_chain(rec: IndependenceChain) -> None:
-    """Check the premises of the pullback lemma (see IndependenceChain).
+    """Check the premises of the pullback lemma (see tiling.lift_tile).
 
     The work is O(k*d + k^3 + M): the selected block's determinant, phi on
     each point and the tiling of Z_M.  No lift is recomputed, and neither

@@ -185,7 +185,7 @@ def _cmd_tile(args) -> int:
         transform = parse_matrix(_read(args.matrix))
         base = _load_tiling_envelope(args.certificate)
         lifted = lift_tile(point_set, transform, base, args.guard)
-        out.say("lifted tiling verified; complement:")
+        out.say("lifted tiling is the pullback of a verified tiling; complement:")
         out.say(format_point_set(lifted.complement).rstrip("\n"))
         record = certio.LiftRecord("tiling", transform, base, lifted)
         _write_envelope(

@@ -47,14 +47,13 @@ line, depends on input size alone, from timings of both sides:
 find_spectrum searches for cliques with the zero set.  is_log_hadamard is
 the generic pairwise check on a phase matrix.
 
-Each construction checks either its inputs or its output, and raises
+Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_spectral verifies its two inputs and
 never its product: the product lemma (in its docstring) makes the premises
 prove the result, and they have k_T^2 + k_S^2 row pairs against the
-product's (k_T*k_S)^2.  lift_spectrum verifies its output, which has as
-many points as its base, so that check costs no more than the premise's
-would.  Certificates from outside are verified where they enter, in
-certio.parse.
+product's (k_T*k_S)^2.  lift_spectrum verifies its base and never the
+lifted spectrum, whose pair sums are the base's own (see its docstring).
+Certificates from outside are verified where they enter, in certio.parse.
 """
 
 from __future__ import annotations
@@ -608,8 +607,15 @@ def lift_spectrum(
 
     If the columns of transform @ T form the base certificate's set (same
     order), then base_spectrum @ transform is a spectrum for T itself over
-    the same denominator.  Only the result is verified; a base that is not
-    a spectrum fails that check with ValueError.
+    the same denominator.  The base is verified; a base that is not a
+    spectrum fails that check with ValueError.  The result is not verified,
+    because the pullback lemma proves it:
+
+    Write A for the transform.  For base rows l and l', the lifted rows'
+    pair sum is sum_t e((l - l').At/m), and the points At are the base's
+    points in order, so it is the base's own pair sum, which is 0.  (The
+    lifted character matrix is the base's, so it is invertible as well and
+    T has distinct residues.)
     """
     if transform.cols != point_set.dimension:
         raise ValueError("transform width must equal the set dimension")
@@ -617,16 +623,15 @@ def lift_spectrum(
     mapped_points = tuple(mapped.column(j) for j in range(mapped.cols))
     if mapped_points != base.set.points:
         raise ValueError("base certificate's set does not match transform @ T")
+    if not verify_spectrum(base):
+        raise ValueError("base spectrum fails verification")
     m = base.group.modulus
     numerators = matmul_mod(base.spectrum.numerators, transform, m)
-    lifted = SpectrumCertificate(
+    return SpectrumCertificate(
         GroupSpec(m, point_set.dimension),
         point_set,
         PhaseMatrix(numerators, m),
     )
-    if not verify_spectrum(lifted):
-        raise ValueError("lifted spectrum fails verification")
-    return lifted
 
 
 def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumCertificate:

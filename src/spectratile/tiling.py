@@ -20,13 +20,14 @@ verify_tiling counts the packed cells of every translate, and lift_tile
 walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
 the prefix's m cells at once against the packed base complement.
 
-Each construction checks either its inputs or its output, and raises
+Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_tile verifies its two inputs and never
 its product: the tiling lemma (in its docstring) makes the premises prove
 the result, and they have m^d + n^d cells against the product's (mn)^d.
-lift_tile verifies its output; checking the pullback lemma's premises
-instead is still open.  Certificates from outside are verified where they
-enter, in certio.parse.
+lift_tile verifies its base and never the lifted tiling: the pullback lemma
+(in its docstring) proves it, and the base has m^d1 cells against the
+lift's m^d.  Certificates from outside are verified where they enter, in
+certio.parse.
 """
 
 from __future__ import annotations
@@ -375,8 +376,20 @@ def lift_tile(
 
     If the columns of transform @ T are, mod m, exactly the base tiling's
     set (same order), then the preimage of the base complement under the
-    transform tiles Z_m^d with T.  Only the result is verified; a base that
-    is not a tiling fails that check with ValueError.
+    transform tiles Z_m^d with T.  The base is verified (m^d1 cells); a base
+    that is not a tiling fails that check with ValueError.  The result is
+    not verified, because the pullback lemma proves it:
+
+    Let phi: G -> H be a group homomorphism that is injective on T, and let
+    phi(T) + C = H be a tiling.  Then T + phi^-1(C) = G is a tiling.  (Every
+    g has phi(g) = phi(t) + c for one t and c, so g - t lies in phi^-1(C);
+    and t + x = t' + x' with x, x' in phi^-1(C) gives phi(t) + phi(x) =
+    phi(t') + phi(x'), so phi(t) = phi(t') by uniqueness in H, t = t' by
+    injectivity on T, and then x = x'.)
+
+    Here G = Z_m^d, H = Z_m^d1 and phi(x) = transform @ x mod m, which is
+    injective on T because the base set's residues are distinct: a tiling
+    covers each cell once.
 
     Z_m^d is walked one prefix (all coordinates but the last) at a time, in
     lexicographic order.  A prefix's image is computed once per image row;
@@ -399,6 +412,8 @@ def lift_tile(
     base_points = tuple(tuple(c % m for c in p) for p in base.set.points)
     if mapped_points != base_points:
         raise ValueError("base certificate's set does not match transform @ T")
+    if not verify_tiling(base):
+        raise ValueError("base tiling fails verification")
 
     d1 = base.group.dimension
     wraps = _wraps(m, d1)
@@ -411,36 +426,29 @@ def lift_tile(
         image = [sum(a * x for a, x in zip(head, prefix)) % m for head in heads]
         hits = map(targets.__contains__, _packed(wraps, image, last))
         sigma += [prefix + (t,) for t in compress(range(m), hits)]
-    lifted = TilingCertificate(group, point_set, PointSet(d, tuple(sigma)))
-    if not verify_tiling(lifted):
-        raise ValueError("lifted tiling fails verification")
-    return lifted
+    return TilingCertificate(group, point_set, PointSet(d, tuple(sigma)))
 
 
 @dataclass(frozen=True)
 class IndependenceChain:
     """Why a linearly independent set A of k points tiles Z_M^d, as premises.
 
-    The pullback lemma: let phi: G -> H be a group homomorphism that is
-    injective on A, and let phi(A) + C = H be a tiling.  Then A + phi^-1(C)
-    = G is a tiling.  (Every g has phi(g) = phi(a) + c for one a and c, so
-    g - a lies in phi^-1(C); and a + x = a' + x' with x, x' in phi^-1(C)
-    gives phi(a) + phi(x) = phi(a') + phi(x'), so phi(a) = phi(a') by
-    uniqueness in H, a = a' by injectivity on A, and then x = x'.)
-
-    Here G = Z_M^d, H = Z_M and phi(x) = row_transform . x[selected_rows]
-    mod M.  The selected rows of the point matrix form an invertible k x k
-    block with the given determinant; row_transform is sign(det) * (0, 1,
-    ..., k - 1) times its adjugate, so phi maps the i-th point to |det| * i.
-    That progression tiles Z_M, M = k * |det|, with complement [0, |det|):
-    the one_dimensional certificate.
+    The pullback lemma (in lift_tile's docstring) applies with G = Z_M^d,
+    H = Z_M and phi(x) = row_transform . x[selected_rows] mod M.  The
+    selected rows of the point matrix form an invertible k x k block with
+    the given determinant; row_transform is sign(det) * (0, 1, ..., k - 1)
+    times its adjugate, so phi maps the i-th point to |det| * i.  That
+    progression tiles Z_M, M = k * |det|, with complement [0, |det|): the
+    one_dimensional certificate.
 
     Only these premises are stored.  The tilings they imply are built on
     demand: projected, of Z_M^k, pulls one_dimensional back through
     row_transform, and final, of Z_M^d, pulls projected back through the
     projection onto the selected rows.  Each walks its group once, within
     the order modulus**dimension that independent_tile or parse admitted,
-    and is verified once, the first time it is read.
+    the first time it is read.  lift_tile verifies the tiling each pulls
+    back (M cells for projected, M^k for final), so neither is verified
+    itself: the lemma proves it.
     """
 
     set: PointSet
@@ -488,8 +496,8 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     vector mapping the points onto the progression |det| * (0, ..., k - 1)
     of Z_M.  The guard admits the order M**d, and the progression's tiling
     of Z_M is verified.  The pullback lemma (if phi: G -> H is injective on
-    A and phi(A) + C = H, then A + phi^-1(C) = G; see IndependenceChain),
-    applied to that row vector, then makes the set tile Z_M^d.  Nothing here
+    A and phi(A) + C = H, then A + phi^-1(C) = G; see lift_tile), applied
+    to that row vector, then makes the set tile Z_M^d.  Nothing here
     walks Z_M^k or Z_M^d.
     """
     k = len(point_set)
@@ -607,9 +615,17 @@ def extension_obstructions(
     that the extension is not a tile of Z^d for all sufficiently large side
     counts; that asymptotic step is not machine-verified.
     """
-    d = point_set.dimension
     extension = build_extension(point_set, m, n)
-    verdict = decide_m_tile(point_set, GroupSpec(m, d), guard)
+    verdict = decide_m_tile(point_set, GroupSpec(m, point_set.dimension), guard)
+    return _obstruction_report(point_set, m, n, extension, verdict)
+
+
+def _obstruction_report(
+    point_set: PointSet, m: int, n: int, extension: PointSet,
+    verdict: TilingCertificate | NonTilingCertificate,
+) -> ExtensionObstructionReport:
+    """The report on an extension already built and a base verdict already decided."""
+    d = point_set.dimension
     multiplicity = _reduction_multiplicity(extension, m, point_set)
     extended_order = (m * n) ** d
     return ExtensionObstructionReport(

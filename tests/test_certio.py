@@ -305,16 +305,19 @@ class TestEnvelopeConstruction:
 
 class TestHostileCounterexample:
     def test_inflated_side_count_rejected_before_building_the_extension(self, monkeypatch):
-        class ExtensionBuilt(Exception):
+        """The cube is the first thing parse builds for a bundle (the
+        extension is the composed set), so the pins must fire before it."""
+
+        class CubeBuilt(Exception):
             pass
 
         def refuse(*args, **kwargs):
-            raise ExtensionBuilt("build_extension ran before the cheap size checks")
+            raise CubeBuilt("cube_spectrum ran before the cheap size checks")
 
         golden = Path(__file__).resolve().parent / "data" / "counterexample_n2.json"
         doc = json.loads(golden.read_bytes())
         doc["payload"]["side_count"] = "16"
-        monkeypatch.setattr(certio, "build_extension", refuse)
+        monkeypatch.setattr(certio, "cube_spectrum", refuse)
         with pytest.raises(CertificateError, match="modulus mismatch"):
             parse(json.dumps(doc).encode())
         # With the composed modulus inflated to match, the set size still gives it away.
@@ -442,8 +445,10 @@ class TestParseVerifiesEachCertificateOnce:
 
     @pytest.mark.parametrize("name", ["lift-tiling", "lift-spectrum"])
     def test_lift(self, samples, verified, name):
+        """The construction verifies the base, and the pullback lemma proves
+        the result, which is never verified."""
         record = parse(serialize(samples[name])).payload
-        assert verified == [record.base, record.result]
+        assert verified == [record.base]
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "counterexample_n2.json"

@@ -316,9 +316,8 @@ class TestVerifyReplay:
 
 
 class TestEachCertificateVerifiedOnce:
-    """tile lift verifies its input once, in parse, and its output once;
-    tile compose verifies its inputs in parse and as premises, and never
-    its output."""
+    """tile lift and tile compose verify their inputs in parse and again as
+    premises of the construction, and never their output."""
 
     @pytest.fixture
     def verified(self, monkeypatch):
@@ -355,6 +354,8 @@ class TestEachCertificateVerifiedOnce:
         assert calls == [record.left, record.right, record.left, record.right]
 
     def test_lift(self, files, verified):
+        """The base is verified in parse as it loads and again as a premise
+        of lift_tile, whose pullback lemma proves the lifted tiling."""
         tmp_path, write = files
         base = self._decide(tmp_path, write, "base", 2)
         plane = write("plane.txt", format_point_set(PointSet(2, ((0, 0), (1, 0)))))
@@ -365,4 +366,4 @@ class TestEachCertificateVerifiedOnce:
         assert main(argv + ["--json", str(out)]) == 0
         calls = list(verified)
         record = certio.parse(out.read_bytes()).payload
-        assert calls == [record.base, record.result]
+        assert calls == [record.base, record.base]

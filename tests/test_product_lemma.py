@@ -1,8 +1,10 @@
-"""Compositions are checked by the product lemma: both parts are verified,
-the product is built and never verified, and every checker still refuses
-a product that is not the construction's."""
+"""Compositions are checked by the product lemma and lifts by the pullback
+lemma: the parts or the base are verified, the result is built and never
+verified, and every checker still refuses a result that is not the
+construction's or that rests on a bad premise."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,13 @@ from spectratile.certio import (
     CertificateEnvelope,
     CompositionRecord,
     InvariantViolation,
+    LiftRecord,
     ProvenanceEntry,
     parse,
     serialize,
 )
 from spectratile.counterexample import base_spectrum_certificate, run_counterexample
-from spectratile.modlinalg import IntMatrix
+from spectratile.modlinalg import IntMatrix, matmul_mod
 from spectratile.spectral import (
     GroupSpec,
     PhaseMatrix,
@@ -28,6 +31,7 @@ from spectratile.spectral import (
     composed_spectrum_rows,
     cube_spectrum,
     find_spectrum,
+    lift_spectrum,
     verify_spectrum,
 )
 from spectratile.tiling import (
@@ -35,6 +39,7 @@ from spectratile.tiling import (
     build_extension,
     compose_tile,
     decide_m_tile,
+    lift_tile,
     verify_tiling,
 )
 
@@ -48,12 +53,16 @@ def line_set(*values):
     return PointSet(1, tuple((v,) for v in values))
 
 
-def composition(certificate_type, left, right, result):
-    record = CompositionRecord(certificate_type, left, right, result)
-    envelope = CertificateEnvelope(
-        certio.SCHEMA_VERSION, "composition", record, (ProvenanceEntry("test", ("inline",)),)
+def envelope(kind, record):
+    return serialize(
+        CertificateEnvelope(
+            certio.SCHEMA_VERSION, kind, record, (ProvenanceEntry("test", ("inline",)),)
+        )
     )
-    return serialize(envelope)
+
+
+def composition(certificate_type, left, right, result):
+    return envelope("composition", CompositionRecord(certificate_type, left, right, result))
 
 
 def edited(data, path, edit):
@@ -85,6 +94,38 @@ def part_pairs(draw):
     return part(), part()
 
 
+@st.composite
+def lifts(draw):
+    """A map x -> A @ x from Z^d to Z_m^d1, with m <= 4, d <= 3, d1 <= 2 and
+    entries of A in [-m, 2m), and up to four points of [-m, 2m)^d whose
+    images are distinct mod m.  Returns m, A, the points and their images,
+    unreduced, as the base set."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    d1 = draw(st.integers(1, 2))
+    coordinate = st.integers(-m, 2 * m - 1)
+    entries = draw(st.lists(coordinate, min_size=d1 * d, max_size=d1 * d))
+    transform = IntMatrix(d1, d, tuple(entries))
+    rows = transform.to_rows()
+
+    def image(point):
+        return tuple(sum(a * x for a, x in zip(row, point)) for row in rows)
+
+    points = draw(
+        st.lists(
+            st.tuples(*[coordinate] * d),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda p: tuple(c % m for c in image(p)),
+        )
+    )
+    return m, transform, PointSet(d, tuple(points)), PointSet(d1, tuple(map(image, points)))
+
+
+def cells(m, d):
+    return tuple(product(range(m), repeat=d))
+
+
 class TestProductsVerifyByTheOracle:
     @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
     @hypothesis.given(part_pairs())
@@ -108,6 +149,73 @@ class TestProductsVerifyByTheOracle:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_counterexample_products(self, n):
         assert verify_spectrum(compose_spectral(base_spectrum_certificate(), cube_spectrum(n, 4)))
+
+
+class TestLiftsVerifyByTheOracle:
+    """The lifts verify their base and never their result, so the general
+    checks serve as the oracle for what they return; a well-formed base that
+    is not a tiling or not a spectrum is refused, by the lift and by parse,
+    for the base's fault."""
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(lifts())
+    def test_lift_tile(self, drawn):
+        m, transform, points, image = drawn
+        base = decide_m_tile(image, GroupSpec(m, image.dimension))
+        hypothesis.assume(isinstance(base, TilingCertificate))
+        assert verify_tiling(lift_tile(points, transform, base))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(lifts())
+    def test_lift_spectrum(self, drawn):
+        m, transform, points, image = drawn
+        base = find_spectrum(image, m)
+        hypothesis.assume(base is not None)
+        assert verify_spectrum(lift_spectrum(points, transform, base))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(lifts())
+    def test_base_that_does_not_tile(self, drawn):
+        m, transform, points, image = drawn
+        d, d1, order = points.dimension, image.dimension, m**image.dimension
+        # The first k points, for the largest k >= 2 that leaves a complement
+        # of at least 2 cells; the complement holds 0 and the difference of
+        # the first two images, so those two translates share a cell.
+        sizes = [k for k in range(2, len(points) + 1) if order % k == 0 and order // k >= 2]
+        hypothesis.assume(sizes)
+        k = sizes[-1]
+        points = PointSet(d, points.points[:k])
+        image = PointSet(d1, image.points[:k])
+        first, second = image.points[:2]
+        overlap = tuple((a - b) % m for a, b in zip(first, second))
+        rest = [c for c in cells(m, d1) if c not in (overlap, (0,) * d1)]
+        complement = PointSet(d1, ((0,) * d1, overlap, *rest[: order // k - 2]))
+        base = TilingCertificate(GroupSpec(m, d1), image, complement)
+        assert not verify_tiling(base)
+        with pytest.raises(ValueError, match="base tiling fails"):
+            lift_tile(points, transform, base)
+        # A result with the group and size the pins expect: parse runs the
+        # lift, which refuses the base before comparing anything.
+        result = TilingCertificate(GroupSpec(m, d), points, PointSet(d, cells(m, d)[: m**d // k]))
+        with pytest.raises(InvariantViolation, match="base tiling fails"):
+            parse(envelope("lift", LiftRecord("tiling", transform, base, result)))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(lifts(), st.data())
+    def test_base_that_is_not_spectral(self, drawn, data):
+        m, transform, points, image = drawn
+        k, d1 = len(points), image.dimension
+        rows = data.draw(st.lists(st.sampled_from(cells(m, d1)), min_size=k, max_size=k))
+        spectrum = PhaseMatrix(IntMatrix(k, d1, tuple(c for row in rows for c in row)), m)
+        base = SpectrumCertificate(GroupSpec(m, d1), image, spectrum)
+        hypothesis.assume(not verify_spectrum(base))
+        with pytest.raises(ValueError, match="base spectrum fails"):
+            lift_spectrum(points, transform, base)
+        # The lift the construction would return without its base check.
+        lifted = PhaseMatrix(matmul_mod(spectrum.numerators, transform, m), m)
+        result = SpectrumCertificate(GroupSpec(m, points.dimension), points, lifted)
+        with pytest.raises(InvariantViolation, match="base spectrum fails"):
+            parse(envelope("lift", LiftRecord("spectrum", transform, base, result)))
 
 
 class TestCounterexampleChecksItsParts:
@@ -135,12 +243,21 @@ class TestCounterexampleChecksItsParts:
         assert build_extension(base.set, 3, n) == composed.set
 
     def test_golden_parses_without_building_the_extension(self, monkeypatch):
+        """parse builds the 16-point cube, once, and never the extension,
+        which it takes from the composed spectrum."""
+        built = []
+
+        def recording(*args):
+            built.append(args)
+            return cube_spectrum(*args)
+
         def refuse(*args, **kwargs):
             raise AssertionError("build_extension ran on the parse path")
 
-        monkeypatch.setattr(certio, "build_extension", refuse)
+        monkeypatch.setattr(certio, "cube_spectrum", recording)
         monkeypatch.setattr(tiling, "build_extension", refuse)
         parse(GOLDEN.read_bytes())
+        assert built == [(2, 4)]
 
     def test_extension_size_off_by_one_refused(self):
         data = edited(
