@@ -45,7 +45,7 @@ tiling.replay_search re-runs such a search and compares its node count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Union
@@ -69,7 +69,6 @@ from .spectral import (
     verify_spectrum,
 )
 from .tiling import (
-    ASYMPTOTIC_NON_TILING_CLAIM,
     DivisibilityObstruction,
     DuplicateResidues,
     ExhaustedSearch,
@@ -648,33 +647,15 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
     # factor's columns and RankFactorization keeps those in [0, p).
     extension = rec.composed_spectrum.set
 
-    rep = rec.obstructions
-    _require(rep.modulus == p and rep.side_count == n, "obstruction parameters mismatch")
-    _require(rep.dimension == base.set.dimension, "obstruction dimension mismatch")
-    _require(rep.base_size == len(base.set), "obstruction base size mismatch")
-    _require(rep.extension_size == len(extension), "obstruction extension size mismatch")
-    _require(
-        rep.extended_group_order == (p * n) ** rep.dimension,
-        "obstruction group order mismatch",
+    # One source for the report: the one the pipeline builds, field by field.
+    expected = tiling._obstruction_report(
+        base.set, p, n, extension, rec.base_non_tiling_divisibility
     )
-    _require(
-        rep.size_divides == (rep.extended_group_order % rep.extension_size == 0),
-        "divisibility flag does not recompute",
-    )
-    multiplicity = tiling._reduction_multiplicity(extension, p, base.set)
-    _require(
-        rep.reduction_multiplicity == multiplicity
-        and rep.reduction_uniform == (multiplicity is not None),
-        "mod-reduction evidence does not recompute",
-    )
-    _require(
-        rep.base_verdict == rec.base_non_tiling_divisibility,
-        "obstruction verdict disagrees with the divisibility certificate",
-    )
-    _require(
-        rep.asymptotic_claim == ASYMPTOTIC_NON_TILING_CLAIM,
-        "asymptotic claim marker missing or altered",
-    )
+    for field in fields(ExtensionObstructionReport):
+        _require(
+            getattr(rec.obstructions, field.name) == getattr(expected, field.name),
+            f"obstruction {field.name.replace('_', ' ')} does not recompute",
+        )
 
 
 class _Kind(NamedTuple):

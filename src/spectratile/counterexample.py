@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .certio import (
     SCHEMA_VERSION,
@@ -25,6 +26,7 @@ from .certio import (
     CounterexampleRecord,
     ProvenanceEntry,
 )
+from .guard import GuardExceeded
 from .modlinalg import (
     is_rank_factorization,
     parse_matrix,
@@ -175,11 +177,16 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
     if n < 1:
         raise ValueError(f"side count must be at least 1, got {n}")
     steps: list[PipelineStep] = []
+    # What the steps build, by name, for the steps after them and the envelope.
+    made: dict[str, Any] = {}
 
     def step(name: str, certificate: str, check) -> bool:
+        # Each step's work runs inside it, so its time is its own.
         start = time.perf_counter()
         try:
             passed, detail = check()
+        except GuardExceeded:
+            raise  # a limit the caller set, not a failed claim
         except Exception as exc:  # surfaced in the report, not swallowed
             passed, detail = False, f"error: {exc}"
         steps.append(PipelineStep(name, passed, detail, certificate, time.perf_counter() - start))
@@ -194,8 +201,11 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         lambda: (is_log_hadamard(phase), f"all {pairs} row pairs vanish exactly"),
     )
 
-    rank = rank_mod_p(HADAMARD_EXPONENTS, m)
-    step("rank-mod-3", "payload.rank", lambda: (rank == 4, f"rank {rank} mod {m}"))
+    def check_rank():
+        rank = made["rank"] = rank_mod_p(HADAMARD_EXPONENTS, m)
+        return rank == 4, f"rank {rank} mod {m}"
+
+    step("rank-mod-3", "payload.rank", check_rank)
 
     published = published_factorization()
     step(
@@ -207,15 +217,14 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         ),
     )
 
-    computed = rank_factorize_mod_p(HADAMARD_EXPONENTS, m)
-    step(
-        "fresh-factorization",
-        "payload.computed_factorization",
-        lambda: (
+    def check_fresh():
+        computed = made["computed"] = rank_factorize_mod_p(HADAMARD_EXPONENTS, m)
+        return (
             is_rank_factorization(HADAMARD_EXPONENTS, computed) and computed.rank == 4,
             f"canonical factorization re-multiplies, rank {computed.rank}",
-        ),
-    )
+        )
+
+    step("fresh-factorization", "payload.computed_factorization", check_fresh)
 
     base_cert = base_spectrum_certificate()
     step(
@@ -225,15 +234,15 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
     )
 
     group = GroupSpec(m, base_cert.set.dimension)
-    divisibility_verdict = decide_m_tile(base_cert.set, group, guard)
 
     def check_divisibility():
-        ok = isinstance(divisibility_verdict, NonTilingCertificate) and isinstance(
-            divisibility_verdict.reason, DivisibilityObstruction
+        verdict = made["divisibility"] = decide_m_tile(base_cert.set, group, guard)
+        ok = isinstance(verdict, NonTilingCertificate) and isinstance(
+            verdict.reason, DivisibilityObstruction
         )
         if not ok:
             return False, "expected a divisibility obstruction"
-        reason = divisibility_verdict.reason
+        reason = verdict.reason
         return True, f"{reason.set_size} does not divide {reason.group_order}"
 
     step(
@@ -242,26 +251,24 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         check_divisibility,
     )
 
-    search_verdict = decide_m_tile(base_cert.set, group, guard, divisibility_shortcut=False)
-
     def check_search():
-        ok = isinstance(search_verdict, NonTilingCertificate) and isinstance(
-            search_verdict.reason, ExhaustedSearch
+        verdict = made["search"] = decide_m_tile(
+            base_cert.set, group, guard, divisibility_shortcut=False
+        )
+        ok = isinstance(verdict, NonTilingCertificate) and isinstance(
+            verdict.reason, ExhaustedSearch
         )
         if not ok:
             return False, "expected an exhausted exact-cover search"
-        return True, f"search exhausted after {search_verdict.reason.nodes} nodes"
+        return True, f"search exhausted after {verdict.reason.nodes} nodes"
 
     step("base-set-not-a-tile-exhaustive", "payload.base_non_tiling_search", check_search)
-
-    cube = cube_spectrum(n, base_cert.set.dimension, guard)
-    composed_holder: list[SpectrumCertificate] = []
 
     def check_composed():
         # compose_spectral verifies the base and the cube, and raises if
         # either fails; the product lemma makes the composed rows a spectrum.
-        composed = compose_spectral(base_cert, cube)
-        composed_holder.append(composed)
+        cube = cube_spectrum(n, base_cert.set.dimension, guard)
+        composed = made["composed"] = compose_spectral(base_cert, cube)
         return True, (
             "product of the base spectrum and the cube spectrum, both verified: "
             f"{len(composed.set)} points, denominator {m * n}"
@@ -269,17 +276,14 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
 
     step("composed-set-spectral", "payload.composed_spectrum", check_composed)
 
-    report_holder = []
-
     def check_obstructions():
         # The extension T + 3*[0,n)^4 is the composed set, and the base
         # verdict is the divisibility one; neither is built again.
-        if not composed_holder:
+        if "composed" not in made:
             return False, "no extension: the composed set was not built"
-        rep = _obstruction_report(
-            base_cert.set, m, n, composed_holder[0].set, divisibility_verdict
+        rep = made["obstructions"] = _obstruction_report(
+            base_cert.set, m, n, made["composed"].set, made["divisibility"]
         )
-        report_holder.append(rep)
         ok = not rep.size_divides and rep.reduction_uniform and rep.asymptotic_claim is not None
         return ok, (
             f"{rep.extension_size} does not divide {rep.extended_group_order}; "
@@ -294,14 +298,14 @@ def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
         record = CounterexampleRecord(
             side_count=n,
             phase_exponents=phase,
-            rank=rank,
+            rank=made["rank"],
             published_factorization=published,
-            computed_factorization=computed,
+            computed_factorization=made["computed"],
             base_spectrum=base_cert,
-            base_non_tiling_divisibility=divisibility_verdict,
-            base_non_tiling_search=search_verdict,
-            composed_spectrum=composed_holder[0],
-            obstructions=report_holder[0],
+            base_non_tiling_divisibility=made["divisibility"],
+            base_non_tiling_search=made["search"],
+            composed_spectrum=made["composed"],
+            obstructions=made["obstructions"],
         )
         envelope = CertificateEnvelope(SCHEMA_VERSION, "counterexample", record, _provenance(n))
     return PipelineReport(side_count=n, steps=tuple(steps), envelope=envelope)

@@ -42,7 +42,11 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix needs at least one row and one column")
-        entries = tuple(int(x) for x in self.entries)
+        entries = self.entries
+        # An exact int tuple is kept as given; anything else (bools, other
+        # integer types, lists) is converted.
+        if not (type(entries) is tuple and set(map(type, entries)) == {int}):
+            entries = tuple(map(int, entries))
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"

@@ -11,6 +11,11 @@ Orthogonality of k distinct rows is the whole criterion in the finite group:
 a spectrum matching the set's cardinality is automatically complete, and
 certificates store matching cardinalities by construction.
 
+Full-group lemma.  When k = m^d, is_m_spectral needs no character sum: the
+pair is spectral exactly when the k rows are distinct and the k points are
+distinct mod m (the proof is in its docstring).  That is how the cube
+[0, n)^d with its full character spectrum is checked.
+
 Zero-set criterion.  Rows l and l' are orthogonal exactly when their
 difference xi = l - l' lies in the zero set
 
@@ -30,9 +35,10 @@ line, depends on input size alone, from timings of both sides:
 - fourier_zero_set transforms when m <= k and the transform's m^(d+1)
   digits fit the guard; otherwise it evaluates each character pointwise
   (sets of 2 to 1296 points, m up to 100, d up to 4).
-- is_m_spectral transforms when m^(d+1) <= 2k(k-1), at most four digits
-  per row pair; otherwise it decides each distinct row difference
-  pointwise, so a small set in a large group never pays for the transform.
+- is_m_spectral, for k other than m^d, transforms when m^(d+1) <= 2k(k-1),
+  at most four digits per row pair; otherwise it decides each distinct row
+  difference pointwise, so a small set in a large group never pays for the
+  transform.
 - The transform maps each line of m cells with one Kronecker product per
   residue when the line kernel, 2*m^2*w bits at digit width w, is at most
   _KERNEL_BITS = 12,000 bits, and by shifts and adds otherwise.  In two
@@ -51,7 +57,9 @@ Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_spectral verifies its two inputs and
 never its product: the product lemma (in its docstring) makes the premises
 prove the result, and they have k_T^2 + k_S^2 row pairs against the
-product's (k_T*k_S)^2.  lift_spectrum verifies its base and never the
+product's (k_T*k_S)^2.  The product itself is built by C-level map and zip
+kernels (composed_set, composed_spectrum_rows), each m*s and each scaled
+left row computed once.  lift_spectrum verifies its base and never the
 lifted spectrum, whose pair sums are the base's own (see its docstring).
 Certificates from outside are verified where they enter, in certio.parse.
 """
@@ -187,7 +195,8 @@ class PhaseMatrix:
     def __post_init__(self) -> None:
         if self.denominator < 1:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
-        if any(not 0 <= x < self.denominator for x in self.numerators.entries):
+        entries = self.numerators.entries
+        if min(entries) < 0 or max(entries) >= self.denominator:
             raise ValueError("numerators must be reduced into [0, denominator)")
 
     @classmethod
@@ -447,12 +456,20 @@ def _dense_pays(k: int, m: int, d: int) -> bool:
 def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     """Whether the spectrum's rows witness spectrality of the set in Z_m^d.
 
-    Every pairwise row difference must lie in Z(1_T).  When m^(d+1) is at
-    most 2k(k-1), the character sums of all of Z_m^d come from one
-    transform, the differences are gathered as translated bitmasks, and each
-    distinct sum among them is decided once.  Otherwise each distinct
-    difference is decided on its own.  Either way the first difference
-    outside Z(1_T) ends the check.
+    Every pairwise row difference must lie in Z(1_T).  When k = m^d the
+    full-group lemma decides without a character sum:
+
+    If k = m^d, the pair is spectral exactly when the k rows are distinct and
+    the k points are distinct mod m.  (Then rows and residues are both all
+    of Z_m^d.  A finite abelian group's character table has orthogonal rows,
+    and since it is square its columns are orthogonal too.  Two equal rows,
+    or two points congruent mod m, make that matrix singular.)
+
+    Otherwise, when m^(d+1) is at most 2k(k-1), the character sums of all of
+    Z_m^d come from one transform, the differences are gathered as
+    translated bitmasks, and each distinct sum among them is decided once.
+    Otherwise each distinct difference is decided on its own.  Either way the
+    first difference outside Z(1_T) ends the check.
     """
     k = len(point_set)
     if spectrum.numerators.rows != k:
@@ -465,7 +482,11 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     m = spectrum.denominator
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, k)
-    rows = [spectrum.row(i) for i in range(k)]
+    rows = list(zip(*[iter(spectrum.numerators.entries)] * d))
+    if GroupSpec(m, d).has_order(k):
+        # The full-group lemma (see the docstring): no character sum is needed.
+        residues = map(tuple, map(map, itertools.repeat(m.__rmod__), point_set.points))
+        return len(set(rows)) == k and len(set(residues)) == k
     if not _dense_pays(k, m, d):
         differences = {
             tuple((a - b) % m for a, b in zip(rows[j], rows[i]))
@@ -547,12 +568,14 @@ def composed_set(left: PointSet, right: PointSet, m: int) -> PointSet:
     """T + mS: each t + m*s, t in the outer loop and s in the inner."""
     if left.dimension != right.dimension:
         raise ValueError("composed sets must share a dimension")
-    return PointSet(
-        left.dimension,
-        tuple(
-            tuple(tc + m * sc for tc, sc in zip(t, s)) for t in left.points for s in right.points
-        ),
+    # Each m*s is computed once; each t is repeated against all of them at
+    # once, and the flat coordinates are grouped back into points.
+    scaled = tuple(map(m.__mul__, itertools.chain.from_iterable(right.points)))
+    size = len(right)
+    coords = itertools.chain.from_iterable(
+        map(operator.add, t * size, scaled) for t in left.points
     )
+    return PointSet(left.dimension, tuple(zip(*[coords] * left.dimension)))
 
 
 def composed_spectrum_rows(left: IntMatrix, right: IntMatrix, m: int, n: int) -> IntMatrix:
@@ -561,11 +584,15 @@ def composed_spectrum_rows(left: IntMatrix, right: IntMatrix, m: int, n: int) ->
     For each row l of T's spectrum (over m) and, inside that, each row q of
     S's spectrum (over n), the row (n*l + q) mod m*n.
     """
+    if left.cols != right.cols:
+        raise ValueError("composed spectra must share a row width")
+    reduce = (m * n).__rmod__
+    # Each left row is scaled once, then repeated against all right entries at once.
+    scaled = (tuple(map(n.__mul__, left.row(i))) * right.rows for i in range(left.rows))
     entries = tuple(
-        (n * lc + qc) % (m * n)
-        for l in left.to_rows()
-        for q in right.to_rows()
-        for lc, qc in zip(l, q)
+        itertools.chain.from_iterable(
+            map(reduce, map(operator.add, nl, right.entries)) for nl in scaled
+        )
     )
     return IntMatrix(left.rows * right.rows, left.cols, entries)
 
@@ -644,7 +671,7 @@ def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumC
     check_guard(group.order(), guard)
     cells = tuple(group.elements())
     cube = PointSet(dimension, cells)
-    numerators = IntMatrix(len(cells), dimension, tuple(c for cell in cells for c in cell))
+    numerators = IntMatrix(len(cells), dimension, tuple(itertools.chain.from_iterable(cells)))
     return SpectrumCertificate(group, cube, PhaseMatrix(numerators, n))
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress, product, repeat
 from operator import add
 from typing import Iterator, Sequence, Union
 
@@ -561,8 +561,9 @@ def build_extension(point_set: PointSet, m: int, n: int) -> PointSet:
 
 
 def _reduction_multiplicity(big: PointSet, m: int, base: PointSet) -> int | None:
-    counts = Counter(tuple(c % m for c in p) for p in big.points)
-    base_residues = {tuple(c % m for c in p) for p in base.points}
+    reduce = repeat(m.__rmod__)
+    counts = Counter(map(tuple, map(map, reduce, big.points)))
+    base_residues = set(map(tuple, map(map, reduce, base.points)))
     if set(counts) != base_residues:
         return None
     multiplicities = set(counts.values())

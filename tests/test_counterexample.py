@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import spectratile.counterexample as counterexample_module
@@ -5,6 +7,7 @@ import spectratile.spectral as spectral_module
 import spectratile.tiling as tiling_module
 from conftest import DATA_DIR
 from spectratile.certio import trust_marker
+from spectratile.guard import GuardExceeded
 from spectratile.counterexample import (
     DATA_FILES,
     HADAMARD_EXPONENTS,
@@ -203,3 +206,33 @@ class TestExtensionBuiltOnce:
         assert list(failed) == ["composed-set-spectral", "extension-obstructions"]
         assert "composed set was not built" in failed["extension-obstructions"]
         assert report.envelope is None
+
+
+class TestStepsTimeTheirOwnWork:
+    @pytest.mark.parametrize(
+        "name, callee",
+        [
+            ("rank-mod-3", "rank_mod_p"),
+            ("fresh-factorization", "rank_factorize_mod_p"),
+            ("base-set-not-a-tile-divisibility", "decide_m_tile"),
+            ("base-set-not-a-tile-exhaustive", "decide_m_tile"),
+            ("composed-set-spectral", "cube_spectrum"),
+        ],
+    )
+    def test_work_runs_inside_its_step(self, monkeypatch, name, callee):
+        original = getattr(counterexample_module, callee)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(counterexample_module, callee, slow)
+        report = run_counterexample(2)
+        assert report.overall
+        assert {s.name: s.seconds for s in report.steps}[name] >= 0.05
+
+    @pytest.mark.parametrize("n, guard", [(2, 10), (20, 100_000)])
+    def test_guard_is_raised_not_reported(self, n, guard):
+        # Z_3^4 has 81 cells for the base searches; the cube of side 20 has 160,000.
+        with pytest.raises(GuardExceeded):
+            run_counterexample(n, guard)
