@@ -701,7 +701,8 @@ def parse(data: bytes | str) -> CertificateEnvelope:
             raise MalformedCertificate(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # Nesting deeper than the interpreter's recursion limit raises RecursionError.
         raise MalformedCertificate(f"not valid JSON: {exc}") from exc
     try:
         # The version comes first: another version may have other fields.

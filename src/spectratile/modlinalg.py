@@ -1,8 +1,9 @@
 """Exact integer and mod-p linear algebra on dense matrices.
 
 Matrices are immutable and stored row-major as a flat tuple of Python ints,
-so every result is exact no matter how large the entries grow.  Determinants
-and ranks over the rationals share one fraction-free (Bareiss) elimination;
+so every result is exact no matter how large the entries grow.  Determinants,
+ranks over the rationals and the first independent columns share one
+fraction-free (Bareiss) elimination, whose pivot columns give the last two;
 adjugates come from cofactors of Bareiss minors; mod-p routines run plain
 Gaussian elimination over the field with p elements with deterministic
 pivoting (first nonzero entry scanning columns left to right, rows top to
@@ -14,6 +15,7 @@ row of space-separated decimal integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,13 +42,15 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", operator.index(self.rows))
+        object.__setattr__(self, "cols", operator.index(self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix needs at least one row and one column")
         entries = self.entries
-        # An exact int tuple is kept as given; anything else (bools, other
-        # integer types, lists) is converted.
+        # An exact int tuple is kept as given; bools, other integer types and
+        # lists are converted, and a float, str or Fraction raises TypeError.
         if not (type(entries) is tuple and set(map(type, entries)) == {int}):
-            entries = tuple(map(int, entries))
+            entries = tuple(map(operator.index, entries))
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"
@@ -214,16 +218,20 @@ def is_rank_factorization(matrix: IntMatrix, fact: RankFactorization) -> bool:
     )
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free row echelon form, in place: (rank, signed last pivot).
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form, in place: (pivot columns, signed last pivot).
 
     After each step the entries below the pivot row are minors of the
-    original matrix, so the division by the previous pivot is exact.  For a
-    square matrix of full rank the last pivot, signed by the row swaps, is
-    the determinant.
+    original matrix, so the division by the previous pivot is exact.  The
+    rank is the number of pivot columns.  They are the first maximal set of
+    independent columns, scanning left to right: column c gets a pivot
+    exactly when it is independent of the columns before it.  For a square
+    matrix of full rank the last pivot, signed by the row swaps, is the
+    determinant.
     """
     n_rows, n_cols = len(rows), len(rows[0])
     sign, prev, r = 1, 1, 0
+    pivot_cols: list[int] = []
     for c in range(n_cols):
         if r == n_rows:
             break
@@ -239,19 +247,20 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
                 rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
             rows[i][c] = 0
         prev = rows[r][c]
+        pivot_cols.append(c)
         r += 1
-    return r, sign * prev
+    return pivot_cols, sign * prev
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free determinant; mutates its argument."""
-    rank, pivot = _bareiss(rows)
-    return pivot if rank == len(rows) else 0
+    pivot_cols, pivot = _bareiss(rows)
+    return pivot if len(pivot_cols) == len(rows) else 0
 
 
 def rank_over_rationals(matrix: IntMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    return _bareiss(matrix.to_rows())[0]
+    return len(_bareiss(matrix.to_rows())[0])
 
 
 def _minor_det(matrix: IntMatrix, skip_row: int, skip_col: int) -> int:

@@ -50,8 +50,10 @@ line, depends on input size alone, from timings of both sides:
   165,888, but there building the kernel, once per (m, w), costs more
   than a transform.
 
-find_spectrum searches for cliques with the zero set.  is_log_hadamard is
-the generic pairwise check on a phase matrix.
+find_spectrum searches for cliques with the zero set, and is_m_spectral's
+transform path checks a given clique with the same step: the rows after l
+must lie in Z(1_T) translated to l.  is_log_hadamard is the generic
+pairwise check on a phase matrix.
 
 Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_spectral verifies its two inputs and
@@ -106,6 +108,9 @@ class GroupSpec:
     dimension: int
 
     def __post_init__(self) -> None:
+        # operator.index admits bools and integer types; a float raises TypeError.
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
+        object.__setattr__(self, "dimension", operator.index(self.dimension))
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if self.dimension < 1:
@@ -131,17 +136,19 @@ class PointSet:
     points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", operator.index(self.dimension))
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         points = self.points
         # Exact int tuples, as decoders and lifts produce, are kept as given;
-        # anything else (bools, other integer types, lists) is converted.
+        # bools, other integer types and lists are converted, and a float,
+        # str or Fraction raises TypeError.
         if not (
             type(points) is tuple
             and set(map(type, points)) == {tuple}
             and set(map(type, itertools.chain.from_iterable(points))) == {int}
         ):
-            points = tuple(tuple(int(c) for c in p) for p in points)
+            points = tuple(tuple(map(operator.index, p)) for p in points)
         if not points:
             raise ValueError("point set must be nonempty")
         for p in points:
@@ -193,6 +200,7 @@ class PhaseMatrix:
     denominator: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "denominator", operator.index(self.denominator))
         if self.denominator < 1:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
         entries = self.numerators.entries
@@ -383,8 +391,7 @@ class _Characters:
     Kronecker product per residue when its kernel, 2*m^2*w bits, is at most
     _KERNEL_BITS, and by shifts and adds otherwise; both give the same ints.
     Character xi lies in Z(1_T) when the decision accepts its packed
-    polynomial as it stands; each distinct polynomial is decided once, on
-    first demand.
+    polynomial as it stands; each distinct polynomial is decided once.
     """
 
     def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision, d: int) -> None:
@@ -393,10 +400,6 @@ class _Characters:
         line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
         self.polys = _transform(points, m, d, line(m, w))
         self.decided = functools.cache(decide)
-
-    def vanishes(self, index: int) -> bool:
-        """Whether the index-th character in lexicographic order lies in Z(1_T)."""
-        return self.decided(self.polys[index])
 
     def zero_mask(self) -> int:
         """Z(1_T) as a bitmask in lexicographic index order."""
@@ -456,8 +459,10 @@ def _dense_pays(k: int, m: int, d: int) -> bool:
 def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     """Whether the spectrum's rows witness spectrality of the set in Z_m^d.
 
-    Every pairwise row difference must lie in Z(1_T).  When k = m^d the
-    full-group lemma decides without a character sum:
+    Every pairwise row difference must lie in Z(1_T).  A repeated row
+    differs from its copy by 0, which is never in Z(1_T), so distinct rows
+    are checked first, on every path.  When k = m^d the full-group lemma
+    then decides without a character sum:
 
     If k = m^d, the pair is spectral exactly when the k rows are distinct and
     the k points are distinct mod m.  (Then rows and residues are both all
@@ -465,11 +470,11 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     and since it is square its columns are orthogonal too.  Two equal rows,
     or two points congruent mod m, make that matrix singular.)
 
-    Otherwise, when m^(d+1) is at most 2k(k-1), the character sums of all of
-    Z_m^d come from one transform, the differences are gathered as
-    translated bitmasks, and each distinct sum among them is decided once.
-    Otherwise each distinct difference is decided on its own.  Either way the
-    first difference outside Z(1_T) ends the check.
+    Otherwise, when m^(d+1) is at most 2k(k-1), one transform gives Z(1_T)
+    as a bitmask, and the rows are checked as a clique by the step
+    find_spectrum searches with: every row after l must lie in Z(1_T) + l.
+    Otherwise each distinct difference is decided on its own.  Either way
+    the first difference outside Z(1_T) ends the check.
     """
     k = len(point_set)
     if spectrum.numerators.rows != k:
@@ -483,10 +488,12 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, k)
     rows = list(zip(*[iter(spectrum.numerators.entries)] * d))
+    if len(set(rows)) != k:
+        return False
     if GroupSpec(m, d).has_order(k):
         # The full-group lemma (see the docstring): no character sum is needed.
         residues = map(tuple, map(map, itertools.repeat(m.__rmod__), point_set.points))
-        return len(set(rows)) == k and len(set(residues)) == k
+        return len(set(residues)) == k
     if not _dense_pays(k, m, d):
         differences = {
             tuple((a - b) % m for a, b in zip(rows[j], rows[i]))
@@ -495,17 +502,14 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
         }
         characters = _Pointwise(point_set.points, decide)
         return all(characters.vanishes(xi) for xi in differences)
-    if len(set(rows)) != k:
-        return False  # a repeated row differs by 0, which is never in Z(1_T)
-    characters = _Characters(point_set.points, decide, d)
+    zero = _Characters(point_set.points, decide, d).zero_mask()
     torus = _Torus(m, d)
     later = sum(1 << torus.index(row) for row in rows)
-    difference_mask = 0
     for row in rows:
         later ^= 1 << torus.index(row)
-        difference_mask |= torus.translate(later, [-c for c in row])
-    bits = reversed(bin(difference_mask)[2:])
-    return all(characters.vanishes(index) for index, bit in enumerate(bits) if bit == "1")
+        if later & ~torus.translate(zero, row):
+            return False
+    return True
 
 
 def verify_spectrum(cert: SpectrumCertificate) -> bool:

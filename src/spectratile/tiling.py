@@ -40,7 +40,7 @@ from operator import add
 from typing import Iterator, Sequence, Union
 
 from .guard import check_guard, check_power_guard
-from .modlinalg import IntMatrix, det_and_adjugate, matmul_mod, rank_over_rationals
+from .modlinalg import IntMatrix, _bareiss, det_and_adjugate, matmul_mod
 from .spectral import GroupSpec, PointSet, composed_set
 
 __all__ = [
@@ -491,10 +491,14 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     """Certify that a linearly independent set tiles Z_M^d.
 
     The k points must be linearly independent over the rationals.  The
-    first k rows of the point matrix that keep it of full rank form the
-    block; its determinant and adjugate give M = k * |det| and the row
-    vector mapping the points onto the progression |det| * (0, ..., k - 1)
-    of Z_M.  The guard admits the order M**d, and the progression's tiling
+    selected rows are the pivot columns of one fraction-free elimination of
+    the k x d matrix with the points as rows.  Pivot columns are the first
+    maximal independent columns, scanning left to right, so each coordinate
+    is selected exactly when it is independent of those before it: the
+    greedy rule.  The block of those k rows of the point matrix has a
+    determinant and adjugate that give M = k * |det| and the row vector
+    mapping the points onto the progression |det| * (0, ..., k - 1) of
+    Z_M.  The guard admits the order M**d, and the progression's tiling
     of Z_M is verified.  The pullback lemma (if phi: G -> H is injective on
     A and phi(A) + C = H, then A + phi^-1(C) = G; see lift_tile), applied
     to that row vector, then makes the set tile Z_M^d.  Nothing here
@@ -502,20 +506,10 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     """
     k = len(point_set)
     d = point_set.dimension
-    columns = point_set.to_columns_matrix()
-    if rank_over_rationals(columns) != k:
+    selected, _ = _bareiss([list(p) for p in point_set.points])
+    if len(selected) != k:
         raise ValueError("points are not linearly independent over the rationals")
-
-    selected: list[int] = []
-    chosen_rows: list[list[int]] = []
-    for i in range(d):
-        candidate = chosen_rows + [list(columns.row(i))]
-        if rank_over_rationals(IntMatrix.from_rows(candidate)) > len(chosen_rows):
-            selected.append(i)
-            chosen_rows.append(list(columns.row(i)))
-        if len(selected) == k:
-            break
-    block = IntMatrix.from_rows(chosen_rows)
+    block = IntMatrix.from_rows([[p[r] for p in point_set.points] for r in selected])
 
     det, adjugate = det_and_adjugate(block)
     big_d = abs(det)
