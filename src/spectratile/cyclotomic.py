@@ -8,25 +8,24 @@ product with Psi_m vanishes mod x^m - 1.  VanishingDecision decides it on
 count polynomials packed into ints: two int products and one comparison, in
 integer arithmetic throughout, so the trusted path involves no floating point
 at all.  Both Phi_m and Psi_m come from one Moebius product of binomials.
-Long division (poly_divrem) stays as public API and as the tests' oracle.
+A decision checks its index against MAX_CYCLOTOMIC_INDEX before it
+allocates anything, and is built before any exponent is read, so an index
+past the bound costs neither work nor memory.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "IntPolynomial",
-    "ExponentMultiset",
     "MAX_CYCLOTOMIC_INDEX",
     "cyclotomic_polynomial",
     "inverse_cyclotomic_polynomial",
     "VanishingDecision",
     "vanishing_decision",
-    "poly_divrem",
-    "poly_mul",
     "is_vanishing_sum",
 ]
 
@@ -58,43 +57,6 @@ class IntPolynomial:
         return not self.coefficients
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero() or b.is_zero():
-        return IntPolynomial(())
-    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
-    for i, ca in enumerate(a.coefficients):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coefficients):
-            out[i + j] += ca * cb
-    return IntPolynomial(tuple(out))
-
-
-def poly_divrem(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Exact division with remainder: num == quotient * den + remainder.
-
-    The divisor must have leading coefficient 1 or -1 so the quotient stays
-    integral; every divisor used here is a monic cyclotomic polynomial.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead = den.coefficients[-1]
-    if lead not in (1, -1):
-        raise ValueError(f"divisor leading coefficient must be +-1, got {lead}")
-    rem = list(num.coefficients)
-    d = den.degree
-    quo = [0] * max(0, len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c * lead  # c // lead for lead in {1, -1}
-        quo[i - d] = q
-        for j, dc in enumerate(den.coefficients):
-            rem[i - d + j] -= q * dc
-    return IntPolynomial(tuple(quo)), IntPolynomial(tuple(rem))
-
-
 def _prime_divisors(m: int) -> list[int]:
     primes = []
     p = 2
@@ -109,11 +71,6 @@ def _prime_divisors(m: int) -> list[int]:
     return primes
 
 
-def _check_index(m: int, bound: int) -> None:
-    if not 1 <= m <= bound:
-        raise ValueError(f"index must lie in [1, {bound}], got {m}")
-
-
 @functools.lru_cache(maxsize=None)
 def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
     """Phi_m, or Psi_m = (x^m - 1)/Phi_m when inverse, as a product of binomials.
@@ -122,8 +79,11 @@ def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
     of m.  Psi_m is the same product with every exponent negated and e = 1
     left out, where x^m - 1 cancels.  The binomials with exponent +1 are
     multiplied in, then those with exponent -1 divided out exactly; each step
-    is one O(degree) shift-and-subtract.
+    is one O(degree) shift-and-subtract.  An index outside
+    [1, MAX_CYCLOTOMIC_INDEX] raises ValueError before any of that.
     """
+    if not 1 <= m <= MAX_CYCLOTOMIC_INDEX:
+        raise ValueError(f"index must lie in [1, {MAX_CYCLOTOMIC_INDEX}], got {m}")
     squarefree = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of m
     for p in _prime_divisors(m):
         squarefree += [(e * p, -mu) for e, mu in squarefree]
@@ -147,15 +107,13 @@ def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def cyclotomic_polynomial(m: int, bound: int = MAX_CYCLOTOMIC_INDEX) -> IntPolynomial:
+def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial, memoized across calls."""
-    _check_index(m, bound)
     return _moebius_product(m, False)
 
 
 def inverse_cyclotomic_polynomial(m: int) -> IntPolynomial:
     """Psi_m = (x^m - 1)/Phi_m, the product of Phi_d over d | m, d < m; memoized."""
-    _check_index(m, MAX_CYCLOTOMIC_INDEX)
     return _moebius_product(m, True)
 
 
@@ -208,48 +166,12 @@ def vanishing_decision(m: int, total: int) -> VanishingDecision:
     return VanishingDecision(m, total)
 
 
-@dataclass(frozen=True)
-class ExponentMultiset:
-    """Counts of each residue class mod m, i.e. a multiset of exponents."""
+def is_vanishing_sum(m: int, exponents: Sequence[int]) -> bool:
+    """Whether the sum of exp(2*pi*i*e/m) over the exponents e is zero, exactly.
 
-    modulus: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != self.modulus:
-            raise ValueError(
-                f"expected {self.modulus} counts, got {len(counts)}"
-            )
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_exponents(cls, modulus: int, exponents: Iterable[int]) -> "ExponentMultiset":
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        counts = [0] * modulus
-        for e in exponents:
-            counts[e % modulus] += 1
-        return cls(modulus, tuple(counts))
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def is_vanishing_sum(exps: ExponentMultiset) -> bool:
-    """Whether sum_j counts[j] * exp(2*pi*i*j/m) equals zero, decided exactly.
-
-    The nonzero counts are packed and decided by the VanishingDecision for
-    the modulus and the total count.  The empty sum vanishes by convention,
-    whatever the modulus.
+    The decision for m and the number of exponents is built first, so an m
+    beyond the bound is refused before the exponents are read; then they are
+    packed and decided.  The empty sum vanishes, whatever the modulus.
     """
-    total = exps.total()
-    if total == 0:
-        return True
-    decide = vanishing_decision(exps.modulus, total)
-    w = decide.width
-    return decide(sum(c << w * j for j, c in enumerate(exps.counts) if c))
+    decide = vanishing_decision(m, len(exponents))
+    return decide(decide.pack(exponents))

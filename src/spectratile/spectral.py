@@ -52,8 +52,10 @@ line, depends on input size alone, from timings of both sides:
 
 find_spectrum searches for cliques with the zero set, and is_m_spectral's
 transform path checks a given clique with the same step: the rows after l
-must lie in Z(1_T) translated to l.  is_log_hadamard is the generic
-pairwise check on a phase matrix.
+must lie in Z(1_T) translated to l.  is_log_hadamard is is_m_spectral of
+the unit basis e_1..e_k of Z^k: the pair sum of rows l and l' over the e_j
+is sum_j exp(2*pi*i*(l_j - l'_j)/m), the rows' inner product.  So every
+orthogonality check in the package is is_m_spectral.
 
 Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_spectral verifies its two inputs and
@@ -74,7 +76,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import ExponentMultiset, VanishingDecision, is_vanishing_sum, vanishing_decision
+from .cyclotomic import VanishingDecision, vanishing_decision
 from .guard import check_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, format_matrix, matmul_mod, parse_matrix
 
@@ -247,19 +249,19 @@ class SpectrumCertificate:
 def is_log_hadamard(mat: PhaseMatrix) -> bool:
     """Whether exp(2*pi*i*numerators/m) is a (complex) Hadamard matrix.
 
-    Checks that every pair of distinct rows differs by a vanishing sum of
-    m-th roots of unity.  For square matrices of unimodular entries row
-    orthogonality already implies column orthogonality, so columns are not
-    checked separately.
+    For a k x k matrix this is is_m_spectral(unit basis e_1..e_k of Z^k,
+    mat): the pair sum of rows l and l' over the e_j is
+    sum_j exp(2*pi*i*(l_j - l'_j)/m), which is the rows' inner product.  For
+    k >= 2 the check takes the pointwise path, since m^k = k never holds and
+    m^(k+1) <= 2k(k-1) fails for every m >= 2 (for m = 1 all rows are equal).
+    For square matrices of unimodular entries row orthogonality already
+    implies column orthogonality, so columns are not checked separately.
     """
-    if mat.numerators.rows != mat.numerators.cols:
+    k = mat.numerators.rows
+    if k != mat.numerators.cols:
         raise ValueError("log-Hadamard candidates must be square")
-    m = mat.denominator
-    rows = [mat.row(i) for i in range(mat.numerators.rows)]
-    return all(
-        is_vanishing_sum(ExponentMultiset.from_exponents(m, map(operator.sub, a, b)))
-        for a, b in itertools.combinations(rows, 2)
-    )
+    basis = PointSet(k, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+    return is_m_spectral(basis, mat)
 
 
 class _Pointwise:
@@ -440,9 +442,13 @@ def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> i
     GroupSpec(m, d).elements() has sum over t in T of exp(2*pi*i*xi.t/m)
     equal to zero.  Points that collide mod m count with multiplicity.
     """
-    group = GroupSpec(m, point_set.dimension)
-    limit = resolve_guard(guard)
+    return _zero_set(point_set, GroupSpec(m, point_set.dimension), resolve_guard(guard))
+
+
+def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
+    """fourier_zero_set in the group, under the resolved guard limit."""
     check_guard(group.order(), limit)
+    m = group.modulus
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(point_set))
     if m <= len(point_set) and group.order() * m <= limit:
@@ -535,15 +541,14 @@ def find_spectrum(
     missing.  The first certificate found is therefore the lexicographically
     least one.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
     group = GroupSpec(m, point_set.dimension)
+    limit = resolve_guard(guard)
     k = len(point_set)
     if k == 1:
-        check_guard(group.order(), guard)
+        check_guard(group.order(), limit)
         zero_row = PhaseMatrix(IntMatrix.zeros(1, group.dimension), m)
         return SpectrumCertificate(group, point_set, zero_row)  # no row pairs to check
-    zero = fourier_zero_set(point_set, m, guard)
+    zero = _zero_set(point_set, group, limit)
     torus = _Torus(m, group.dimension)
     # Depth-first with an explicit stack: left[i] holds the candidates still
     # untried for the row after chosen[i].

@@ -1,0 +1,93 @@
+"""Long-division oracle for vanishing sums of roots of unity.
+
+The package decides vanishing sums only by the packed VanishingDecision.
+This module keeps the independent route the tests compare it with: count the
+exponents' residues into an ExponentMultiset, and divide the count
+polynomial by Phi_m with poly_divrem.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from spectratile.cyclotomic import IntPolynomial, cyclotomic_polynomial
+
+
+def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    if a.is_zero() or b.is_zero():
+        return IntPolynomial(())
+    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
+    for i, ca in enumerate(a.coefficients):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b.coefficients):
+            out[i + j] += ca * cb
+    return IntPolynomial(tuple(out))
+
+
+def poly_divrem(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Exact division with remainder: num == quotient * den + remainder.
+
+    The divisor must have leading coefficient 1 or -1 so the quotient stays
+    integral; every divisor used here is a monic cyclotomic polynomial.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead = den.coefficients[-1]
+    if lead not in (1, -1):
+        raise ValueError(f"divisor leading coefficient must be +-1, got {lead}")
+    rem = list(num.coefficients)
+    d = den.degree
+    quo = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        q = c * lead  # c // lead for lead in {1, -1}
+        quo[i - d] = q
+        for j, dc in enumerate(den.coefficients):
+            rem[i - d + j] -= q * dc
+    return IntPolynomial(tuple(quo)), IntPolynomial(tuple(rem))
+
+
+@dataclass(frozen=True)
+class ExponentMultiset:
+    """Counts of each residue class mod m, i.e. a multiset of exponents."""
+
+    modulus: int
+    counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != self.modulus:
+            raise ValueError(
+                f"expected {self.modulus} counts, got {len(counts)}"
+            )
+        if any(c < 0 for c in counts):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_exponents(cls, modulus: int, exponents: Iterable[int]) -> "ExponentMultiset":
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        counts = [0] * modulus
+        for e in exponents:
+            counts[e % modulus] += 1
+        return cls(modulus, tuple(counts))
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def exponents(self) -> list[int]:
+        """Each residue j, repeated counts[j] times, in ascending order."""
+        return [j for j, c in enumerate(self.counts) for _ in range(c)]
+
+
+def divides(counts: Sequence[int]) -> bool:
+    """Whether Phi_m divides sum_j counts[j] * x^j, m = len(counts), by long division."""
+    _, rem = poly_divrem(IntPolynomial(tuple(counts)), cyclotomic_polynomial(len(counts)))
+    return rem.is_zero()

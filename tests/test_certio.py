@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -325,6 +326,24 @@ class TestHostileCounterexample:
         composed["group"]["modulus"] = composed["spectrum"]["denominator"] = "48"
         with pytest.raises(CertificateError, match="composed set size"):
             parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("denominator", [10**20, 10**6])
+    def test_phase_denominator_past_the_cyclotomic_bound_refused_before_allocating(
+        self, denominator
+    ):
+        """The log-Hadamard check builds its decision, and so checks the
+        cyclotomic bound, before it allocates anything by the denominator."""
+        doc = json.loads(GOLDEN.read_bytes())
+        doc["payload"]["phase_exponents"]["denominator"] = str(denominator)
+        data = json.dumps(doc).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificateError, match="index must lie"):
+                parse(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHostileSpectrum:
@@ -780,3 +799,55 @@ class TestParseFreesItsInput:
         monkeypatch.setattr(certio, "verify_envelope", checking_verify)
         assert parse(serialize(samples["independence-chain"])) == samples["independence-chain"]
         assert alive_at_verify == [False]
+
+
+MUTANT_VALUES = ["100000000000000000000", "1000000", "-7", "0"]
+
+
+def _integer_leaves(node, path=()):
+    """The paths of the payload's integer leaves, probed at the ends of long lists.
+
+    Every item of a list of at most 8 is a leaf's ancestor; of a longer list
+    only the first and the last are, since its items share one codec and one
+    check.  Every record field is walked.
+    """
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _integer_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            if len(node) <= 8 or i in (0, len(node) - 1):
+                yield from _integer_leaves(child, path + (i,))
+    elif isinstance(node, str) and re.fullmatch(r"-?[0-9]+", node) and path[:1] == ("payload",):
+        yield path
+
+
+class TestIntegerFieldMutants:
+    """Each integer field of every envelope, set to a huge, a large, a
+    negative or a zero value, either parses or is refused with
+    CertificateError or GuardExceeded, within a wall-clock budget."""
+
+    @pytest.mark.parametrize("name", [*WALKED, "golden-chain"])
+    def test_each_mutant_parses_or_is_refused(self, samples, name):
+        if name == "golden-n2":
+            data = GOLDEN.read_bytes()
+        elif name == "golden-chain":
+            data = CHAIN_GOLDEN.read_bytes()
+        else:
+            data = serialize(samples[name])
+        paths = list(_integer_leaves(json.loads(data)))
+        assert paths
+        escapes = []
+        for path in paths:
+            for value in MUTANT_VALUES:
+                start = time.perf_counter()
+                try:
+                    parse(_edit(data, path, value))
+                except (CertificateError, guard.GuardExceeded):
+                    pass
+                except Exception as exc:
+                    escapes.append((path, value, repr(exc)))
+                elapsed = time.perf_counter() - start
+                if elapsed > 1.0:
+                    escapes.append((path, value, f"took {elapsed:.2f} s"))
+        assert escapes == []

@@ -240,6 +240,12 @@ class TestMatrixCommands:
         path = write("zeros.txt", format_matrix(IntMatrix.zeros(2, 2)))
         assert main(["matrix", "hadamard", "--matrix", path, "-m", "2"]) == 1
 
+    def test_hadamard_denominator_past_the_cyclotomic_bound_is_exit_two(self, capsys):
+        path = str(data_path(DATA_FILES["hadamard_exponents"]))
+        m = "100000000000000000000"
+        assert main(["matrix", "hadamard", "--matrix", path, "-m", m]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGuardEnvironment:
     def test_env_var_guard(self, files, monkeypatch):

@@ -88,8 +88,9 @@ def test_cube_is_checked_without_character_sums(monkeypatch):
 
 
 def test_bundle_parses_without_character_sums_of_the_cube(monkeypatch):
-    """parse of the n = 3 bundle checks the six-point base pointwise and the
-    81-point cube by the lemma alone."""
+    """parse of the n = 3 bundle checks the phase matrix's six unit vectors
+    and the six-point base pointwise, and the 81-point cube by the lemma
+    alone."""
     data = serialize(run_counterexample(3).envelope)
     sizes = []
 
@@ -105,7 +106,7 @@ def test_bundle_parses_without_character_sums_of_the_cube(monkeypatch):
     monkeypatch.setattr(spectral, "_Characters", refusing(spectral._Characters))
     monkeypatch.setattr(spectral, "_Pointwise", refusing(spectral._Pointwise))
     parse(data)
-    assert sizes == [6]
+    assert sizes == [6, 6]
 
 
 def test_modulus_past_the_cyclotomic_bound_still_raises():

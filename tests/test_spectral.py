@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from spectratile.cyclotomic import ExponentMultiset, is_vanishing_sum
+from spectratile import spectral
+from spectratile.cyclotomic import is_vanishing_sum
 from spectratile.counterexample import (
     HADAMARD_EXPONENTS,
     SPECTRUM_ROWS,
@@ -199,6 +200,27 @@ class TestFindSpectrum:
                     assert (found is not None) == brute
                     if found is not None:
                         assert verify_spectrum(found)
+
+    def test_one_group_and_one_guard_resolution_per_call(self, monkeypatch):
+        built, resolved = [], []
+        group_spec, resolve_guard = spectral.GroupSpec, spectral.resolve_guard
+
+        def counting_group(*args):
+            built.append(args)
+            return group_spec(*args)
+
+        def counting_resolve(guard=None):
+            resolved.append(guard)
+            return resolve_guard(guard)
+
+        square = PointSet(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+        expected = brute_force_spectrum(square, 4)
+        monkeypatch.setattr(spectral, "GroupSpec", counting_group)
+        monkeypatch.setattr(spectral, "resolve_guard", counting_resolve)
+        cert = find_spectrum(square, 4)
+        assert built == [(4, 2)]
+        assert resolved == [None]
+        assert cert.spectrum.numerators.to_rows() == [list(row) for row in expected]
 
 
 class TestComposeSpectral:
@@ -441,8 +463,8 @@ class TestFourierZeroSet:
             mask = fourier_zero_set(point_set, m)
             assert mask >> m**point_set.dimension == 0
             for index, xi in enumerate(GroupSpec(m, point_set.dimension).elements()):
-                exps = (sum(a * b for a, b in zip(xi, t)) for t in point_set.points)
-                expected = is_vanishing_sum(ExponentMultiset.from_exponents(m, exps))
+                exps = [sum(a * b for a, b in zip(xi, t)) for t in point_set.points]
+                expected = is_vanishing_sum(m, exps)
                 assert bool(mask >> index & 1) == expected
             colliding += len({tuple(c % m for c in p) for p in point_set.points}) < len(point_set)
             dense += m <= len(point_set)

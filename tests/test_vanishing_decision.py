@@ -4,14 +4,13 @@ import time
 
 import pytest
 
+from cyclotomic_oracle import divides
 from spectratile.cyclotomic import (
     MAX_CYCLOTOMIC_INDEX,
-    ExponentMultiset,
     IntPolynomial,
     cyclotomic_polynomial,
     inverse_cyclotomic_polynomial,
     is_vanishing_sum,
-    poly_divrem,
     vanishing_decision,
 )
 from spectratile.modlinalg import IntMatrix
@@ -28,11 +27,6 @@ def kronecker(coefficients, bits):
     return packed(max(c, 0) for c in coefficients) - packed(max(-c, 0) for c in coefficients)
 
 
-def divides(counts):
-    _, rem = poly_divrem(IntPolynomial(tuple(counts)), cyclotomic_polynomial(len(counts)))
-    return rem.is_zero()
-
-
 def decided(counts):
     # The packed decision at the width of the vector's total, and the public wrapper.
     m = len(counts)
@@ -41,7 +35,7 @@ def decided(counts):
     packed = decide.pack(exponents)
     assert packed == sum(c << decide.width * j for j, c in enumerate(counts))
     verdict = decide(packed)
-    assert is_vanishing_sum(ExponentMultiset(m, tuple(counts))) == verdict
+    assert is_vanishing_sum(m, exponents) == verdict
     return verdict
 
 
