@@ -32,9 +32,10 @@ construction does the rest of the checking, since every construction checks
 its inputs and never its output: a composition verifies its two parts and
 its lemma proves the product, and a lift verifies its base and its lemma
 proves the pullback.  An independence chain stores the premises of the
-pullback lemma, not the tilings they imply: parse recomputes the selected
-block's determinant, maps each point to Z_M and verifies the one-dimensional
-tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
+pullback lemma, not the tiling of Z_M^d they imply: parse recomputes the
+selected block's determinant, maps each point to Z_M and verifies the
+one-dimensional tiling, which is O(k*d + k^3 + M) work and never walks
+Z_M^d.  The one
 thing a static file cannot prove is an exhausted-search node count; such
 certificates parse but carry a "replay-required" trust marker (inside
 composite records an exhausted search is corroborating evidence only - the
@@ -546,9 +547,9 @@ def _verify_chain(rec: IndependenceChain) -> None:
     """Check the premises of the pullback lemma (see tiling.lift_tile).
 
     The work is O(k*d + k^3 + M): the selected block's determinant, phi on
-    each point and the tiling of Z_M.  No lift is recomputed, and neither
-    Z_M^k nor Z_M^d is walked; the guard admits Z_M^d only so that reading
-    the chain's on-demand tilings later stays within it.
+    each point and the tiling of Z_M.  No lift is recomputed, and Z_M^d is
+    not walked; the guard admits Z_M^d only so that reading the
+    chain's on-demand tiling, final, later stays within it.
     """
     points = rec.set.points
     k, d = len(points), rec.set.dimension

@@ -3,7 +3,8 @@
 Matrices are immutable and stored row-major as a flat tuple of Python ints,
 so every result is exact no matter how large the entries grow.  Determinants,
 ranks over the rationals and the first independent columns share one
-fraction-free (Bareiss) elimination, whose pivot columns give the last two;
+fraction-free (Bareiss) elimination, whose pivot columns give the last two
+and whose last pivot gives the determinant of the block on those columns;
 adjugates come from cofactors of Bareiss minors; mod-p routines run plain
 Gaussian elimination over the field with p elements with deterministic
 pivoting (first nonzero entry scanning columns left to right, rows top to
@@ -118,6 +119,8 @@ class RankFactorization:
     rank: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
+        object.__setattr__(self, "rank", operator.index(self.rank))
         if not _is_prime(self.modulus):
             raise ValueError(f"modulus must be prime, got {self.modulus}")
         if self.rank < 1:
@@ -225,9 +228,13 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     original matrix, so the division by the previous pivot is exact.  The
     rank is the number of pivot columns.  They are the first maximal set of
     independent columns, scanning left to right: column c gets a pivot
-    exactly when it is independent of the columns before it.  For a square
-    matrix of full rank the last pivot, signed by the row swaps, is the
-    determinant.
+    exactly when it is independent of the columns before it.  When the rank
+    equals the number of rows, the last pivot, signed by the row swaps, is
+    the determinant of the square block on the pivot columns: each pivot
+    is the minor on the pivot rows and pivot columns so far, a column
+    without a pivot enters no later minor, and the swaps only reorder the
+    rows.  For a square matrix of full rank that block is the matrix
+    itself.
     """
     n_rows, n_cols = len(rows), len(rows[0])
     sign, prev, r = 1, 1, 0

@@ -26,21 +26,24 @@ its product: the tiling lemma (in its docstring) makes the premises prove
 the result, and they have m^d + n^d cells against the product's (mn)^d.
 lift_tile verifies its base and never the lifted tiling: the pullback lemma
 (in its docstring) proves it, and the base has m^d1 cells against the
-lift's m^d.  Certificates from outside are verified where they enter, in
+lift's m^d.  independent_tile builds the premises of one such pullback: the
+rows and the determinant come from one elimination, the map onto Z_M from
+Cramer's rule, and the chain's tiling of Z_M^d is one lift of the tiling of
+Z_M.  Certificates from outside are verified where they enter, in
 certio.parse.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product, repeat
-from operator import add
 from typing import Iterator, Sequence, Union
 
 from .guard import check_guard, check_power_guard
-from .modlinalg import IntMatrix, _bareiss, det_and_adjugate, matmul_mod
+from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
 from .spectral import GroupSpec, PointSet, composed_set
 
 __all__ = [
@@ -87,6 +90,8 @@ class DivisibilityObstruction:
     group_order: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "set_size", operator.index(self.set_size))
+        object.__setattr__(self, "group_order", operator.index(self.group_order))
         if self.set_size < 1 or self.group_order < 1:
             raise ValueError("sizes must be positive")
         if self.group_order % self.set_size == 0:
@@ -99,8 +104,8 @@ class DuplicateResidues:
     second: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first", tuple(int(c) for c in self.first))
-        object.__setattr__(self, "second", tuple(int(c) for c in self.second))
+        object.__setattr__(self, "first", tuple(map(operator.index, self.first)))
+        object.__setattr__(self, "second", tuple(map(operator.index, self.second)))
         if self.first == self.second:
             raise ValueError("colliding points must be distinct")
 
@@ -110,6 +115,7 @@ class ExhaustedSearch:
     nodes: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", operator.index(self.nodes))
         if self.nodes < 1:
             raise ValueError("an exhausted search visits at least the root")
 
@@ -173,7 +179,7 @@ def _packed(
     ]
     cells = terms[0]
     for term in terms[1:]:
-        cells = map(add, cells, term)
+        cells = map(operator.add, cells, term)
     return cells
 
 
@@ -436,19 +442,18 @@ class IndependenceChain:
     The pullback lemma (in lift_tile's docstring) applies with G = Z_M^d,
     H = Z_M and phi(x) = row_transform . x[selected_rows] mod M.  The
     selected rows of the point matrix form an invertible k x k block with
-    the given determinant; row_transform is sign(det) * (0, 1, ..., k - 1)
-    times its adjugate, so phi maps the i-th point to |det| * i.  That
-    progression tiles Z_M, M = k * |det|, with complement [0, |det|): the
-    one_dimensional certificate.
+    the given determinant; row_transform solves r . block =
+    |det| * (0, 1, ..., k - 1), so phi maps the i-th point to |det| * i.
+    That progression tiles Z_M, M = k * |det|, with complement [0, |det|):
+    the one_dimensional certificate.
 
-    Only these premises are stored.  The tilings they imply are built on
-    demand: projected, of Z_M^k, pulls one_dimensional back through
-    row_transform, and final, of Z_M^d, pulls projected back through the
-    projection onto the selected rows.  Each walks its group once, within
-    the order modulus**dimension that independent_tile or parse admitted,
-    the first time it is read.  lift_tile verifies the tiling each pulls
-    back (M cells for projected, M^k for final), so neither is verified
-    itself: the lemma proves it.
+    Only these premises are stored.  The tiling they imply, final, of
+    Z_M^d, is built on demand: one lift_tile of one_dimensional through phi
+    as a 1 x d matrix, row_transform at the selected columns and 0
+    elsewhere.  It walks Z_M^d once, within the order modulus**dimension
+    that independent_tile or parse admitted, the first time it is read.
+    lift_tile verifies the M-cell tiling it pulls back, so final is not
+    verified itself: the lemma proves it.
     """
 
     set: PointSet
@@ -459,70 +464,62 @@ class IndependenceChain:
     one_dimensional: TilingCertificate
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "selected_rows", tuple(map(operator.index, self.selected_rows)))
+        object.__setattr__(self, "determinant", operator.index(self.determinant))
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
         if self.determinant == 0:
             raise ValueError("determinant must be nonzero")
         if self.modulus != len(self.selected_rows) * abs(self.determinant):
             raise ValueError("modulus must equal k * |det|")
 
     @cached_property
-    def projected(self) -> TilingCertificate:
-        """The tiling of Z_M^k by the selected coordinates of the set."""
-        k = len(self.selected_rows)
-        block_columns = tuple(tuple(p[r] for r in self.selected_rows) for p in self.set.points)
-        return lift_tile(
-            PointSet(k, block_columns), self.row_transform, self.one_dimensional, self.modulus**k
-        )
-
-    @cached_property
     def final(self) -> TilingCertificate:
         """The tiling of Z_M^d by the set itself."""
         d = self.set.dimension
-        projection = _projection_matrix(self.selected_rows, d)
-        return lift_tile(self.set, projection, self.projected, self.modulus**d)
-
-
-def _projection_matrix(selected_rows: Sequence[int], dimension: int) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[1 if j == r else 0 for j in range(dimension)] for r in selected_rows]
-    )
+        weights = dict(zip(self.selected_rows, self.row_transform.entries))
+        phi = IntMatrix(1, d, tuple(weights.get(j, 0) for j in range(d)))
+        return lift_tile(self.set, phi, self.one_dimensional, self.modulus**d)
 
 
 def independent_tile(point_set: PointSet, guard: int | None = None) -> IndependenceChain:
     """Certify that a linearly independent set tiles Z_M^d.
 
-    The k points must be linearly independent over the rationals.  The
-    selected rows are the pivot columns of one fraction-free elimination of
-    the k x d matrix with the points as rows.  Pivot columns are the first
-    maximal independent columns, scanning left to right, so each coordinate
-    is selected exactly when it is independent of those before it: the
-    greedy rule.  The block of those k rows of the point matrix has a
-    determinant and adjugate that give M = k * |det| and the row vector
-    mapping the points onto the progression |det| * (0, ..., k - 1) of
-    Z_M.  The guard admits the order M**d, and the progression's tiling
-    of Z_M is verified.  The pullback lemma (if phi: G -> H is injective on
-    A and phi(A) + C = H, then A + phi^-1(C) = G; see lift_tile), applied
-    to that row vector, then makes the set tile Z_M^d.  Nothing here
-    walks Z_M^k or Z_M^d.
+    The k points must be linearly independent over the rationals.  One
+    fraction-free elimination of the k x d matrix with the points as rows
+    gives both the selected rows and the determinant.  The selected rows
+    are its pivot columns: the first maximal independent columns, scanning
+    left to right, so each coordinate is selected exactly when it is
+    independent of those before it (the greedy rule).  Its signed last
+    pivot is the determinant of the block of those k rows of the point
+    matrix, and M = k * |det|.  The guard admits the order M**d.  Cramer's
+    rule gives the row vector r with r . block = |det| * (0, ..., k - 1):
+    r_i = sign(det) * det(block with row i replaced by (0, ..., k - 1)), so
+    phi(x) = r . x[selected] mod M maps the points onto that progression of
+    Z_M, and the progression's tiling of Z_M is verified.  The pullback
+    lemma (if phi: G -> H is injective on A and phi(A) + C = H, then
+    A + phi^-1(C) = G; see lift_tile) then makes the set tile Z_M^d.
+    Nothing here walks Z_M^d.
     """
     k = len(point_set)
     d = point_set.dimension
-    selected, _ = _bareiss([list(p) for p in point_set.points])
+    points = point_set.points
+    selected, det = _bareiss([list(p) for p in points])
     if len(selected) != k:
         raise ValueError("points are not linearly independent over the rationals")
-    block = IntMatrix.from_rows([[p[r] for p in point_set.points] for r in selected])
-
-    det, adjugate = det_and_adjugate(block)
     big_d = abs(det)
     modulus = k * big_d
     check_guard(modulus**d, guard)
 
-    indices = IntMatrix(1, k, tuple(range(k)))
     sign = 1 if det > 0 else -1
-    row_transform = IntMatrix(
-        1, k, tuple(sign * x for x in matmul_mod(indices, adjugate, None).entries)
-    )
-    progression = matmul_mod(row_transform, block, None)
-    assert progression.entries == tuple(big_d * i for i in range(k))
+    block = [[p[r] for p in points] for r in selected]
+    weights = []
+    for i in range(k):
+        # _det_bareiss works in place, so each call gets fresh rows.
+        rows = [list(row) for row in block]
+        rows[i] = list(range(k))
+        weights.append(sign * _det_bareiss(rows))
+    progression = [sum(w * p[r] for w, r in zip(weights, selected)) for p in points]
+    assert progression == [big_d * i for i in range(k)]
 
     one_dim = TilingCertificate(
         GroupSpec(modulus, 1),
@@ -536,7 +533,7 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
         selected_rows=tuple(selected),
         determinant=det,
         modulus=modulus,
-        row_transform=row_transform,
+        row_transform=IntMatrix(1, k, tuple(weights)),
         one_dimensional=one_dim,
     )
 

@@ -3,15 +3,20 @@
 The package decides vanishing sums only by the packed VanishingDecision.
 This module keeps the independent route the tests compare it with: count the
 exponents' residues into an ExponentMultiset, and divide the count
-polynomial by Phi_m with poly_divrem.
+polynomial by Phi_m with poly_divrem.  rows_orthogonal and
+is_spectral_pair_by_division apply it to every row pair, the pairwise
+reference for is_log_hadamard and is_m_spectral.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from spectratile.cyclotomic import IntPolynomial, cyclotomic_polynomial
+from spectratile.spectral import PhaseMatrix, PointSet
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -91,3 +96,25 @@ def divides(counts: Sequence[int]) -> bool:
     """Whether Phi_m divides sum_j counts[j] * x^j, m = len(counts), by long division."""
     _, rem = poly_divrem(IntPolynomial(tuple(counts)), cyclotomic_polynomial(len(counts)))
     return rem.is_zero()
+
+
+def rows_orthogonal(rows: Sequence[Sequence[int]], m: int) -> bool:
+    """Whether every two distinct rows of exponents over m differ by a
+    vanishing sum: sum_j e((a_j - b_j)/m) = 0, decided by long division."""
+    return all(
+        divides(ExponentMultiset.from_exponents(m, map(operator.sub, a, b)).counts)
+        for a, b in itertools.combinations(rows, 2)
+    )
+
+
+def is_log_hadamard_by_division(mat: PhaseMatrix) -> bool:
+    """Whether the rows of a phase matrix are pairwise orthogonal."""
+    return rows_orthogonal([mat.row(i) for i in range(mat.numerators.rows)], mat.denominator)
+
+
+def is_spectral_pair_by_division(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
+    """Whether every two rows l, l' of the spectrum are orthogonal on the set:
+    the phases l . t over the points t, for each row, pairwise orthogonal."""
+    rows = [spectrum.numerators.row(i) for i in range(spectrum.numerators.rows)]
+    phases = [[sum(map(operator.mul, row, t)) for t in point_set.points] for row in rows]
+    return rows_orthogonal(phases, spectrum.denominator)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from conftest import DATA_DIR
+from chain_oracle import two_stage_lift
 from cyclotomic_oracle import ExponentMultiset
 from spectratile.certio import parse, serialize
 from spectratile.counterexample import (
@@ -405,9 +406,11 @@ class TestCriterion6PropertySuites:
                 continue
             except ValueError:
                 continue  # dependent draw
+            projected, lifted = two_stage_lift(chain)
             assert verify_tiling(chain.one_dimensional)
-            assert verify_tiling(chain.projected)
+            assert verify_tiling(projected)
             assert verify_tiling(chain.final)
+            assert chain.final == lifted
             checked += 1
         report("6h independent-tile-verifies", checked >= 100)
 

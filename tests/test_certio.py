@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chain_oracle import two_stage_lift
 from spectratile import certio, guard, spectral, tiling
 from spectratile.certio import (
     CertificateEnvelope,
@@ -724,9 +725,10 @@ class TestChainPremises:
     def test_old_shape_is_malformed(self):
         chain = independent_tile(CHAIN_SET)
         doc = json.loads(serialize(envelope("independence-chain", chain)))
+        projected, final = two_stage_lift(chain)
         del doc["payload"]["set"]
-        doc["payload"]["projected"] = certio._TILING.encode(chain.projected)
-        doc["payload"]["final"] = certio._TILING.encode(chain.final)
+        doc["payload"]["projected"] = certio._TILING.encode(projected)
+        doc["payload"]["final"] = certio._TILING.encode(final)
         with pytest.raises(MalformedCertificate):
             parse(json.dumps(doc))
 
@@ -745,14 +747,8 @@ class TestChainPremises:
                 chain = independent_tile(PointSet(d, tuple(points)), guard=200_000)
             except ValueError:  # a dependent draw, or GuardExceeded
                 continue
-            rows = chain.selected_rows
-            block = PointSet(k, tuple(tuple(p[r] for r in rows) for p in chain.set.points))
-            projection = IntMatrix.from_rows(
-                [[int(j == r) for j in range(d)] for r in rows]
-            )
-            projected = lift_tile(block, chain.row_transform, chain.one_dimensional)
-            assert chain.projected == projected
-            assert chain.final == lift_tile(chain.set, projection, projected)
+            _, lifted = two_stage_lift(chain)
+            assert chain.final == lifted
             assert parse(serialize(envelope("independence-chain", chain))).payload == chain
             checked += 1
 

@@ -4,27 +4,20 @@ lies in Z(1_T) translated to l."""
 
 from itertools import product
 
+from cyclotomic_oracle import is_spectral_pair_by_division
 from spectratile import spectral
-from spectratile.modlinalg import IntMatrix, matmul_mod
+from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import (
     PhaseMatrix,
     PointSet,
     _dense_pays,
     find_spectrum,
-    is_log_hadamard,
     is_m_spectral,
 )
 
 
 def spectrum_of(rows, m, d):
     return PhaseMatrix(IntMatrix(len(rows), d, tuple(c for row in rows for c in row)), m)
-
-
-def pairwise(point_set, spectrum):
-    """Orthogonality of every row pair, from the phase matrix itself."""
-    m = spectrum.denominator
-    product_ = matmul_mod(spectrum.numerators, point_set.to_columns_matrix(), m)
-    return is_log_hadamard(PhaseMatrix(product_, m))
 
 
 def counting_transforms(monkeypatch):
@@ -56,7 +49,7 @@ def test_box_spectrum_and_each_late_flaw(monkeypatch):
             moved[i] = tuple((c + s) % m for c, s in zip(rows[i], shift))
             spectrum = spectrum_of(moved, m, d)
             verdict = is_m_spectral(point_set, spectrum)
-            assert verdict == pairwise(point_set, spectrum)
+            assert verdict == is_spectral_pair_by_division(point_set, spectrum)
             flaws += not verdict
     assert flaws
     assert built and set(built) == {8}

@@ -2,27 +2,16 @@
 division of every row pair's count polynomial by Phi_m."""
 
 import itertools
-import operator
 
 import pytest
 
-from cyclotomic_oracle import ExponentMultiset, divides
+from cyclotomic_oracle import is_log_hadamard_by_division as by_division
 from spectratile import spectral
 from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import PhaseMatrix, is_log_hadamard
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-
-def by_division(mat):
-    """Whether every pair of distinct rows differs by a vanishing sum."""
-    m = mat.denominator
-    rows = [mat.row(i) for i in range(mat.numerators.rows)]
-    return all(
-        divides(ExponentMultiset.from_exponents(m, map(operator.sub, a, b)).counts)
-        for a, b in itertools.combinations(rows, 2)
-    )
 
 
 def fourier(m, a, b):

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from cyclotomic_oracle import is_spectral_pair_by_division
 from spectratile import spectral
 from spectratile.cyclotomic import is_vanishing_sum
 from spectratile.counterexample import (
@@ -431,14 +432,6 @@ def random_point_set(rng, d: int, k: int, low: int, high: int) -> PointSet:
     return PointSet(d, tuple(sorted(points)))
 
 
-def pairwise_reference(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
-    # The generic check: the phase matrix Lambda @ T mod m must be log-Hadamard.
-    m = spectrum.denominator
-    return is_log_hadamard(
-        PhaseMatrix(matmul_mod(spectrum.numerators, point_set.to_columns_matrix(), m), m)
-    )
-
-
 def brute_force_spectrum(point_set: PointSet, m: int) -> list[tuple[int, ...]] | None:
     # Lex-least canonical spectrum: row 0 is zero, the others strictly increase.
     k, d = len(point_set), point_set.dimension
@@ -446,7 +439,7 @@ def brute_force_spectrum(point_set: PointSet, m: int) -> list[tuple[int, ...]] |
     for rest in itertools.combinations(cells[1:], k - 1):
         rows = [cells[0], *rest]
         numerators = IntMatrix(k, d, tuple(c for row in rows for c in row))
-        if pairwise_reference(point_set, PhaseMatrix(numerators, m)):
+        if is_spectral_pair_by_division(point_set, PhaseMatrix(numerators, m)):
             return rows
     return None
 
@@ -509,7 +502,7 @@ class TestZeroSetSpectralChecks:
                 entries = [rng.randrange(m) for _ in range(k * d)]
             spectrum = PhaseMatrix(IntMatrix(k, d, tuple(entries)), m)
             verdict = is_m_spectral(point_set, spectrum)
-            assert verdict == pairwise_reference(point_set, spectrum)
+            assert verdict == is_spectral_pair_by_division(point_set, spectrum)
             seen.add((_dense_pays(k, m, d), verdict))
         # Both evaluation paths, each with both verdicts.
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -522,7 +515,7 @@ class TestZeroSetSpectralChecks:
         swapped[4:8] = [(c + 1) % 6 for c in swapped[4:8]]
         broken = PhaseMatrix(IntMatrix(96, 4, tuple(swapped)), 6)
         assert not is_m_spectral(composed.set, broken)
-        assert not pairwise_reference(composed.set, broken)
+        assert not is_spectral_pair_by_division(composed.set, broken)
 
     def test_repeated_rows_rejected_on_both_paths(self):
         for m, dense in ((2, True), (7, False)):
@@ -550,7 +543,7 @@ class TestZeroSetSpectralChecks:
         assert not _dense_pays(2, 1000, 3)
         half = PhaseMatrix(IntMatrix.from_rows([[0, 0, 0], [500, 7, 999]]), 1000)
         assert is_m_spectral(pair, half)
-        assert is_m_spectral(pair, half) == pairwise_reference(pair, half)
+        assert is_m_spectral(pair, half) == is_spectral_pair_by_division(pair, half)
         off = PhaseMatrix(IntMatrix.from_rows([[0, 0, 0], [499, 0, 0]]), 1000)
         assert not is_m_spectral(pair, off)
 
