@@ -552,7 +552,7 @@ class TestIndependentTileChecksEachCertificateOnce:
         "points",
         [((3, 1),), ((1, 0), (0, 1)), ((2, 0, 1), (0, 3, 0)), ((1, 2, 0), (0, 1, -1), (2, 0, 1))],
     )
-    def test_two_coverage_checks_per_chain(self, checked, points):
+    def test_two_coverage_checks(self, checked, points):
         """independent_tile checks the tiling of Z_M; reading final lifts
         once, and the lift checks the tiling it pulls back, never its own
         result."""
