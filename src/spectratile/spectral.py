@@ -409,13 +409,33 @@ class _Characters:
 
 
 class _Torus:
-    """Index arithmetic on bitmasks over Z_m^d in lexicographic order."""
+    """Index arithmetic on bitmasks over Z_m^d in lexicographic order.
 
-    def __init__(self, m: int, d: int) -> None:
+    The one translate of cell bitmasks in the package.  is_m_spectral and
+    find_spectrum translate Z(1_T) to a row.  tiling._exact_cover translates
+    a stack of copies at once: copy j holds its m^d cells from byte j * width
+    on, width being m^d bits rounded up to whole bytes, so stack and unstack
+    convert between the copies and the stack in one pass over the bytes.
+    The bits between copies stay clear.
+    """
+
+    def __init__(self, m: int, d: int, copies: int = 1) -> None:
         self.m = m
         self.strides = [m ** (d - 1 - a) for a in range(d)]
-        # repunits[a] sets the first bit of each block of m * strides[a] bits.
-        self.repunits = [((1 << m**d) - 1) // ((1 << m * s) - 1) for s in self.strides]
+        self.width = width = -(-(m**d) // 8)
+        self.cuts = [slice(j * width, (j + 1) * width) for j in range(copies)]
+        # repunits[a] sets the first bit of each block of m * strides[a] bits in each copy.
+        repunits = (((1 << m**d) - 1) // ((1 << m * s) - 1) for s in self.strides)
+        self.repunits = [self.stack([r] * copies) for r in repunits]
+
+    def stack(self, masks: Iterable[int]) -> int:
+        copies = (mask.to_bytes(self.width, "little") for mask in masks)
+        return int.from_bytes(b"".join(copies), "little")
+
+    def unstack(self, stack: int) -> list[int]:
+        data = stack.to_bytes(len(self.cuts) * self.width, "little")
+        copies = map(data.__getitem__, self.cuts)
+        return list(map(int.from_bytes, copies, itertools.repeat("little")))
 
     def index(self, row: Sequence[int]) -> int:
         return sum(c * s for c, s in zip(row, self.strides))

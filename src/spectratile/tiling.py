@@ -9,13 +9,15 @@ re-checked (divisibility, a colliding residue pair) or replayed (an
 exhausted search with its node count; see replay_search).
 
 The search, lifts and coverage checks build no cell tuple they do not
-keep.  There a cell of Z_m^d is a packed integer, its lexicographic index;
-each coordinate's wrap table turns a sum of two residues into that
-coordinate's reduced term of the index, so a translate or an image is one
-table lookup per coordinate.
+keep.  There a cell of Z_m^d is a packed integer, its lexicographic index.
 The search keeps, per cell it has branched on, a row of the placements
 that cover that cell with their cell bitmasks, so a node is one bit scan
-and one AND per placement tried.
+and one AND per placement tried.  A row is the k difference shapes T - t,
+stacked in one int, translated by the cell with spectral's _Torus and cut
+into k masks: O(k * m^d) bit work.
+In the lifts and coverage checks each coordinate's wrap table turns a sum
+of two residues into that coordinate's reduced term of the index, so a
+translate or an image is one table lookup per coordinate.
 verify_tiling counts the packed cells of every translate, and lift_tile
 walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
 the prefix's m cells at once against the packed base complement.
@@ -44,7 +46,7 @@ from typing import Iterator, Sequence, Union
 
 from .guard import check_guard, check_power_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-from .spectral import GroupSpec, PointSet, composed_set
+from .spectral import GroupSpec, PointSet, _Torus, composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -202,50 +204,42 @@ def verify_tiling(cert: TilingCertificate) -> bool:
     return True
 
 
-def _cell_vector(idx: int, m: int, dimension: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(dimension):
-        idx, r = divmod(idx, m)
-        coords.append(r)
-    return tuple(reversed(coords))
-
-
 def _exact_cover(
     residues: Sequence[tuple[int, ...]], m: int, dimension: int, limit: int | None = None
 ) -> tuple[list[tuple[int, ...]] | None, int]:
     """First exact cover in deterministic order, plus the visited node count.
 
     Branches on the lexicographically least uncovered cell; candidate
-    placements follow the given point order.  Cells and placements are
-    packed lexicographic indices, and covered cells live in one bitmask,
-    cell index = bit index.  A cell's row lists, for each point t in order,
-    the placement sigma = cell - t with its mask OR(1 << (sigma + t)).  A
-    row is built the first time the search branches on its cell and masks
-    are shared between rows, so the table grows with the cells branched on,
-    not with order * k.  A node costs one bit scan for its cell plus one AND
-    per row entry tried; the residues must be distinct mod m.
+    placements follow the given point order.  Cells are packed
+    lexicographic indices, and covered cells live in one bitmask, cell
+    index = bit index.  Point t placed at cell c is the translate sigma =
+    c - t, which covers c + (T - t); so a cell's row is the k difference
+    shapes T - t, in point order, each translated by c.  The shapes are
+    built once, each one translate of T's mask, and stacked in one int at
+    byte-aligned offsets.  A row is then one _Torus translate of the whole
+    stack (d block rotations) cut into its k masks by one to_bytes: O(k *
+    m^d) bit work.  A row is built the first time the search branches on
+    its cell, and equal masks are shared between rows, so the table grows
+    with the cells branched on, not with order * k.  A node costs one bit
+    scan for its cell plus one AND per row entry tried; the residues must be
+    distinct mod m.  The translates sigma are computed only for the cover
+    returned, each from the cell its state branched on.
 
     With a limit, the search stops without a cover as soon as it visits
     node limit + 1, and returns that count.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
-    order = m**dimension
-    full = (1 << order) - 1
-    wraps = _wraps(m, dimension)
-    columns = list(zip(*residues))
-    negated = [[-c % m for c in column] for column in columns]
+    full = (1 << m**dimension) - 1
+    single = _Torus(m, dimension)
+    shape = sum(1 << single.index(t) for t in residues)
+    torus = _Torus(m, dimension, len(residues))
+    stack = torus.stack(single.translate(shape, [-c for c in t]) for t in residues)
     masks: dict[int, int] = {}
     rows: dict[int, list[tuple[int, int]]] = {}
 
     def row(cell: int) -> list[tuple[int, int]]:
-        entries = []
-        for sigma in _packed(wraps, _cell_vector(cell, m, dimension), negated):
-            mask = masks.get(sigma)
-            if mask is None:
-                cells = _packed(wraps, _cell_vector(sigma, m, dimension), columns)
-                mask = masks[sigma] = sum(map((1).__lshift__, cells))
-            entries.append((sigma, mask))
-        rows[cell] = entries
+        cut = torus.unstack(torus.translate(stack, torus.row(cell)))
+        rows[cell] = entries = list(enumerate(map(masks.setdefault, cut, cut)))
         return entries
 
     nodes = 1  # the root state
@@ -253,7 +247,7 @@ def _exact_cover(
     trail: list[tuple[int, Iterator[tuple[int, int]], int]] = []
     entries = iter(row(0))
     while True:
-        for sigma, mask in entries:
+        for i, mask in entries:
             if not mask & covered:
                 break
         else:
@@ -261,13 +255,18 @@ def _exact_cover(
                 return None, nodes
             covered, entries, _ = trail.pop()
             continue
-        trail.append((covered, entries, sigma))
+        trail.append((covered, entries, i))
         covered |= mask
         nodes += 1
         if nodes == stop:
             return None, nodes
         if covered == full:
-            return [_cell_vector(entry[2], m, dimension) for entry in trail], nodes
+            # Each placement was made at the least cell its state left uncovered.
+            cells = (torus.row((before ^ (before + 1)).bit_length() - 1) for before, _, _ in trail)
+            return [
+                tuple((c - u) % m for c, u in zip(cell, residues[i]))
+                for cell, (_, _, i) in zip(cells, trail)
+            ], nodes
         # covered ^ (covered + 1) sets the bits up to the least uncovered cell.
         cell = (covered ^ (covered + 1)).bit_length() - 1
         entries = iter(rows.get(cell) or row(cell))
