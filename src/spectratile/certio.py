@@ -23,19 +23,24 @@ operations define, so serializing the same envelope twice yields identical
 bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
-payloads are re-verified outright.  The counterexample bundle has each
-component re-checked.  A derived certificate (a composition's or lift's
-result, the bundle's composed spectrum) must have the group and set size its
-construction produces; only then is the construction run and its output
-compared, so a tampered one costs no more than the envelope lists.  The
-construction does the rest of the checking, since every construction checks
-its inputs and never its output: a composition verifies its two parts and
-its lemma proves the product, and a lift verifies its base and its lemma
-proves the pullback.  An independence chain stores the premises of the
-pullback lemma, not the tiling of Z_M^d they imply: parse recomputes the
-selected block's determinant, maps each point to Z_M and verifies the
-one-dimensional tiling, which is O(k*d + k^3 + M) work and never walks
-Z_M^d.  The one
+payloads are re-verified outright.  The counterexample bundle is checked
+from its three premises: the phase matrix must be log-Hadamard, its two rank
+factorizations mod p must re-multiply to it, and the side count must be
+positive.  The published factorization then fixes the group, the base set,
+the rank, the base spectrum and both base non-tiling certificates, and each
+stored field is compared once with the value derived for it; the one claim
+taken as stored there is the exhausted search's node count.  A derived
+certificate (a composition's or lift's result, the bundle's composed
+spectrum) must have the group and set size its construction produces; only
+then is the construction run and its output compared, so a tampered one
+costs no more than the envelope lists.  The construction does the rest of
+the checking, since every construction checks its inputs and never its
+output: a composition verifies its two parts and its lemma proves the
+product, and a lift verifies its base and its lemma proves the pullback.
+An independence chain stores the premises of the pullback lemma, not the
+tiling of Z_M^d they imply: parse recomputes the selected block's
+determinant, maps each point to Z_M and verifies the one-dimensional
+tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
 thing a static file cannot prove is an exhausted-search node count; such
 certificates parse but carry a "replay-required" trust marker (inside
 composite records an exhausted search is corroborating evidence only - the
@@ -584,73 +589,73 @@ def _verify_chain(rec: IndependenceChain) -> None:
 
 
 def _verify_counterexample(rec: CounterexampleRecord) -> None:
+    """Check the bundle's three premises, derive the rest, compare once.
+
+    The premises are the phase matrix, which must be log-Hadamard, its two
+    rank factorizations mod p = its denominator, which must re-multiply to
+    it with its rank, and the side count n.  The published factorization
+    then fixes every other field: the group Z_p^r with r its inner
+    dimension, the base set (the right factor's columns), the base spectrum
+    (the left factor's rows over p) and both base non-tiling certificates
+    (the group and base set with their stored reasons, whose kinds are
+    checked first; constructing one pins a divisibility reason's sizes).
+    Each stored field must equal its derived value.  The composed spectrum
+    is pinned and recomputed, its construction verifying the base and the
+    cube, and the obstruction report is recomputed field by field.  The one
+    claim taken as stored is the exhausted search's node count.
+    """
     _require(rec.side_count >= 1, "side count must be at least 1")
     phase = rec.phase_exponents
     p = phase.denominator
     n = rec.side_count
+    # It builds its cyclotomic decision, and so checks the bound, before it
+    # allocates anything by the denominator.
     _require(is_log_hadamard(phase), "phase exponent matrix is not log-Hadamard")
-    _require(
-        rank_mod_p(phase.numerators, p) == rec.rank,
-        "recorded rank does not recompute",
-    )
+    rank = rank_mod_p(phase.numerators, p)
     for name, fact in (
         ("published", rec.published_factorization),
         ("computed", rec.computed_factorization),
     ):
         _require(fact.modulus == p, f"{name} factorization modulus mismatch")
-        _require(fact.rank == rec.rank, f"{name} factorization rank mismatch")
+        _require(fact.rank == rank, f"{name} factorization rank mismatch")
         _require(
             is_rank_factorization(phase.numerators, fact),
             f"{name} factorization does not re-multiply to the phase matrix",
         )
 
-    base = rec.base_spectrum
-    right = rec.published_factorization.right
-    _require(base.group.modulus == p, "base spectrum group modulus mismatch")
-    _require(base.group.dimension == right.rows, "base spectrum dimension mismatch")
-    _require(
-        base.set.points == tuple(right.column(j) for j in range(right.cols)),
-        "base spectrum set is not the right factor's columns",
-    )
-    _require(
-        base.spectrum.numerators == rec.published_factorization.left,
-        "base spectrum numerators are not the left factor",
-    )
-
-    for name, cert in (
-        ("divisibility", rec.base_non_tiling_divisibility),
-        ("search", rec.base_non_tiling_search),
-    ):
-        _require(cert.group == base.group, f"base non-tiling ({name}) group mismatch")
-        _require(cert.set == base.set, f"base non-tiling ({name}) set mismatch")
-    _require(
-        isinstance(rec.base_non_tiling_divisibility.reason, DivisibilityObstruction),
-        "divisibility certificate carries the wrong reason",
-    )
-    _require(
-        isinstance(rec.base_non_tiling_search.reason, ExhaustedSearch),
-        "search certificate carries the wrong reason",
-    )
+    left, right = rec.published_factorization.left, rec.published_factorization.right
+    group = GroupSpec(p, right.rows)
+    base_set = PointSet(right.rows, tuple(right.column(j) for j in range(right.cols)))
+    base = SpectrumCertificate(group, base_set, PhaseMatrix(left, p))
+    derived = {"rank": rank, "base_spectrum": base}
+    for name, kind in (("divisibility", DivisibilityObstruction), ("search", ExhaustedSearch)):
+        field, what = f"base_non_tiling_{name}", f"base non tiling {name}"
+        reason = getattr(rec, field).reason
+        _require(isinstance(reason, kind), f"{what} carries the wrong reason")
+        try:
+            derived[field] = NonTilingCertificate(group, base_set, reason)
+        except ValueError as exc:
+            raise InvariantViolation(f"{what} does not recompute: {exc}") from exc
+    for field, value in derived.items():
+        _require(getattr(rec, field) == value, f"{field.replace('_', ' ')} does not recompute")
 
     # The pinned group and set size bound the recomputation by the
     # envelope's own size, whatever side count it claims.  compose_spectral
     # verifies both the base and the cube it is given.
-    dimension = base.set.dimension
+    d = group.dimension
     _recompute(
         "composed",
         rec.composed_spectrum,
-        GroupSpec(p * n, dimension),
-        len(base.set) * n**dimension,
-        lambda: spectral.compose_spectral(base, cube_spectrum(n, dimension)),
+        GroupSpec(p * n, d),
+        len(base_set) * n**d,
+        lambda: spectral.compose_spectral(base, cube_spectrum(n, d)),
     )
-    # Exactly build_extension(base.set, p, n): the same base and lexicographic
-    # cube, and its range check holds, since the base set is the right
-    # factor's columns and RankFactorization keeps those in [0, p).
-    extension = rec.composed_spectrum.set
-
-    # One source for the report: the one the pipeline builds, field by field.
+    # The extension is exactly build_extension(base_set, p, n): the same base
+    # and lexicographic cube, and its range check holds, since the base set
+    # is the right factor's columns and RankFactorization keeps those in
+    # [0, p).  One source for the report: the one the pipeline builds.
     expected = tiling._obstruction_report(
-        base.set, p, n, extension, rec.base_non_tiling_divisibility
+        base_set, p, n, rec.composed_spectrum.set, rec.base_non_tiling_divisibility
     )
     for field in fields(ExtensionObstructionReport):
         _require(

@@ -16,6 +16,7 @@ past the bound costs neither work nor memory.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +44,9 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        # operator.index admits bools and integer types; a float, str or
+        # Fraction raises TypeError.
+        coeffs = tuple(map(operator.index, self.coefficients))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

@@ -705,29 +705,13 @@ def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumC
 
 
 def format_point_set(point_set: PointSet) -> str:
-    lines = [f"{len(point_set)} {point_set.dimension}"]
-    for p in point_set.points:
-        lines.append(" ".join(str(c) for c in p))
-    return "\n".join(lines) + "\n"
+    """A point set as a matrix file: a "k d" header, then one row per point."""
+    return format_matrix(IntMatrix.from_rows(point_set.points))
 
 
 def parse_point_set(text: str) -> PointSet:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty point set text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("point set header must be 'count dimension'")
-    count, dimension = (int(x) for x in header)
-    if len(lines) - 1 != count:
-        raise ValueError(f"expected {count} points, got {len(lines) - 1}")
-    points = []
-    for line in lines[1:]:
-        coords = [int(tok) for tok in line.split()]
-        if len(coords) != dimension:
-            raise ValueError(f"expected {dimension} coordinates per point")
-        points.append(tuple(coords))
-    return PointSet(dimension, tuple(points))
+    matrix = parse_matrix(text)
+    return PointSet(matrix.cols, tuple(map(matrix.row, range(matrix.rows))))
 
 
 def format_phase_matrix(mat: PhaseMatrix) -> str:

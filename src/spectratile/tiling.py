@@ -507,7 +507,8 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
         raise ValueError("points are not linearly independent over the rationals")
     big_d = abs(det)
     modulus = k * big_d
-    check_guard(modulus**d, guard)
+    # M comes from the coordinates, and M**d can have millions of digits.
+    check_power_guard(modulus, d, guard)
 
     sign = 1 if det > 0 else -1
     block = [[p[r] for p in points] for r in selected]

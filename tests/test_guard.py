@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -8,7 +9,12 @@ from spectratile.guard import GuardExceeded, check_power_guard, power_in_reach
 from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import GroupSpec, PointSet, cube_spectrum, find_spectrum
 from spectratile.spectral import format_point_set
-from spectratile.tiling import IndependenceChain, TilingCertificate, decide_m_tile
+from spectratile.tiling import (
+    IndependenceChain,
+    TilingCertificate,
+    decide_m_tile,
+    independent_tile,
+)
 
 # 10**5000 has 5001 digits, past the 4300 digits str() converts.
 HUGE = 5000
@@ -80,3 +86,26 @@ class TestHugeCountsRefusedAsGuardExceeded:
         )
         with pytest.raises(GuardExceeded):
             certio.parse(certio.serialize(envelope))
+
+
+class TestIndependentTileGuard:
+    """M = k * |det| comes from the coordinates, so M**d is refused by bit
+    length before it is computed: at M = 10**3000 and d = 3000 computing it
+    took 9.5 s."""
+
+    D = 3000
+    POINT = PointSet(D, ((10**3000,) + (0,) * (D - 1),))
+
+    def test_refused_before_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=r"at least 2\*\*"):
+            independent_tile(self.POINT)
+        assert time.perf_counter() - start < 0.5
+
+    def test_cli_exit_two(self, tmp_path, capsys):
+        set_file = tmp_path / "set.txt"
+        set_file.write_text(format_point_set(self.POINT))
+        start = time.perf_counter()
+        assert main(["tile", "independent", "--set", str(set_file)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.startswith("error:")
