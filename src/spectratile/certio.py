@@ -18,6 +18,11 @@ verifier.
 
 Every integer anywhere in the payload is encoded as a canonical decimal
 string so arbitrary-precision values survive any JSON implementation.
+Integers in [-256, 256], nearly all of those in a certificate, are encoded
+and decoded by lookup in two tables filled on the first serialize or parse,
+one C-level map per array.  A miss (a larger integer, or anything that is
+not a canonical decimal string) sends the array through the per-item path,
+which converts with int() and str() and, for a fault, names its index.
 Object keys are sorted and arrays keep the canonical orders the producing
 operations define, so serializing the same envelope twice yields identical
 bytes.
@@ -251,7 +256,36 @@ class _Codec(NamedTuple):
     decode: Callable[[Any], Any]
 
 
+# Canonical decimal strings of the ints in [-_SMALL, _SMALL] and back.  They
+# are filled on the first serialize or parse, not at import, so a process
+# that imports the package and never touches a certificate holds no table.
+_SMALL = 256
+_FROM_STR: dict[str, int] = {}
+_TO_STR: dict[int, str] = {}
+# What a table lookup raises on a miss: KeyError for a value outside the
+# table (an int out of range, a non-canonical string, a JSON number) and
+# TypeError for an unhashable one (an array or object).
+_MISS = (KeyError, TypeError)
+
+
+def _fill_tables() -> None:
+    if not _TO_STR:
+        _TO_STR.update((i, str(i)) for i in range(-_SMALL, _SMALL + 1))
+        _FROM_STR.update((text, i) for i, text in _TO_STR.items())
+
+
+def _enc_int(x: Any) -> str:
+    try:
+        return _TO_STR[x]
+    except _MISS:
+        return str(int(x))
+
+
 def _dec_int(obj: Any) -> int:
+    try:
+        return _FROM_STR[obj]  # every key is str(i), so a hit is canonical
+    except _MISS:
+        pass
     if isinstance(obj, str):
         try:
             value = int(obj)
@@ -279,26 +313,44 @@ def _optional(codec: _Codec) -> _Codec:
     )
 
 
-def _list_of(item: _Codec) -> _Codec:
+def _list_of(item: _Codec, bulk: _Codec | None = None) -> _Codec:
+    """An array of item values, mapped over in one C-level pass each way.
+
+    The pass maps ``bulk``, when given, or else ``item``.  Any miss in it
+    (_Bad, or a lookup's KeyError or TypeError) sends the whole array back
+    through ``item`` one value at a time, which returns the value or raises
+    _Bad located at the index that fails.
+    """
+    fast = bulk or item
+
+    def encode(values: Any) -> list:
+        try:
+            return list(map(fast.encode, values))
+        except _MISS:
+            return list(map(item.encode, values))
+
     def decode(obj: Any) -> tuple:
         if not isinstance(obj, list):
             raise _Bad("must be an array")
-        dec = item.decode
+        try:
+            return tuple(map(fast.decode, obj))
+        except (_Bad, *_MISS):
+            pass
         out: list = []
         try:
             for x in obj:
-                out.append(dec(x))
+                out.append(item.decode(x))
         except _Bad as exc:
             raise exc.at(f"[{len(out)}]")
         return tuple(out)
 
-    return _Codec(lambda values: [item.encode(v) for v in values], decode)
+    return _Codec(encode, decode)
 
 
-_INT = _Codec(lambda x: str(int(x)), _dec_int)
+_INT = _Codec(_enc_int, _dec_int)
 _BOOL = _Codec(bool, _check(bool, "a boolean"))
 _STR = _Codec(str, _check(str, "a string"))
-_INTS = _list_of(_INT)
+_INTS = _list_of(_INT, _Codec(_TO_STR.__getitem__, _FROM_STR.__getitem__))
 _POINTS = _list_of(_INTS)
 
 
@@ -689,6 +741,7 @@ _ENVELOPE_KEYS = frozenset(("schema_version", "kind", "payload", "provenance"))
 
 def serialize(envelope: CertificateEnvelope) -> bytes:
     """Canonical bytes for an envelope: sorted keys, decimal-string integers."""
+    _fill_tables()
     doc = {
         "schema_version": envelope.schema_version,
         "kind": envelope.kind,
@@ -700,6 +753,7 @@ def serialize(envelope: CertificateEnvelope) -> bytes:
 
 def parse(data: bytes | str) -> CertificateEnvelope:
     """Decode and verify an envelope; untrusted input never parses silently."""
+    _fill_tables()
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

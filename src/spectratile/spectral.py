@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import VanishingDecision, vanishing_decision
-from .guard import check_guard, power_in_reach, resolve_guard
+from .guard import check_power_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, format_matrix, matmul_mod, parse_matrix
 
 __all__ = [
@@ -467,7 +467,7 @@ def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> i
 
 def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     """fourier_zero_set in the group, under the resolved guard limit."""
-    check_guard(group.order(), limit)
+    check_power_guard(group.modulus, group.dimension, limit)
     m = group.modulus
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(point_set))
@@ -565,7 +565,7 @@ def find_spectrum(
     limit = resolve_guard(guard)
     k = len(point_set)
     if k == 1:
-        check_guard(group.order(), limit)
+        check_power_guard(group.modulus, group.dimension, limit)
         zero_row = PhaseMatrix(IntMatrix.zeros(1, group.dimension), m)
         return SpectrumCertificate(group, point_set, zero_row)  # no row pairs to check
     zero = _zero_set(point_set, group, limit)
@@ -697,7 +697,7 @@ def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumC
     numerators are both all of [0, n)^d in lexicographic order.
     """
     group = GroupSpec(n, dimension)
-    check_guard(group.order(), guard)
+    check_power_guard(group.modulus, group.dimension, guard)
     cells = tuple(group.elements())
     cube = PointSet(dimension, cells)
     numerators = IntMatrix(len(cells), dimension, tuple(itertools.chain.from_iterable(cells)))

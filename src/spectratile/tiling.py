@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import compress, product, repeat
 from typing import Iterator, Sequence, Union
 
-from .guard import check_guard, check_power_guard
+from .guard import check_power_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
 from .spectral import GroupSpec, PointSet, _Torus, composed_set
 
@@ -302,7 +302,7 @@ def decide_m_tile(
     """
     if point_set.dimension != group.dimension:
         raise ValueError("set dimension does not match the group")
-    check_guard(group.order(), guard)
+    check_power_guard(group.modulus, group.dimension, guard)
     residues = _distinct_residues(point_set, group.modulus)
     if isinstance(residues, DuplicateResidues):
         return NonTilingCertificate(group, point_set, residues)
@@ -361,7 +361,7 @@ def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> Tiling
     m = cert_t.group.modulus
     n = cert_s.group.modulus
     group = GroupSpec(m * n, cert_t.group.dimension)
-    check_guard(group.order())
+    check_power_guard(group.modulus, group.dimension)
     if not verify_tiling(cert_t):
         raise ValueError("left tiling fails verification")
     if not verify_tiling(cert_s):
@@ -410,7 +410,7 @@ def lift_tile(
     m = base.group.modulus
     d = point_set.dimension
     group = GroupSpec(m, d)
-    check_guard(group.order(), guard)
+    check_power_guard(m, d, guard)
 
     mapped = matmul_mod(transform, point_set.to_columns_matrix(), m)
     mapped_points = tuple(mapped.column(j) for j in range(mapped.cols))

@@ -580,16 +580,17 @@ class TestRecomputationBoundedByTheClaim:
     @pytest.fixture
     def admitted(self, monkeypatch):
         calls = []
+        check_guard = guard.check_guard
 
         def recording(cells, limit=None):
             try:
-                guard.check_guard(cells, limit)
+                check_guard(cells, limit)
             except guard.GuardExceeded:
                 calls.append((cells, False))
                 raise
             calls.append((cells, True))
 
-        monkeypatch.setattr(tiling, "check_guard", recording)
+        monkeypatch.setattr(guard, "check_guard", recording)
         return calls
 
     def test_tampered_chain_rejected_within_its_claimed_order(self, admitted):
@@ -655,7 +656,13 @@ class TestDerivedCertificatesPinnedFirst:
 
     def test_lift_over_another_modulus_refused_before_any_guard_check(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(tiling, "check_guard", lambda *args: calls.append(args))
+        check_guard = guard.check_guard
+
+        def recording(*args):
+            calls.append(args)
+            check_guard(*args)
+
+        monkeypatch.setattr(guard, "check_guard", recording)
         base = TilingCertificate(GroupSpec(4, 1), line_set(0, 1), line_set(0, 2))
         claimed = TilingCertificate(
             GroupSpec(2, 2), PointSet(2, ((0, 0), (1, 0))), PointSet(2, ((0, 0), (0, 1)))

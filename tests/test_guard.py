@@ -7,13 +7,21 @@ from spectratile import certio
 from spectratile.cli import main
 from spectratile.guard import GuardExceeded, check_power_guard, power_in_reach
 from spectratile.modlinalg import IntMatrix
-from spectratile.spectral import GroupSpec, PointSet, cube_spectrum, find_spectrum
-from spectratile.spectral import format_point_set
+from spectratile.spectral import (
+    GroupSpec,
+    PointSet,
+    cube_spectrum,
+    find_spectrum,
+    format_point_set,
+    fourier_zero_set,
+)
 from spectratile.tiling import (
     IndependenceChain,
     TilingCertificate,
+    compose_tile,
     decide_m_tile,
     independent_tile,
+    lift_tile,
 )
 
 # 10**5000 has 5001 digits, past the 4300 digits str() converts.
@@ -109,3 +117,44 @@ class TestIndependentTileGuard:
         assert main(["tile", "independent", "--set", str(set_file)]) == 2
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _site_calls():
+    """Each guarded site called with an order far over its guard, by name.
+
+    At Z_(10**3000)^3000, computing the order alone takes about 10 s; a
+    composition's order is bounded by the sizes of its parts, so it is
+    refused by a guard of 15 instead.
+    """
+    d = 3000
+    huge = 10**3000
+    origin = PointSet(d, ((0,) * d,))
+    z2 = TilingCertificate(GroupSpec(2, 1), PointSet(1, ((0,),)), PointSet(1, ((0,), (1,))))
+    z4 = decide_m_tile(PointSet(1, ((0,), (1,))), GroupSpec(4, 1))
+    return {
+        "zero-set": lambda: fourier_zero_set(origin, huge),
+        "find-spectrum-one-point": lambda: find_spectrum(origin, huge),
+        "cube-spectrum": lambda: cube_spectrum(huge, d),
+        "decide-m-tile": lambda: decide_m_tile(origin, GroupSpec(huge, d)),
+        "compose-tile": lambda: compose_tile(z4, z4),
+        "lift-tile": lambda: lift_tile(origin, IntMatrix(1, d, (0,) * d), z2, guard=10),
+    }
+
+
+class TestGuardBeforeTheOrder:
+    """Every site that walks or builds a group checks the guard by bit length
+    first, so a refused order is never computed."""
+
+    @pytest.mark.parametrize("site", list(_site_calls()))
+    def test_refused_without_the_order(self, monkeypatch, site):
+        call = _site_calls()[site]  # the inputs are built with the real order()
+
+        def refuse(group):
+            raise AssertionError(f"computed the order of Z_m^{group.dimension}")
+
+        monkeypatch.setattr(GroupSpec, "order", refuse)
+        monkeypatch.setenv("SPECTRATILE_GUARD", "15")
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            call()
+        assert time.perf_counter() - start < 0.5
