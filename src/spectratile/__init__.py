@@ -44,8 +44,6 @@ from .tiling import (
     IndependenceChain,
     NonTilingCertificate,
     TilingCertificate,
-    build_extension,
-    check_mod_reduction,
     compose_tile,
     decide_m_tile,
     extension_obstructions,

@@ -51,6 +51,9 @@ certificates parse but carry a "replay-required" trust marker (inside
 composite records an exhausted search is corroborating evidence only - the
 load-bearing claims are re-checked).
 tiling.replay_search re-runs such a search and compares its node count.
+
+Provenance entries describe how a file was made; they are free text and are
+not checked.
 """
 
 from __future__ import annotations
@@ -653,7 +656,8 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
     checked first; constructing one pins a divisibility reason's sizes).
     Each stored field must equal its derived value.  The composed spectrum
     is pinned and recomputed, its construction verifying the base and the
-    cube, and the obstruction report is recomputed field by field.  The one
+    cube.  The obstruction report is derived by arithmetic (the lemma in
+    tiling._obstruction_report) and compared field by field.  The one
     claim taken as stored is the exhausted search's node count.
     """
     _require(rec.side_count >= 1, "side count must be at least 1")
@@ -702,13 +706,8 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
         len(base_set) * n**d,
         lambda: spectral.compose_spectral(base, cube_spectrum(n, d)),
     )
-    # The extension is exactly build_extension(base_set, p, n): the same base
-    # and lexicographic cube, and its range check holds, since the base set
-    # is the right factor's columns and RankFactorization keeps those in
-    # [0, p).  One source for the report: the one the pipeline builds.
-    expected = tiling._obstruction_report(
-        base_set, p, n, rec.composed_spectrum.set, rec.base_non_tiling_divisibility
-    )
+    # The base set lies in [0, p), as RankFactorization keeps it: the lemma holds.
+    expected = tiling._obstruction_report(base_set, p, n, rec.base_non_tiling_divisibility)
     for field in fields(ExtensionObstructionReport):
         _require(
             getattr(rec.obstructions, field.name) == getattr(expected, field.name),

@@ -121,8 +121,7 @@ class RankFactorization:
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", operator.index(self.modulus))
         object.__setattr__(self, "rank", operator.index(self.rank))
-        if not _is_prime(self.modulus):
-            raise ValueError(f"modulus must be prime, got {self.modulus}")
+        _require_prime(self.modulus)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.left.cols != self.rank or self.right.rows != self.rank:
@@ -135,18 +134,22 @@ class RankFactorization:
         return matmul_mod(self.left, self.right, self.modulus)
 
 
+# Miller-Rabin bases, exact below psi_13 (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin: exact below _PRIME_BOUND, refused above."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}, got {p}")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2**twos
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> twos, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(twos)):
             return False
-        f += 2
     return True
 
 

@@ -38,10 +38,9 @@ certio.parse.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product, repeat
+from itertools import compress, product
 from typing import Iterator, Sequence, Union
 
 from .guard import check_power_guard
@@ -63,8 +62,6 @@ __all__ = [
     "compose_tile",
     "lift_tile",
     "independent_tile",
-    "build_extension",
-    "check_mod_reduction",
     "extension_obstructions",
 ]
 
@@ -538,38 +535,6 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     )
 
 
-def build_extension(point_set: PointSet, m: int, n: int) -> PointSet:
-    """The extension T + m*[0,n)^d of a set T contained in [0,m)^d."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if n < 1:
-        raise ValueError(f"side count must be positive, got {n}")
-    for p in point_set.points:
-        if any(not 0 <= c < m for c in p):
-            raise ValueError(f"point {p} lies outside [0, {m})^d")
-    cube = PointSet(point_set.dimension, tuple(GroupSpec(n, point_set.dimension).elements()))
-    return composed_set(point_set, cube, m)
-
-
-def _reduction_multiplicity(big: PointSet, m: int, base: PointSet) -> int | None:
-    reduce = repeat(m.__rmod__)
-    counts = Counter(map(tuple, map(map, reduce, big.points)))
-    base_residues = set(map(tuple, map(map, reduce, base.points)))
-    if set(counts) != base_residues:
-        return None
-    multiplicities = set(counts.values())
-    if len(multiplicities) != 1:
-        return None
-    return multiplicities.pop()
-
-
-def check_mod_reduction(big: PointSet, m: int, base: PointSet) -> bool:
-    """Whether big reduces mod m onto exactly base's residues, uniformly."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    return _reduction_multiplicity(big, m, base) is not None
-
-
 ASYMPTOTIC_NON_TILING_CLAIM = (
     "the base set is not a tile of Z_m^d, so the extension T + m*[0,n)^d is "
     "not a tile of Z^d once the side count n is sufficiently large; this "
@@ -580,7 +545,10 @@ ASYMPTOTIC_NON_TILING_CLAIM = (
 
 @dataclass(frozen=True)
 class ExtensionObstructionReport:
-    """Finite, re-checkable obstructions attached to an extension T + m*[0,n)^d."""
+    """Finite, re-checkable obstructions attached to an extension T + m*[0,n)^d.
+
+    All but the base verdict is arithmetic, proved by _obstruction_report's lemma.
+    """
 
     modulus: int
     side_count: int
@@ -598,42 +566,49 @@ class ExtensionObstructionReport:
 def extension_obstructions(
     point_set: PointSet, m: int, n: int, guard: int | None = None
 ) -> ExtensionObstructionReport:
-    """Assemble the finite obstruction evidence for the extension of a set.
+    """The finite obstruction evidence for the extension T + m*[0,n)^d.
 
-    Reports whether the extension's size divides the extended group order,
-    the complete tiling verdict for the base set in Z_m^d, and whether the
-    extension reduces mod m onto the base with uniform multiplicity.  When
-    the base verdict is negative the report also records, as a cited claim,
-    that the extension is not a tile of Z^d for all sufficiently large side
-    counts; that asymptotic step is not machine-verified.
+    T must lie in [0, m)^d, so _obstruction_report's lemma gives the sizes
+    and the mod-m reduction: nothing of size n^d is built.  The base is
+    decided in Z_m^d within the guard.  A negative verdict adds the cited,
+    not machine-verified, claim that the extension does not tile Z^d for
+    all sufficiently large n.
     """
-    extension = build_extension(point_set, m, n)
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    if n < 1:
+        raise ValueError(f"side count must be positive, got {n}")
+    for p in point_set.points:
+        if any(not 0 <= c < m for c in p):
+            raise ValueError(f"point {p} lies outside [0, {m})^d")
     verdict = decide_m_tile(point_set, GroupSpec(m, point_set.dimension), guard)
-    return _obstruction_report(point_set, m, n, extension, verdict)
+    return _obstruction_report(point_set, m, n, verdict)
 
 
 def _obstruction_report(
-    point_set: PointSet, m: int, n: int, extension: PointSet,
-    verdict: TilingCertificate | NonTilingCertificate,
+    point_set: PointSet, m: int, n: int, verdict: TilingCertificate | NonTilingCertificate
 ) -> ExtensionObstructionReport:
-    """The report on an extension already built and a base verdict already decided."""
+    """The report on T + m*[0,n)^d by arithmetic, given the base verdict.
+
+    If the k points of T have distinct residues mod m (the caller's premise;
+    any T in [0, m)^d has), T + m*[0,n)^d has k * n^d points and hits each
+    residue of T exactly n^d times: x = t + m*s fixes t as x's residue, then s.
+    """
     d = point_set.dimension
-    multiplicity = _reduction_multiplicity(extension, m, point_set)
+    multiplicity = n**d
+    extension_size = len(point_set) * multiplicity
     extended_order = (m * n) ** d
+    claim = ASYMPTOTIC_NON_TILING_CLAIM if isinstance(verdict, NonTilingCertificate) else None
     return ExtensionObstructionReport(
         modulus=m,
         side_count=n,
         dimension=d,
         base_size=len(point_set),
-        extension_size=len(extension),
+        extension_size=extension_size,
         extended_group_order=extended_order,
-        size_divides=extended_order % len(extension) == 0,
-        reduction_uniform=multiplicity is not None,
+        size_divides=extended_order % extension_size == 0,
+        reduction_uniform=True,
         reduction_multiplicity=multiplicity,
         base_verdict=verdict,
-        asymptotic_claim=(
-            ASYMPTOTIC_NON_TILING_CLAIM
-            if isinstance(verdict, NonTilingCertificate)
-            else None
-        ),
+        asymptotic_claim=claim,
     )

@@ -830,6 +830,19 @@ class TestIntegerFieldMutants:
     negative or a zero value, either parses or is refused with
     CertificateError or GuardExceeded, within a wall-clock budget."""
 
+    def test_large_prime_modulus_refused_quickly(self):
+        """A prime modulus of 17 digits is decided without trial division,
+        so the checker reaches its comparison with the phase denominator."""
+        data = _edit(
+            GOLDEN.read_bytes(),
+            ("payload", "published_factorization", "modulus"),
+            "10000000000000061",
+        )
+        start = time.perf_counter()
+        with pytest.raises(InvariantViolation, match="published factorization modulus mismatch"):
+            parse(data)
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("name", [*WALKED, "golden-chain"])
     def test_each_mutant_parses_or_is_refused(self, samples, name):
         if name == "golden-n2":

@@ -175,13 +175,9 @@ class TestEachSpectrumVerifiedOnce:
 class TestExtensionBuiltOnce:
     def test_obstructions_reuse_the_composed_set_and_the_base_verdict(self, monkeypatch):
         """compose_spectral builds T + 3*[0,n)^4, and the obstruction report
-        takes it from there; the base verdict is the divisibility step's.
-        So the pipeline builds no extension and decides the base twice: once
+        derives its numbers by arithmetic; the base verdict is the
+        divisibility step's.  So the pipeline decides the base twice: once
         with the divisibility shortcut and once by exhausting the search."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_extension ran in the pipeline")
-
         decided = []
         original = tiling_module.decide_m_tile
 
@@ -189,7 +185,6 @@ class TestExtensionBuiltOnce:
             decided.append(kwargs.get("divisibility_shortcut", True))
             return original(point_set, group, *args, **kwargs)
 
-        monkeypatch.setattr(tiling_module, "build_extension", refuse)
         monkeypatch.setattr(tiling_module, "decide_m_tile", recording)
         monkeypatch.setattr(counterexample_module, "decide_m_tile", recording)
         report = run_counterexample(2)
@@ -203,8 +198,7 @@ class TestExtensionBuiltOnce:
         monkeypatch.setattr(counterexample_module, "compose_spectral", refuse)
         report = run_counterexample(2)
         failed = {s.name: s.detail for s in report.steps if not s.passed}
-        assert list(failed) == ["composed-set-spectral", "extension-obstructions"]
-        assert "composed set was not built" in failed["extension-obstructions"]
+        assert list(failed) == ["composed-set-spectral"]
         assert report.envelope is None
 
 

@@ -55,7 +55,7 @@ def with_base(envelope, base):
         base_non_tiling_divisibility=divisibility,
         base_non_tiling_search=decide_m_tile(base.set, base.group, divisibility_shortcut=False),
         composed_spectrum=composed,
-        obstructions=_obstruction_report(base.set, m, N, composed.set, divisibility),
+        obstructions=_obstruction_report(base.set, m, N, divisibility),
     )
 
 
@@ -99,7 +99,7 @@ def test_divisibility_certificate_over_another_group(honest):
     rec = honest.payload
     base = rec.base_spectrum
     divisibility = NonTilingCertificate(GroupSpec(2, 4), base.set, DivisibilityObstruction(6, 16))
-    obstructions = _obstruction_report(base.set, 3, N, rec.composed_spectrum.set, divisibility)
+    obstructions = _obstruction_report(base.set, 3, N, divisibility)
     with pytest.raises(InvariantViolation, match=r"base non.tiling \(?divisibility"):
         parse(rebuilt(honest, base_non_tiling_divisibility=divisibility, obstructions=obstructions))
 

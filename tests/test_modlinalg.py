@@ -6,6 +6,7 @@ from spectratile.counterexample import HADAMARD_EXPONENTS, POINT_COLUMNS, SPECTR
 from spectratile.modlinalg import (
     IntMatrix,
     RankFactorization,
+    _is_prime,
     det_and_adjugate,
     format_matrix,
     is_rank_factorization,
@@ -92,6 +93,40 @@ class TestRankModP:
             b = random_matrix(rng, a.cols, rng.randint(1, 4))
             prod = matmul_mod(a, b, p)
             assert rank_mod_p(prod, p) <= min(rank_mod_p(a, p), rank_mod_p(b, p))
+
+
+def trial_division_is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestIsPrime:
+    def test_equals_trial_division_below_200000(self):
+        assert [n for n in range(200_000) if _is_prime(n)] == [
+            n for n in range(200_000) if trial_division_is_prime(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        # Strong pseudoprimes to every prime base up to 7, 31 and 37.
+        [3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 10**16 + 61])
+    def test_large_primes(self, p):
+        assert _is_prime(p)
+
+    def test_refuses_the_bound(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            _is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestRankFactorize:

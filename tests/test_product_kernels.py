@@ -1,5 +1,6 @@
 """The product builders and the matrix checks agree with the per-entry
-formulas they replaced, which are kept here as oracles."""
+formulas they replaced, which are kept here as oracles, and the extension
+report's arithmetic agrees with a count over the extension it describes."""
 
 from collections import Counter
 from itertools import product
@@ -110,17 +111,30 @@ def test_cube_spectrum(n, d):
 
 
 @st.composite
-def reductions(draw):
+def extensions(draw):
+    """T with distinct residues mod m (representatives in [-m, 2m)^d), m and n."""
     d = draw(st.integers(1, 3))
-    return draw(point_sets(d, 12)), draw(st.integers(1, 4)), draw(point_sets(d))
+    m = draw(st.integers(1, 4))
+    cells = st.tuples(*[st.integers(0, m - 1)] * d)
+    residues = draw(st.lists(cells, min_size=1, max_size=min(6, m**d), unique=True))
+    shifts = st.tuples(*[st.integers(-1, 1)] * d)
+    points = [
+        tuple(r + m * s for r, s in zip(residue, draw(shifts))) for residue in residues
+    ]
+    return PointSet(d, tuple(points)), m, draw(st.integers(1, 3))
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
-@hypothesis.given(reductions())
+@hypothesis.given(extensions())
 def test_reduction_multiplicity(drawn):
-    big, m, base = drawn
-    expected = oracle_reduction_multiplicity(big, m, base)
-    assert tiling._reduction_multiplicity(big, m, base) == expected
+    """The report's arithmetic equals what T + m*[0,n)^d, built here, shows."""
+    base, m, n = drawn
+    d = base.dimension
+    big = composed_set(base, PointSet(d, tuple(product(range(n), repeat=d))), m)
+    report = tiling._obstruction_report(base, m, n, tiling.decide_m_tile(base, GroupSpec(m, d)))
+    assert report.extension_size == len(big)
+    assert report.size_divides == ((m * n) ** d % len(big) == 0)
+    assert report.reduction_multiplicity == oracle_reduction_multiplicity(big, m, base)
 
 
 class TestReductionMultiplicityCases:
@@ -129,18 +143,9 @@ class TestReductionMultiplicityCases:
 
     def test_uniform(self):
         big = composed_set(self.base, self.cube, 3)
-        assert tiling._reduction_multiplicity(big, 3, self.base) == 4
+        verdict = tiling.decide_m_tile(self.base, GroupSpec(3, 2))
+        assert tiling._obstruction_report(self.base, 3, 2, verdict).reduction_multiplicity == 4
         assert oracle_reduction_multiplicity(big, 3, self.base) == 4
-
-    def test_non_uniform(self):
-        big = PointSet(2, composed_set(self.base, self.cube, 3).points[1:])
-        assert tiling._reduction_multiplicity(big, 3, self.base) is None
-        assert oracle_reduction_multiplicity(big, 3, self.base) is None
-
-    def test_missing_residue(self):
-        big = composed_set(PointSet(2, ((0, 0),)), self.cube, 3)
-        assert tiling._reduction_multiplicity(big, 3, self.base) is None
-        assert oracle_reduction_multiplicity(big, 3, self.base) is None
 
 
 class TestIntMatrixEntries:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -15,8 +16,6 @@ from spectratile.tiling import (
     ExhaustedSearch,
     NonTilingCertificate,
     TilingCertificate,
-    build_extension,
-    check_mod_reduction,
     compose_tile,
     decide_m_tile,
     extension_obstructions,
@@ -306,40 +305,71 @@ class TestIndependentTile:
             checked += 1
 
 
+def built_extension(point_set: PointSet, m: int, n: int) -> PointSet:
+    """T + m*[0,n)^d, built point by point."""
+    d = point_set.dimension
+    return PointSet(
+        d,
+        tuple(
+            tuple(c + m * s for c, s in zip(t, shift))
+            for t in point_set.points
+            for shift in itertools.product(range(n), repeat=d)
+        ),
+    )
+
+
 class TestBuildExtension:
+    """The report's numbers match the extension built here."""
+
     def test_fixture_extension_has_96_points(self):
-        ext = build_extension(base_point_set(), 3, 2)
-        assert len(ext) == 96
+        ext = built_extension(base_point_set(), 3, 2)
+        assert len(ext) == 96 == extension_obstructions(base_point_set(), 3, 2).extension_size
         assert all(0 <= c < 6 for p in ext.points for c in p)
 
     def test_side_one_is_identity(self):
         ps = line_set(0, 1)
-        assert build_extension(ps, 2, 1) == ps
+        assert built_extension(ps, 2, 1) == ps
+        rep = extension_obstructions(ps, 2, 1)
+        assert (rep.extension_size, rep.reduction_multiplicity) == (2, 1)
 
     def test_singleton_stretch(self):
-        assert build_extension(line_set(0), 2, 3) == line_set(0, 2, 4)
+        assert built_extension(line_set(0), 2, 3) == line_set(0, 2, 4)
+        rep = extension_obstructions(line_set(0), 2, 3)
+        assert (rep.extension_size, rep.extended_group_order) == (3, 6)
+        assert rep.size_divides
 
     def test_rejects_points_outside_box(self):
-        with pytest.raises(ValueError):
-            build_extension(line_set(0, 2), 2, 2)
-        with pytest.raises(ValueError):
-            build_extension(line_set(-1), 2, 2)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            extension_obstructions(line_set(0, 2), 2, 2)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            extension_obstructions(line_set(-1), 2, 2)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            extension_obstructions(line_set(0), 0, 2)
+        with pytest.raises(ValueError, match="side count must be positive"):
+            extension_obstructions(line_set(0), 2, 0)
 
 
 class TestCheckModReduction:
+    """The report's mod-m reduction matches a count over the built extension."""
+
+    @staticmethod
+    def counted(point_set: PointSet, m: int, n: int) -> Counter:
+        return Counter(
+            tuple(c % m for c in p) for p in built_extension(point_set, m, n).points
+        )
+
     def test_fixture_extension_multiplicity_sixteen(self):
-        ext = build_extension(base_point_set(), 3, 2)
-        assert check_mod_reduction(ext, 3, base_point_set())
+        base = base_point_set()
+        counts = self.counted(base, 3, 2)
+        assert set(counts) == set(base.points) and set(counts.values()) == {16}
+        rep = extension_obstructions(base, 3, 2)
+        assert rep.reduction_uniform and rep.reduction_multiplicity == 16
 
     def test_identity_multiplicity_one(self):
         ps = base_point_set()
-        assert check_mod_reduction(ps, 3, ps)
-
-    def test_extra_residue_fails(self):
-        assert not check_mod_reduction(line_set(0, 1), 2, line_set(0))
-
-    def test_non_uniform_fails(self):
-        assert not check_mod_reduction(line_set(0, 2, 1), 2, line_set(0, 1))
+        assert set(self.counted(ps, 3, 1).values()) == {1}
+        rep = extension_obstructions(ps, 3, 1)
+        assert rep.reduction_uniform and rep.reduction_multiplicity == 1
 
 
 class TestExtensionObstructions:
@@ -357,6 +387,16 @@ class TestExtensionObstructions:
         assert rep.size_divides
         assert isinstance(rep.base_verdict, TilingCertificate)
         assert rep.asymptotic_claim is None
+
+    def test_huge_side_count_enumerates_nothing(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a group was enumerated")
+
+        monkeypatch.setattr(GroupSpec, "elements", refuse)
+        rep = extension_obstructions(base_point_set(), 3, 10**6)
+        assert rep.extension_size == 6 * 10**24
+        assert rep.reduction_multiplicity == 10**24
+        assert not rep.size_divides
 
     def test_tiling_base_has_no_obstruction(self):
         rep = extension_obstructions(line_set(0, 1), 2, 2)
