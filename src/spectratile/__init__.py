@@ -5,7 +5,7 @@ prime fields decides ranks and factorizations, and backtracking exact cover
 decides tilings.  Every affirmative answer comes with a re-checkable
 certificate and every refusal with auditable evidence."""
 
-from .cyclotomic import IntPolynomial, cyclotomic_polynomial, is_vanishing_sum
+from .cyclotomic import cyclotomic_polynomial, is_vanishing_sum
 from .guard import DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded
 from .modlinalg import (
     IntMatrix,

@@ -70,7 +70,6 @@ from .modlinalg import (
     IntMatrix,
     RankFactorization,
     _det_bareiss,
-    is_rank_factorization,
     rank_mod_p,
 )
 from .spectral import (
@@ -648,12 +647,14 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
 
     The premises are the phase matrix, which must be log-Hadamard, its two
     rank factorizations mod p = its denominator, which must re-multiply to
-    it with its rank, and the side count n.  The published factorization
-    then fixes every other field: the group Z_p^r with r its inner
-    dimension, the base set (the right factor's columns), the base spectrum
-    (the left factor's rows over p) and both base non-tiling certificates
-    (the group and base set with their stored reasons, whose kinds are
-    checked first; constructing one pins a divisibility reason's sizes).
+    it with its rank, and the side count n.  With the rank matched, the
+    product alone shows both factors have it (see is_rank_factorization).
+    The published factorization then fixes every other field: the group
+    Z_p^r with r its inner dimension, the base set (the right factor's
+    columns), the base spectrum (the left factor's rows over p) and both
+    base non-tiling certificates (the group and base set with their stored
+    reasons, whose kinds are checked first; constructing one pins a
+    divisibility reason's sizes).
     Each stored field must equal its derived value.  The composed spectrum
     is pinned and recomputed, its construction verifying the base and the
     cube.  The obstruction report is derived by arithmetic (the lemma in
@@ -675,7 +676,7 @@ def _verify_counterexample(rec: CounterexampleRecord) -> None:
         _require(fact.modulus == p, f"{name} factorization modulus mismatch")
         _require(fact.rank == rank, f"{name} factorization rank mismatch")
         _require(
-            is_rank_factorization(phase.numerators, fact),
+            fact.product_mod_p() == phase.numerators,
             f"{name} factorization does not re-multiply to the phase matrix",
         )
 

@@ -7,7 +7,8 @@ polynomial Psi_m = (x^m - 1)/Phi_m, that divisibility holds exactly when the
 product with Psi_m vanishes mod x^m - 1.  VanishingDecision decides it on
 count polynomials packed into ints: two int products and one comparison, in
 integer arithmetic throughout, so the trusted path involves no floating point
-at all.  Both Phi_m and Psi_m come from one Moebius product of binomials.
+at all.  Both Phi_m and Psi_m come from one Moebius product of binomials,
+as tuples of integer coefficients, lowest degree first.
 A decision checks its index against MAX_CYCLOTOMIC_INDEX before it
 allocates anything, and is built before any exponent is read, so an index
 past the bound costs neither work nor memory.
@@ -16,12 +17,9 @@ past the bound costs neither work nor memory.
 from __future__ import annotations
 
 import functools
-import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
-    "IntPolynomial",
     "MAX_CYCLOTOMIC_INDEX",
     "cyclotomic_polynomial",
     "inverse_cyclotomic_polynomial",
@@ -31,33 +29,6 @@ __all__ = [
 ]
 
 MAX_CYCLOTOMIC_INDEX = 10_000
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients in ascending degree order.
-
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial is the empty tuple.
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        # operator.index admits bools and integer types; a float, str or
-        # Fraction raises TypeError.
-        coeffs = tuple(map(operator.index, self.coefficients))
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coefficients", coeffs[:end])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
 
 def _prime_divisors(m: int) -> list[int]:
@@ -75,7 +46,7 @@ def _prime_divisors(m: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
+def _moebius_product(m: int, inverse: bool) -> tuple[int, ...]:
     """Phi_m, or Psi_m = (x^m - 1)/Phi_m when inverse, as a product of binomials.
 
     Phi_m is the product of (x^(m/e) - 1)^mu(e) over the squarefree divisors e
@@ -83,7 +54,8 @@ def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
     left out, where x^m - 1 cancels.  The binomials with exponent +1 are
     multiplied in, then those with exponent -1 divided out exactly; each step
     is one O(degree) shift-and-subtract.  An index outside
-    [1, MAX_CYCLOTOMIC_INDEX] raises ValueError before any of that.
+    [1, MAX_CYCLOTOMIC_INDEX] raises ValueError before any of that.  Returns
+    the coefficients, lowest degree first; both are monic, so none to strip.
     """
     if not 1 <= m <= MAX_CYCLOTOMIC_INDEX:
         raise ValueError(f"index must lie in [1, {MAX_CYCLOTOMIC_INDEX}], got {m}")
@@ -107,15 +79,15 @@ def _moebius_product(m: int, inverse: bool) -> IntPolynomial:
             # The top d coefficients of P must be Q's, shifted up by d.
             assert coeffs[size:] == [coeffs[i - d] if i >= d else 0 for i in range(size, size + d)]
             del coeffs[size:]
-    return IntPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial, memoized across calls."""
     return _moebius_product(m, False)
 
 
-def inverse_cyclotomic_polynomial(m: int) -> IntPolynomial:
+def inverse_cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Psi_m = (x^m - 1)/Phi_m, the product of Phi_d over d | m, d < m; memoized."""
     return _moebius_product(m, True)
 
@@ -140,7 +112,7 @@ class VanishingDecision:
     __slots__ = ("modulus", "width", "_plus", "_minus", "_low", "_high")
 
     def __init__(self, m: int, total: int) -> None:
-        psi = inverse_cyclotomic_polynomial(m).coefficients
+        psi = inverse_cyclotomic_polynomial(m)
         plus = [max(c, 0) for c in psi]
         minus = [max(-c, 0) for c in psi]
         self.modulus = m

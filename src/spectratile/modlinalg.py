@@ -1,22 +1,22 @@
 """Exact integer and mod-p linear algebra on dense matrices.
 
 Matrices are immutable and stored row-major as a flat tuple of Python ints,
-so every result is exact no matter how large the entries grow.  Determinants,
-ranks over the rationals and the first independent columns share one
-fraction-free (Bareiss) elimination, whose pivot columns give the last two
-and whose last pivot gives the determinant of the block on those columns;
-adjugates come from cofactors of Bareiss minors; mod-p routines run plain
-Gaussian elimination over the field with p elements with deterministic
-pivoting (first nonzero entry scanning columns left to right, rows top to
-bottom).
+so every result is exact no matter how large the entries grow.  Determinants
+and the first independent columns share one fraction-free (Bareiss)
+elimination, whose pivot columns give the latter and whose last pivot gives
+the determinant of the block on those columns; adjugates come from cofactors
+of Bareiss minors; mod-p routines run plain Gaussian elimination over the
+field with p elements with deterministic pivoting (first nonzero entry
+scanning columns left to right, rows top to bottom).
 
 The text interchange format is: a first line ``rows cols``, then one line per
-row of space-separated decimal integers.
+row of space-separated decimal integers, each token ``-?[0-9]+`` in ASCII.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,7 +24,6 @@ __all__ = [
     "IntMatrix",
     "RankFactorization",
     "rank_mod_p",
-    "rank_over_rationals",
     "rank_factorize_mod_p",
     "is_rank_factorization",
     "det_and_adjugate",
@@ -212,16 +211,18 @@ def rank_factorize_mod_p(matrix: IntMatrix, p: int) -> RankFactorization:
 
 
 def is_rank_factorization(matrix: IntMatrix, fact: RankFactorization) -> bool:
-    """Check a factorization against its source matrix by re-multiplication."""
+    """Check a factorization against its source matrix: product, then rank.
+
+    For L (rows x r) and R (r x cols), rank(L @ R) = r iff both factors have
+    rank r: rank(L @ R) <= min(rank L, rank R) <= r, and an injective L after
+    an onto R keeps rank r.  So one elimination stands for both factors'.
+    """
     if fact.left.rows != matrix.rows or fact.right.cols != matrix.cols:
         return False
     p = fact.modulus
     if fact.product_mod_p() != matrix.reduced_mod(p):
         return False
-    return (
-        rank_mod_p(fact.left, p) == fact.rank
-        and rank_mod_p(fact.right, p) == fact.rank
-    )
+    return rank_mod_p(matrix, p) == fact.rank
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
@@ -268,11 +269,6 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return pivot if len(pivot_cols) == len(rows) else 0
 
 
-def rank_over_rationals(matrix: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    return len(_bareiss(matrix.to_rows())[0])
-
-
 def _minor_det(matrix: IntMatrix, skip_row: int, skip_col: int) -> int:
     rows = [
         [matrix.at(i, j) for j in range(matrix.cols) if j != skip_col]
@@ -317,6 +313,13 @@ def matmul_mod(a: IntMatrix, b: IntMatrix, m: int | None = None) -> IntMatrix:
     return IntMatrix(a.rows, b.cols, tuple(out))
 
 
+def _decimal(token: str) -> int:
+    """A ``-?[0-9]+`` token as an int; int() alone also reads "1_0", "+7" and "\u0663"."""
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def format_matrix(matrix: IntMatrix) -> str:
     lines = [f"{matrix.rows} {matrix.cols}"]
     for i in range(matrix.rows):
@@ -331,12 +334,12 @@ def parse_matrix(text: str) -> IntMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("matrix header must be 'rows cols'")
-    rows, cols = (int(x) for x in header)
+    rows, cols = map(_decimal, header)
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
     data: list[list[int]] = []
     for line in lines[1:]:
-        values = [int(tok) for tok in line.split()]
+        values = [_decimal(tok) for tok in line.split()]
         if len(values) != cols:
             raise ValueError(f"expected {cols} entries per row, got {len(values)}")
         data.append(values)

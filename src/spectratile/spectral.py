@@ -78,7 +78,7 @@ from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import VanishingDecision, vanishing_decision
 from .guard import check_power_guard, power_in_reach, resolve_guard
-from .modlinalg import IntMatrix, format_matrix, matmul_mod, parse_matrix
+from .modlinalg import IntMatrix, _decimal, format_matrix, matmul_mod, parse_matrix
 
 __all__ = [
     "GroupSpec",
@@ -720,12 +720,11 @@ def format_phase_matrix(mat: PhaseMatrix) -> str:
 
 def parse_phase_matrix(text: str) -> PhaseMatrix:
     lines = text.splitlines()
-    denom_lines = [ln for ln in lines if ln.strip().startswith("denominator")]
-    if len(denom_lines) != 1:
+    is_denominator = [line.split()[:1] == ["denominator"] for line in lines]
+    if is_denominator.count(True) != 1:
         raise ValueError("phase matrix text needs exactly one 'denominator m' line")
-    fields = denom_lines[0].split()
+    fields = lines[is_denominator.index(True)].split()
     if len(fields) != 2:
         raise ValueError("denominator line must be 'denominator m'")
-    denominator = int(fields[1])
-    matrix_text = "\n".join(ln for ln in lines if not ln.strip().startswith("denominator"))
-    return PhaseMatrix(parse_matrix(matrix_text), denominator)
+    matrix_text = "\n".join(line for line, d in zip(lines, is_denominator) if not d)
+    return PhaseMatrix(parse_matrix(matrix_text), _decimal(fields[1]))

@@ -15,35 +15,47 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from spectratile.cyclotomic import IntPolynomial, cyclotomic_polynomial
+from spectratile.cyclotomic import cyclotomic_polynomial
 from spectratile.spectral import PhaseMatrix, PointSet
 
+# A polynomial is its tuple of integer coefficients, lowest degree first,
+# with no trailing zero; the zero polynomial is the empty tuple.
+Poly = tuple[int, ...]
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero() or b.is_zero():
-        return IntPolynomial(())
-    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
-    for i, ca in enumerate(a.coefficients):
+
+def strip(coefficients: Sequence[int]) -> Poly:
+    """The coefficients without trailing zeros."""
+    end = len(coefficients)
+    while end and coefficients[end - 1] == 0:
+        end -= 1
+    return tuple(coefficients[:end])
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
         if ca == 0:
             continue
-        for j, cb in enumerate(b.coefficients):
+        for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return IntPolynomial(tuple(out))
+    return strip(out)
 
 
-def poly_divrem(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+def poly_divrem(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Exact division with remainder: num == quotient * den + remainder.
 
     The divisor must have leading coefficient 1 or -1 so the quotient stays
     integral; every divisor used here is a monic cyclotomic polynomial.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    lead = den.coefficients[-1]
+    lead = den[-1]
     if lead not in (1, -1):
         raise ValueError(f"divisor leading coefficient must be +-1, got {lead}")
-    rem = list(num.coefficients)
-    d = den.degree
+    rem = list(num)
+    d = len(den) - 1
     quo = [0] * max(0, len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
@@ -51,9 +63,9 @@ def poly_divrem(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, 
             continue
         q = c * lead  # c // lead for lead in {1, -1}
         quo[i - d] = q
-        for j, dc in enumerate(den.coefficients):
+        for j, dc in enumerate(den):
             rem[i - d + j] -= q * dc
-    return IntPolynomial(tuple(quo)), IntPolynomial(tuple(rem))
+    return strip(quo), strip(rem)
 
 
 @dataclass(frozen=True)
@@ -94,8 +106,8 @@ class ExponentMultiset:
 
 def divides(counts: Sequence[int]) -> bool:
     """Whether Phi_m divides sum_j counts[j] * x^j, m = len(counts), by long division."""
-    _, rem = poly_divrem(IntPolynomial(tuple(counts)), cyclotomic_polynomial(len(counts)))
-    return rem.is_zero()
+    _, rem = poly_divrem(strip(counts), cyclotomic_polynomial(len(counts)))
+    return not rem
 
 
 def rows_orthogonal(rows: Sequence[Sequence[int]], m: int) -> bool:

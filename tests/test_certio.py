@@ -328,6 +328,14 @@ class TestHostileCounterexample:
         with pytest.raises(CertificateError, match="composed set size"):
             parse(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("name", ["published", "computed"])
+    def test_factorization_that_does_not_remultiply_is_refused(self, name):
+        # A zero column of the right factor made nonzero: modulus and rank
+        # still match the phase matrix's, so only the product gives it away.
+        path = ("payload", f"{name}_factorization", "right", "entries", 0)
+        with pytest.raises(InvariantViolation, match=f"{name} factorization does not re-multiply"):
+            parse(_edit(GOLDEN.read_bytes(), path, "1"))
+
     @pytest.mark.parametrize("denominator", [10**20, 10**6])
     def test_phase_denominator_past_the_cyclotomic_bound_refused_before_allocating(
         self, denominator

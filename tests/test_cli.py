@@ -240,6 +240,12 @@ class TestMatrixCommands:
         path = write("zeros.txt", format_matrix(IntMatrix.zeros(2, 2)))
         assert main(["matrix", "hadamard", "--matrix", path, "-m", "2"]) == 1
 
+    def test_non_decimal_token_is_exit_two(self, files, capsys):
+        _, write = files
+        path = write("underscore.txt", "1 2\n1_0 1\n")
+        assert main(["matrix", "rank", "--matrix", path, "-p", "3"]) == 2
+        assert "'1_0'" in capsys.readouterr().err
+
     def test_hadamard_denominator_past_the_cyclotomic_bound_is_exit_two(self, capsys):
         path = str(data_path(DATA_FILES["hadamard_exponents"]))
         m = "100000000000000000000"

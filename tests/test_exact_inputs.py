@@ -10,7 +10,6 @@ import pytest
 
 from spectratile import certio
 from spectratile.cli import main
-from spectratile.cyclotomic import IntPolynomial
 from spectratile.modlinalg import IntMatrix, RankFactorization
 from spectratile.spectral import GroupSpec, PhaseMatrix, PointSet
 from spectratile.tiling import (
@@ -83,11 +82,6 @@ class TestNonIntegersRefused:
         with pytest.raises(TypeError):
             RankFactorization(3, ONE, ONE, value)
 
-    def test_polynomial_coefficient(self, value):
-        # IntPolynomial((0.5, 1.9)) once had the coefficients (0, 1).
-        with pytest.raises(TypeError):
-            IntPolynomial((1, value))
-
     def test_chain_fields(self, value):
         chain = independent_tile(PointSet(2, ((1, 0), (0, 1))))
         for field in ("determinant", "modulus"):
@@ -136,12 +130,6 @@ def test_integer_types_still_convert():
     )
     assert values == (3, 2, 3, 1, 3, 3, 1, 0, 1, 1, 2)
     assert {type(v) for v in values} == {int}
-
-
-def test_polynomial_coefficients_still_convert():
-    poly = IntPolynomial((True, False, True))
-    assert poly.coefficients == (1, 0, 1)
-    assert {type(c) for c in poly.coefficients} == {int}
 
 
 DEEP = b"[" * 100_000

@@ -1,11 +1,21 @@
 import random
+import re
 
 import pytest
 
-from spectratile.counterexample import HADAMARD_EXPONENTS, POINT_COLUMNS, SPECTRUM_ROWS
+from conftest import DATA_DIR
+from spectratile import modlinalg
+from spectratile.certio import parse
+from spectratile.counterexample import (
+    HADAMARD_EXPONENTS,
+    POINT_COLUMNS,
+    SPECTRUM_ROWS,
+    run_counterexample,
+)
 from spectratile.modlinalg import (
     IntMatrix,
     RankFactorization,
+    _bareiss,
     _is_prime,
     det_and_adjugate,
     format_matrix,
@@ -14,7 +24,6 @@ from spectratile.modlinalg import (
     parse_matrix,
     rank_factorize_mod_p,
     rank_mod_p,
-    rank_over_rationals,
 )
 
 
@@ -178,6 +187,64 @@ class TestRankFactorize:
         assert not is_rank_factorization(wrong, fact)
 
 
+def two_factor_check(matrix, fact):
+    """The checker as it was: the product, then the rank of each factor."""
+    p = fact.modulus
+    return (
+        fact.left.rows == matrix.rows
+        and fact.right.cols == matrix.cols
+        and fact.product_mod_p() == matrix.reduced_mod(p)
+        and rank_mod_p(fact.left, p) == fact.rank
+        and rank_mod_p(fact.right, p) == fact.rank
+    )
+
+
+def test_one_rank_check_matches_both_factor_ranks(rng):
+    # Small primes and an inner dimension that may exceed either outer one
+    # draw factors of deficient rank often; half the matrices are the
+    # product, half random.
+    seen = set()
+    for _ in range(600):
+        p = rng.choice([2, 3, 5])
+        rows, r, cols = (rng.randint(1, 4) for _ in range(3))
+        left = random_matrix(rng, rows, r, 0, p - 1)
+        right = random_matrix(rng, r, cols, 0, p - 1)
+        fact = RankFactorization(p, left, right, r)
+        matrix = rng.choice([fact.product_mod_p(), random_matrix(rng, rows, cols, 0, p - 1)])
+        verdict = is_rank_factorization(matrix, fact)
+        assert verdict == two_factor_check(matrix, fact)
+        full = rank_mod_p(left, p) == rank_mod_p(right, p) == r
+        seen.add((verdict, full, matrix == fact.product_mod_p()))
+    # Both verdicts on a matching product, and a mismatch refused.
+    assert {(True, True, True), (False, False, True), (False, True, False)} <= seen
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    elimination = modlinalg._rref_mod_p
+
+    def counted(matrix, p):
+        calls.append((matrix.rows, matrix.cols))
+        return elimination(matrix, p)
+
+    monkeypatch.setattr(modlinalg, "_rref_mod_p", counted)
+    return calls
+
+
+def test_parsing_the_golden_eliminates_once(monkeypatch):
+    # Its two factorizations share the phase matrix's elimination.
+    calls = count_eliminations(monkeypatch)
+    parse((DATA_DIR / "counterexample_n2.json").read_bytes())
+    assert calls == [(6, 6)]
+
+
+def test_the_pipeline_eliminates_four_times(monkeypatch):
+    # The rank step, the factorization and one re-check of each factorization.
+    calls = count_eliminations(monkeypatch)
+    run_counterexample(2)
+    assert calls == [(6, 6)] * 4
+
+
 class TestDetAndAdjugate:
     def test_identity(self):
         for n in (1, 2, 3, 4):
@@ -259,6 +326,21 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_matrix("not a header\n1\n")
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1 2\n1_0 3\n", "1_0"),  # int() reads 10
+            ("1 2\n1 \u0663\n", "\u0663"),  # int() reads the Arabic-Indic 3
+            ("1 2\n+7 3\n", "+7"),
+            ("1 1_0\n" + "1 " * 10 + "\n", "1_0"),
+            ("\uff11 1\n1\n", "\uff11"),  # a fullwidth 1 in the header
+        ],
+        ids=["underscore", "arabic-indic", "plus", "header-underscore", "header-fullwidth"],
+    )
+    def test_refuses_tokens_that_are_not_ascii_decimal(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(f"not a decimal integer: {token!r}")):
+            parse_matrix(text)
+
 
 def fraction_rank(m: IntMatrix) -> int:
     # Independent oracle: Gauss-Jordan elimination over Fraction.
@@ -279,30 +361,34 @@ def fraction_rank(m: IntMatrix) -> int:
     return rank
 
 
+def bareiss_rank(m: IntMatrix) -> int:
+    return len(_bareiss(m.to_rows())[0])
+
+
 class TestRankOverRationals:
     def test_identity_and_zero(self):
-        assert rank_over_rationals(IntMatrix.identity(4)) == 4
-        assert rank_over_rationals(IntMatrix.zeros(3, 5)) == 0
+        assert bareiss_rank(IntMatrix.identity(4)) == 4
+        assert bareiss_rank(IntMatrix.zeros(3, 5)) == 0
 
     def test_zero_columns_are_skipped(self):
         m = IntMatrix.from_rows([[0, 2, 4], [0, 1, 2], [0, 0, 3]])
-        assert rank_over_rationals(m) == 2
+        assert bareiss_rank(m) == 2
 
     def test_fixture_rank_drops_mod_3(self):
         # Rank 5 over the rationals, 4 mod 3: the drop the construction uses.
-        assert rank_over_rationals(HADAMARD_EXPONENTS) == fraction_rank(HADAMARD_EXPONENTS) == 5
+        assert bareiss_rank(HADAMARD_EXPONENTS) == fraction_rank(HADAMARD_EXPONENTS) == 5
         assert rank_mod_p(HADAMARD_EXPONENTS, 3) == 4
 
     def test_matches_fraction_oracle(self, rng):
         for _ in range(200):
             rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
             m = matmul_mod(random_matrix(rng, rows, inner), random_matrix(rng, inner, cols), None)
-            assert rank_over_rationals(m) == fraction_rank(m)
-            assert rank_over_rationals(m.transpose()) == fraction_rank(m)
+            assert bareiss_rank(m) == fraction_rank(m)
+            assert bareiss_rank(m.transpose()) == fraction_rank(m)
 
     def test_determinant_agrees_with_rank(self, rng):
         for _ in range(100):
             n = rng.randint(1, 5)
             m = random_matrix(rng, n, n, -2, 2)
             det, _ = det_and_adjugate(m)
-            assert (det != 0) == (rank_over_rationals(m) == n)
+            assert (det != 0) == (bareiss_rank(m) == n)

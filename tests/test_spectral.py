@@ -424,6 +424,20 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_phase_matrix("denominator 3\ndenominator 3\n1 1\n0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1\n2\ndenominators 3\n",  # only the exact first field names the line
+            "1 1\n2\ndenominator +3\n",
+            "1 1\n2\ndenominator \u0663\n",
+            "1 1\n2\ndenominator 1_0\n",
+        ],
+        ids=["denominators", "plus", "arabic-indic", "underscore"],
+    )
+    def test_phase_matrix_denominator_line_is_exact(self, text):
+        with pytest.raises(ValueError):
+            parse_phase_matrix(text)
+
 
 def random_point_set(rng, d: int, k: int, low: int, high: int) -> PointSet:
     points: set[tuple[int, ...]] = set()

@@ -7,7 +7,6 @@ import pytest
 from cyclotomic_oracle import divides
 from spectratile.cyclotomic import (
     MAX_CYCLOTOMIC_INDEX,
-    IntPolynomial,
     cyclotomic_polynomial,
     inverse_cyclotomic_polynomial,
     is_vanishing_sum,
@@ -58,8 +57,8 @@ class TestInverseCyclotomic:
     @pytest.mark.parametrize("ms", [range(1, 1001), LARGE])
     def test_times_phi_is_x_m_minus_one(self, ms):
         for m in ms:
-            phi = cyclotomic_polynomial(m).coefficients
-            psi = inverse_cyclotomic_polynomial(m).coefficients
+            phi = cyclotomic_polynomial(m)
+            psi = inverse_cyclotomic_polynomial(m)
             assert len(phi) + len(psi) == m + 2, m
             # Evaluation at 2^bits is injective on coefficients below 2^(bits - 1).
             bound = sum(map(abs, phi)) * max(map(abs, psi)) + 1
@@ -68,9 +67,9 @@ class TestInverseCyclotomic:
             assert product == (1 << bits * m) - 1, m
 
     def test_small_cases(self):
-        assert inverse_cyclotomic_polynomial(1).coefficients == (1,)
-        assert inverse_cyclotomic_polynomial(6).coefficients == (-1, -1, 0, 1, 1)
-        assert inverse_cyclotomic_polynomial(8).coefficients == (-1, 0, 0, 0, 1)
+        assert inverse_cyclotomic_polynomial(1) == (1,)
+        assert inverse_cyclotomic_polynomial(6) == (-1, -1, 0, 1, 1)
+        assert inverse_cyclotomic_polynomial(8) == (-1, 0, 0, 0, 1)
 
     @pytest.mark.parametrize("m", [0, -1, MAX_CYCLOTOMIC_INDEX + 1])
     def test_bounds_share_the_cyclotomic_error(self, m):
@@ -118,7 +117,7 @@ class TestWidth:
         # must be the exact coefficients of P * Psi_m's parts mod x^m - 1.
         # Psi_1155 is the first with a coefficient 3, so k * 3 outgrows the
         # k.bit_length() + 1 bits that suffice for P itself.
-        psi = inverse_cyclotomic_polynomial(m).coefficients
+        psi = inverse_cyclotomic_polynomial(m)
         for k in (1, 3, 2**7 - 1, 2**7, 1000):
             spread = [0] * m
             for _ in range(k):
@@ -148,10 +147,3 @@ class TestSpeed:
         start = time.perf_counter()
         assert is_m_spectral(interval, spectrum)
         assert time.perf_counter() - start < 0.5
-
-    def test_trailing_zeros_strip_in_one_scan(self):
-        start = time.perf_counter()
-        poly = IntPolynomial((1,) + (0,) * 20_000)
-        assert time.perf_counter() - start < 0.05
-        assert poly.degree == 0
-        assert poly.coefficients == (1,)
