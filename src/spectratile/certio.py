@@ -51,6 +51,10 @@ certificates parse but carry a "replay-required" trust marker (inside
 composite records an exhausted search is corroborating evidence only - the
 load-bearing claims are re-checked).
 tiling.replay_search re-runs such a search and compares its node count.
+A search reason's kind names its rule: "exhausted-search" is the lex rule,
+which every file written before the rooted rule means by it, and
+"rooted-search" the rooted rule (see tiling._exact_cover); the replay runs
+the rule its kind names.
 
 Provenance entries describe how a file was made; they are free text and are
 not checked.
@@ -62,7 +66,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple
 
 from . import spectral, tiling
 from .guard import GuardExceeded, check_power_guard
@@ -194,22 +198,19 @@ class CounterexampleRecord:
     obstructions: ExtensionObstructionReport
 
 
-PayloadType = Union[
-    SpectrumCertificate,
-    TilingCertificate,
-    NonTilingCertificate,
-    CompositionRecord,
-    LiftRecord,
-    IndependenceChain,
-    CounterexampleRecord,
-]
-
-
 @dataclass(frozen=True)
 class CertificateEnvelope:
     schema_version: str
     kind: str
-    payload: PayloadType
+    payload: (
+        SpectrumCertificate
+        | TilingCertificate
+        | NonTilingCertificate
+        | CompositionRecord
+        | LiftRecord
+        | IndependenceChain
+        | CounterexampleRecord
+    )
     provenance: tuple[ProvenanceEntry, ...]
 
     def __post_init__(self) -> None:
@@ -468,14 +469,26 @@ _MATRIX = _Record(IntMatrix, rows=_INT, cols=_INT, entries=_INTS)
 _PHASE = _Record(PhaseMatrix, numerators=_MATRIX, denominator=_INT)
 _SPECTRUM = _Record(SpectrumCertificate, group=_GROUP, set=_POINT_SET, spectrum=_PHASE)
 _TILING = _Record(TilingCertificate, group=_GROUP, set=_POINT_SET, complement=_POINT_SET)
-_REASON = _Tagged(
-    "kind",
-    {
-        "divisibility": _Record(DivisibilityObstruction, set_size=_INT, group_order=_INT),
-        "duplicate-residues": _Record(DuplicateResidues, first=_INTS, second=_INTS),
-        "exhausted-search": _Record(ExhaustedSearch, nodes=_INT),
+# An exhausted search's rule is its reason's kind: "exhausted-search" is the
+# lex rule, as every schema-1 file written before the rooted rule meant it.
+_SEARCH_KINDS = {"lex": "exhausted-search", "rooted": "rooted-search"}
+_REASONS = {
+    "divisibility": _Record(DivisibilityObstruction, set_size=_INT, group_order=_INT),
+    "duplicate-residues": _Record(DuplicateResidues, first=_INTS, second=_INTS),
+    **{
+        kind: _Record(partial(ExhaustedSearch, rule=rule), nodes=_INT)
+        for rule, kind in _SEARCH_KINDS.items()
     },
-)
+}
+
+
+def _reason_kind(reason: Any) -> str:
+    if type(reason) is ExhaustedSearch:
+        return _SEARCH_KINDS[reason.rule]
+    return _variant(_REASONS, reason)
+
+
+_REASON = _Tagged("kind", _REASONS, _reason_kind)
 _NON_TILING = _Record(NonTilingCertificate, group=_GROUP, set=_POINT_SET, reason=_REASON)
 _FACTORIZATION = _Record(RankFactorization, modulus=_INT, left=_MATRIX, right=_MATRIX, rank=_INT)
 _PARTS = {"spectrum": _SPECTRUM, "tiling": _TILING}

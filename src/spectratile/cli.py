@@ -14,6 +14,7 @@ from pathlib import Path
 from . import certio
 from .counterexample import run_counterexample
 from .modlinalg import (
+    _decimal,
     format_matrix,
     parse_matrix,
     rank_factorize_mod_p,
@@ -230,6 +231,14 @@ def _cmd_matrix(args) -> int:
     return EXIT_NO
 
 
+def _integer(token: str) -> int:
+    """An integer option by the matrix files' rule, -?[0-9]+ in ASCII digits."""
+    try:
+        return _decimal(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectratile",
@@ -242,32 +251,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-counterexample",
         help="run and re-check the 4-dimensional spectral-not-tile construction",
     )
-    p.add_argument("-n", type=int, default=2, help="cube side count (default 2)")
+    p.add_argument("-n", type=_integer, default=2, help="cube side count (default 2)")
     p.add_argument("--json", metavar="FILE", help="write the certificate envelope here")
-    p.add_argument("--guard", type=int, help="override the enumeration guard")
+    p.add_argument("--guard", type=_integer, help="override the enumeration guard")
     p.set_defaults(func=_cmd_verify_counterexample)
 
     p = sub.add_parser("spectrum", help="find or check spectra")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     f = ssub.add_parser("find", help="search for a spectrum with denominator m")
     f.add_argument("--set", required=True, metavar="FILE", help="point set file")
-    f.add_argument("-m", type=int, required=True, help="denominator")
+    f.add_argument("-m", type=_integer, required=True, help="denominator")
     f.add_argument("--json", metavar="FILE", help="write the certificate envelope here")
-    f.add_argument("--guard", type=int, help="override the enumeration guard")
+    f.add_argument("--guard", type=_integer, help="override the enumeration guard")
     f.set_defaults(func=_cmd_spectrum)
     c = ssub.add_parser("check", help="check a given spectrum against a set")
     c.add_argument("--set", required=True, metavar="FILE", help="point set file")
     c.add_argument("--spectrum", required=True, metavar="FILE", help="phase matrix file")
-    c.add_argument("-m", type=int, help="expected denominator (cross-checked)")
+    c.add_argument("-m", type=_integer, help="expected denominator (cross-checked)")
     c.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("tile", help="tiling decisions, verification, and constructions")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     d = tsub.add_parser("decide", help="decide whether a set tiles Z_m^d")
     d.add_argument("--set", required=True, metavar="FILE")
-    d.add_argument("-m", type=int, required=True, help="modulus")
+    d.add_argument("-m", type=_integer, required=True, help="modulus")
     d.add_argument("--json", metavar="FILE")
-    d.add_argument("--guard", type=int)
+    d.add_argument("--guard", type=_integer)
     d.set_defaults(func=_cmd_tile)
     v = tsub.add_parser("verify", help="verify a certificate envelope file")
     v.add_argument("certificate", metavar="CERT")
@@ -287,27 +296,27 @@ def _build_parser() -> argparse.ArgumentParser:
     li.add_argument("--matrix", required=True, metavar="FILE")
     li.add_argument("certificate", metavar="CERT")
     li.add_argument("--json", metavar="FILE")
-    li.add_argument("--guard", type=int)
+    li.add_argument("--guard", type=_integer)
     li.set_defaults(func=_cmd_tile)
     ind = tsub.add_parser("independent", help="tile from a linearly independent set")
     ind.add_argument("--set", required=True, metavar="FILE")
     ind.add_argument("--json", metavar="FILE")
-    ind.add_argument("--guard", type=int)
+    ind.add_argument("--guard", type=_integer)
     ind.set_defaults(func=_cmd_tile)
 
     p = sub.add_parser("matrix", help="exact matrix computations")
     msub = p.add_subparsers(dest="subcommand", required=True)
     r = msub.add_parser("rank", help="rank over the field with p elements")
     r.add_argument("--matrix", required=True, metavar="FILE")
-    r.add_argument("-p", type=int, required=True, help="prime modulus")
+    r.add_argument("-p", type=_integer, required=True, help="prime modulus")
     r.set_defaults(func=_cmd_matrix)
     fa = msub.add_parser("factorize", help="canonical rank factorization mod p")
     fa.add_argument("--matrix", required=True, metavar="FILE")
-    fa.add_argument("-p", type=int, required=True, help="prime modulus")
+    fa.add_argument("-p", type=_integer, required=True, help="prime modulus")
     fa.set_defaults(func=_cmd_matrix)
     h = msub.add_parser("hadamard", help="is matrix/m log-Hadamard?")
     h.add_argument("--matrix", required=True, metavar="FILE")
-    h.add_argument("-m", type=int, required=True, help="denominator")
+    h.add_argument("-m", type=_integer, required=True, help="denominator")
     h.set_defaults(func=_cmd_matrix)
 
     return parser

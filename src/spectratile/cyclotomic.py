@@ -17,6 +17,7 @@ past the bound costs neither work nor memory.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -45,7 +46,7 @@ def _prime_divisors(m: int) -> list[int]:
     return primes
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _moebius_product(m: int, inverse: bool) -> tuple[int, ...]:
     """Phi_m, or Psi_m = (x^m - 1)/Phi_m when inverse, as a product of binomials.
 
@@ -54,9 +55,11 @@ def _moebius_product(m: int, inverse: bool) -> tuple[int, ...]:
     left out, where x^m - 1 cancels.  The binomials with exponent +1 are
     multiplied in, then those with exponent -1 divided out exactly; each step
     is one O(degree) shift-and-subtract.  An index outside
-    [1, MAX_CYCLOTOMIC_INDEX] raises ValueError before any of that.  Returns
-    the coefficients, lowest degree first; both are monic, so none to strip.
+    [1, MAX_CYCLOTOMIC_INDEX] raises ValueError before any of that, and one
+    that is not an int TypeError.  Returns the coefficients, lowest degree
+    first; both are monic, so none to strip.
     """
+    m = operator.index(m)
     if not 1 <= m <= MAX_CYCLOTOMIC_INDEX:
         raise ValueError(f"index must lie in [1, {MAX_CYCLOTOMIC_INDEX}], got {m}")
     squarefree = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of m
@@ -112,6 +115,7 @@ class VanishingDecision:
     __slots__ = ("modulus", "width", "_plus", "_minus", "_low", "_high")
 
     def __init__(self, m: int, total: int) -> None:
+        m, total = operator.index(m), operator.index(total)
         psi = inverse_cyclotomic_polynomial(m)
         plus = [max(c, 0) for c in psi]
         minus = [max(-c, 0) for c in psi]
@@ -135,7 +139,10 @@ class VanishingDecision:
         return (plus & low) + (plus >> high) == (minus & low) + (minus >> high)
 
 
-@functools.lru_cache(maxsize=128)
+# Both caches are typed: 2.0 and 2 are equal keys to an untyped cache, so a
+# float index would be refused or served depending on what ran before.  A
+# typed cache always misses on a float, and the miss refuses it.
+@functools.lru_cache(maxsize=128, typed=True)
 def vanishing_decision(m: int, total: int) -> VanishingDecision:
     """The decision for index m and total count `total`, built once per pair."""
     return VanishingDecision(m, total)

@@ -2,11 +2,15 @@
 
 A set tiles the group when some complement of translates covers every cell
 exactly once.  The decision procedure is a deterministic backtracking exact
-cover: always branch on the lexicographically least uncovered cell, trying
-the translates in the set's given point order.  Verdicts are certificates: a
-tiling comes with its complement, a refusal comes with a reason that can be
-re-checked (divisibility, a colliding residue pair) or replayed (an
-exhausted search with its node count; see replay_search).
+cover: branch on the lexicographically least uncovered cell, trying the
+translates in the set's given point order.  decide_m_tile fixes the root to
+the first point's placement at cell 0, since a tiling stays a tiling under
+translation (the lemma is in _exact_cover's docstring); with its
+divisibility shortcut off it tries every root placement, the lex rule.
+Verdicts are certificates: a tiling comes with its complement, a refusal
+comes with a reason that can be re-checked (divisibility, a colliding
+residue pair) or replayed (an exhausted search with its node count and
+rule; see replay_search).
 
 The search, lifts and coverage checks build no cell tuple they do not
 keep.  There a cell of Z_m^d is a packed integer, its lexicographic index.
@@ -41,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .guard import check_power_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
@@ -111,15 +115,21 @@ class DuplicateResidues:
 
 @dataclass(frozen=True)
 class ExhaustedSearch:
+    """An exact-cover search that found no cover, and the rule it ran by.
+
+    "lex" branches on the least uncovered cell from the root on; "rooted"
+    also fixes the root to the first point's placement (see _exact_cover).
+    """
+
     nodes: int
+    rule: str = "lex"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", operator.index(self.nodes))
         if self.nodes < 1:
             raise ValueError("an exhausted search visits at least the root")
-
-
-NonTilingReason = Union[DivisibilityObstruction, DuplicateResidues, ExhaustedSearch]
+        if self.rule not in ("lex", "rooted"):
+            raise ValueError(f"unknown search rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,7 @@ class NonTilingCertificate:
 
     group: GroupSpec
     set: PointSet
-    reason: NonTilingReason
+    reason: DivisibilityObstruction | DuplicateResidues | ExhaustedSearch
 
     def __post_init__(self) -> None:
         if self.set.dimension != self.group.dimension:
@@ -202,7 +212,12 @@ def verify_tiling(cert: TilingCertificate) -> bool:
 
 
 def _exact_cover(
-    residues: Sequence[tuple[int, ...]], m: int, dimension: int, limit: int | None = None
+    residues: Sequence[tuple[int, ...]],
+    m: int,
+    dimension: int,
+    limit: int | None = None,
+    *,
+    rooted: bool = False,
 ) -> tuple[list[tuple[int, ...]] | None, int]:
     """First exact cover in deterministic order, plus the visited node count.
 
@@ -224,6 +239,22 @@ def _exact_cover(
 
     With a limit, the search stops without a cover as soon as it visits
     node limit + 1, and returns that count.
+
+    Rooted, the root tries only the first point's placement at cell 0, the
+    translate -t_0; every other node branches as before.  The search stays
+    complete by the translation lemma:
+
+    If T + C = Z_m^d is a tiling, then so is T + (C + g) for every g, and
+    for some g the first point t_0 covers cell 0 in it.  (Cell 0 is
+    sigma + t_i for one sigma in C and one i.  Take g = -t_0 - sigma: then
+    -t_0 = sigma + g lies in C + g, and t_0 + (-t_0) = 0.  Translating by g
+    permutes Z_m^d, so the translates of T still cover each cell once.)
+
+    So if some tiling exists, one places t_0 at cell 0, and the rooted
+    search finds a tiling exactly when the unrooted one does.  Its tree is
+    the unrooted tree's first root branch, so it returns the same cover and
+    never more nodes.  Cell 0 is covered below the root, so its row is never
+    read again.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
     full = (1 << m**dimension) - 1
@@ -242,7 +273,7 @@ def _exact_cover(
     nodes = 1  # the root state
     covered = 0
     trail: list[tuple[int, Iterator[tuple[int, int]], int]] = []
-    entries = iter(row(0))
+    entries = iter(row(0)[:1] if rooted else row(0))
     while True:
         for i, mask in entries:
             if not mask & covered:
@@ -294,8 +325,13 @@ def decide_m_tile(
     """Complete tiling decision for Z_m^d.
 
     Pipeline: reject duplicate residues, reject when the set size does not
-    divide the group order (skipped when divisibility_shortcut is False, in
-    which case the search itself exhausts), then run the exact-cover search.
+    divide the group order, then run the exact-cover search with its root
+    fixed to the first point (the "rooted" rule; see _exact_cover).
+
+    With divisibility_shortcut False the size check is skipped, so the
+    search itself exhausts, and it runs by the "lex" rule, every root
+    placement tried: the counterexample bundle records that search, 750
+    nodes for its base set, and its files stay byte for byte as they are.
     """
     if point_set.dimension != group.dimension:
         raise ValueError("set dimension does not match the group")
@@ -311,9 +347,12 @@ def decide_m_tile(
             DivisibilityObstruction(len(point_set), group.order()),
         )
 
-    solution, nodes = _exact_cover(residues, group.modulus, group.dimension)
+    rule = "rooted" if divisibility_shortcut else "lex"
+    solution, nodes = _exact_cover(
+        residues, group.modulus, group.dimension, rooted=rule == "rooted"
+    )
     if solution is None:
-        return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes))
+        return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes, rule))
     complement = PointSet(group.dimension, tuple(sorted(solution)))
     return TilingCertificate(group, point_set, complement)
 
@@ -321,10 +360,10 @@ def decide_m_tile(
 def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
     """Re-run the exhausted search a certificate records and compare.
 
-    The search is decide_m_tile's with the divisibility shortcut disabled;
-    the replay holds when it exhausts after exactly the recorded node count.
-    It stops as soon as it passes that count, so a replay costs no more
-    nodes than the certificate claims, plus one.
+    The search runs by the rule the record names, lex or rooted; the replay
+    holds when it exhausts after exactly the recorded node count.  It stops
+    as soon as it passes that count, so a replay costs no more nodes than
+    the certificate claims, plus one.
     """
     if not isinstance(cert.reason, ExhaustedSearch):
         raise ValueError("only an exhausted-search certificate can be replayed")
@@ -334,7 +373,11 @@ def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
         return False
     claimed = cert.reason.nodes
     solution, nodes = _exact_cover(
-        residues, cert.group.modulus, cert.group.dimension, limit=claimed
+        residues,
+        cert.group.modulus,
+        cert.group.dimension,
+        limit=claimed,
+        rooted=cert.reason.rule == "rooted",
     )
     return solution is None and nodes == claimed
 

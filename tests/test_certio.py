@@ -66,6 +66,7 @@ def samples():
     exhausted = decide_m_tile(
         line_set(0, 1, 3), GroupSpec(6, 1), divisibility_shortcut=False
     )
+    rooted = decide_m_tile(line_set(0, 2, 4, 7), GroupSpec(12, 1))
     composition_t = CompositionRecord(
         "tiling", tiling_cert, tiling_cert, compose_tile(tiling_cert, tiling_cert)
     )
@@ -90,11 +91,13 @@ def samples():
     assert counterexample is not None
     assert isinstance(divisibility.reason, DivisibilityObstruction)
     assert isinstance(exhausted.reason, ExhaustedSearch)
+    assert rooted.reason == ExhaustedSearch(5, rule="rooted")
     return {
         "spectrum": envelope("spectrum", spectrum),
         "tiling": envelope("tiling", tiling_cert),
         "non-tiling-divisibility": envelope("non-tiling", divisibility),
         "non-tiling-exhausted": envelope("non-tiling", exhausted),
+        "non-tiling-rooted": envelope("non-tiling", rooted),
         "composition-tiling": envelope("composition", composition_t),
         "composition-spectrum": envelope("composition", composition_s),
         "lift-spectrum": envelope("lift", lift_s),
@@ -112,6 +115,7 @@ class TestRoundTrip:
             "tiling",
             "non-tiling-divisibility",
             "non-tiling-exhausted",
+            "non-tiling-rooted",
             "composition-tiling",
             "composition-spectrum",
             "lift-spectrum",
@@ -147,6 +151,7 @@ class TestTrustMarker:
 
     def test_exhausted_search_requires_replay(self, samples):
         assert trust_marker(samples["non-tiling-exhausted"]) == "replay-required"
+        assert trust_marker(samples["non-tiling-rooted"]) == "replay-required"
 
 
 def _mutate(env, path, value):
@@ -486,6 +491,7 @@ WALKED = [
     "tiling",
     "non-tiling-divisibility",
     "non-tiling-exhausted",
+    "non-tiling-rooted",
     "composition-tiling",
     "composition-spectrum",
     "lift-spectrum",

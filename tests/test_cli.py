@@ -246,6 +246,31 @@ class TestMatrixCommands:
         assert main(["matrix", "rank", "--matrix", path, "-p", "3"]) == 2
         assert "'1_0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["\u0663", "+3", "1_0", "3.0", " 3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "rank", "--matrix", "{matrix}", "-p"],
+            ["matrix", "hadamard", "--matrix", "{matrix}", "-m"],
+            ["tile", "decide", "--set", "{set}", "-m"],
+            ["tile", "decide", "--set", "{set}", "-m", "4", "--guard"],
+            ["verify-counterexample", "-n"],
+            ["verify-counterexample", "--guard"],
+        ],
+    )
+    def test_integer_options_take_the_matrix_file_rule(self, files, capsys, argv, token):
+        # The same -?[0-9]+ rule as a matrix file, so int()'s other
+        # spellings are usage errors: argparse exits 2 before any command runs.
+        _, write = files
+        paths = {
+            "{matrix}": str(data_path(DATA_FILES["hadamard_exponents"])),
+            "{set}": line_file(write, "set.txt", 0, 1),
+        }
+        with pytest.raises(SystemExit) as exit_info:
+            main([paths.get(arg, arg) for arg in argv] + [token])
+        assert exit_info.value.code == 2
+        assert f"not a decimal integer: {token!r}" in capsys.readouterr().err
+
     def test_hadamard_denominator_past_the_cyclotomic_bound_is_exit_two(self, capsys):
         path = str(data_path(DATA_FILES["hadamard_exponents"]))
         m = "100000000000000000000"

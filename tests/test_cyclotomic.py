@@ -7,8 +7,11 @@ import pytest
 from cyclotomic_oracle import ExponentMultiset, poly_divrem, poly_mul, strip
 from spectratile.cyclotomic import (
     MAX_CYCLOTOMIC_INDEX,
+    _moebius_product,
     cyclotomic_polynomial,
+    inverse_cyclotomic_polynomial,
     is_vanishing_sum,
+    vanishing_decision,
 )
 
 
@@ -79,6 +82,33 @@ class TestCyclotomicPolynomial:
     def test_bounds(self, m):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(m)
+
+
+def _refuse_float(call, index):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call(float(index))
+
+
+@pytest.mark.parametrize("int_first", [False, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        cyclotomic_polynomial,
+        inverse_cyclotomic_polynomial,
+        lambda m: vanishing_decision(m, 2),
+        lambda m: vanishing_decision(3, m),
+    ],
+)
+def test_float_index_refused_on_cold_and_warm_caches(call, int_first):
+    """The caches are typed: an int key already cached does not serve the
+    equal float, so the refusal does not depend on what ran before."""
+    _moebius_product.cache_clear()
+    vanishing_decision.cache_clear()
+    if int_first:
+        call(2)
+    _refuse_float(call, 2)
+    call(2)
+    _refuse_float(call, 2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -719,8 +719,9 @@ class TestPlacementTableAgainstLexFirstOracle:
     def test_deep_exhausted_search_node_count(self):
         # z5d3k5-142 of the benchmark pool: the deepest exhausted search there.
         points = PointSet(3, ((2, 4, 1), (3, 3, 1), (4, 1, 1), (3, 0, 0), (0, 3, 2)))
+        assert tiling_module._exact_cover(points.points, 5, 3) == (None, 160_299)
         verdict = decide_m_tile(points, GroupSpec(5, 3))
-        assert verdict.reason == ExhaustedSearch(160_299)
+        assert verdict.reason == ExhaustedSearch(29_257, rule="rooted")
 
 
 class TestReplaySearch:
@@ -771,6 +772,12 @@ class TestReplaySearch:
         points = PointSet(3, ((0, 0, 0), (1, 2, 3)))
         cert = NonTilingCertificate(GroupSpec(5, 3), points, ExhaustedSearch(5))
         assert not replay_search(cert)
+        assert searched == [6]
+
+    def test_hostile_rooted_claim_stops_past_its_count(self, searched):
+        points = PointSet(3, ((0, 0, 0), (1, 2, 3)))
+        reason = ExhaustedSearch(5, rule="rooted")
+        assert not replay_search(NonTilingCertificate(GroupSpec(5, 3), points, reason))
         assert searched == [6]
 
     def test_golden_search_replays_in_its_recorded_nodes(self, searched):
