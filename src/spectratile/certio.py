@@ -563,6 +563,8 @@ def _verify_spectrum(cert: SpectrumCertificate) -> None:
 
 
 def _verify_tiling(cert: TilingCertificate) -> None:
+    # The sizes multiply to the order, which a small envelope can make huge.
+    check_power_guard(cert.group.modulus, cert.group.dimension)
     _require(verify_tiling(cert), "tiling certificate fails verification")
 
 

@@ -32,6 +32,8 @@ from .spectral import (
     parse_point_set,
 )
 from .tiling import (
+    DivisibilityObstruction,
+    DuplicateResidues,
     ExhaustedSearch,
     NonTilingCertificate,
     TilingCertificate,
@@ -120,11 +122,11 @@ def _cmd_spectrum(args) -> int:
 
 def _describe_non_tiling(cert: NonTilingCertificate) -> str:
     reason = cert.reason
-    if hasattr(reason, "set_size"):
+    if isinstance(reason, DivisibilityObstruction):
         return f"not a tile: {reason.set_size} does not divide {reason.group_order}"
-    if hasattr(reason, "first"):
+    if isinstance(reason, DuplicateResidues):
         return f"not a tile: points {reason.first} and {reason.second} collide mod m"
-    return f"not a tile: exact-cover search exhausted after {reason.nodes} nodes"
+    return f"not a tile: {reason.rule} exact-cover search exhausted after {reason.nodes} nodes"
 
 
 def _replay(envelope: certio.CertificateEnvelope, out: _Output) -> int:

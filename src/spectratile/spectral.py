@@ -409,14 +409,17 @@ class _Characters:
 
 
 class _Torus:
-    """Index arithmetic on bitmasks over Z_m^d in lexicographic order.
+    """The cells of Z_m^d as bits, in lexicographic order: the package's one cell arithmetic.
 
-    The one translate of cell bitmasks in the package.  is_m_spectral and
-    find_spectrum translate Z(1_T) to a row.  tiling._exact_cover translates
-    a stack of copies at once: copy j holds its m^d cells from byte j * width
-    on, width being m^d bits rounded up to whole bytes, so stack and unstack
-    convert between the copies and the stack in one pass over the bytes.
-    The bits between copies stay clear.
+    Bit j of a mask is the j-th cell of GroupSpec(m, d).elements().  mask
+    builds one from coordinate columns, index and row convert one cell, and
+    translate moves a whole mask by a row.  is_m_spectral and find_spectrum
+    translate Z(1_T) to a row; tiling.verify_tiling and lift_tile translate
+    a complement's mask.  tiling._exact_cover translates a stack of copies
+    at once: copy j holds its m^d cells from byte j * width on, width being
+    m^d bits rounded up to whole bytes, so stack and unstack convert between
+    the copies and the stack in one pass over the bytes.  The bits between
+    copies stay clear.
     """
 
     def __init__(self, m: int, d: int, copies: int = 1) -> None:
@@ -425,8 +428,20 @@ class _Torus:
         self.width = width = -(-(m**d) // 8)
         self.cuts = [slice(j * width, (j + 1) * width) for j in range(copies)]
         # repunits[a] sets the first bit of each block of m * strides[a] bits in each copy.
-        repunits = (((1 << m**d) - 1) // ((1 << m * s) - 1) for s in self.strides)
-        self.repunits = [self.stack([r] * copies) for r in repunits]
+        repunits = [((1 << m**d) - 1) // ((1 << m * s) - 1) for s in self.strides]
+        self.repunits = repunits if copies == 1 else [self.stack([r] * copies) for r in repunits]
+
+    def mask(self, columns: Iterable[Iterable[int]]) -> int:
+        """The bitmask of the cells listed by columns, column a holding axis a's coordinates.
+
+        Coordinates are reduced mod m; a cell listed twice sets its bit once.
+        """
+        m = self.m
+        terms = [map(s.__mul__, map(m.__rmod__, c)) for s, c in zip(self.strides, columns)]
+        bits = bytearray(self.width)
+        for j in map(sum, zip(*terms)):
+            bits[j >> 3] |= 1 << (j & 7)
+        return int.from_bytes(bits, "little")
 
     def stack(self, masks: Iterable[int]) -> int:
         copies = (mask.to_bytes(self.width, "little") for mask in masks)
@@ -499,8 +514,9 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     Otherwise, when m^(d+1) is at most 2k(k-1), one transform gives Z(1_T)
     as a bitmask, and the rows are checked as a clique by the step
     find_spectrum searches with: every row after l must lie in Z(1_T) + l.
-    Otherwise each distinct difference is decided on its own.  Either way
-    the first difference outside Z(1_T) ends the check.
+    Otherwise the row pairs are walked in order and each distinct difference
+    is decided on its own, the first time it appears.  Either way the first
+    difference outside Z(1_T) ends the check.
     """
     k = len(point_set)
     if spectrum.numerators.rows != k:
@@ -521,16 +537,16 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
         residues = map(tuple, map(map, itertools.repeat(m.__rmod__), point_set.points))
         return len(set(residues)) == k
     if not _dense_pays(k, m, d):
-        differences = {
-            tuple((a - b) % m for a, b in zip(rows[j], rows[i]))
-            for i in range(k)
-            for j in range(i + 1, k)
-        }
-        characters = _Pointwise(point_set.points, decide)
-        return all(characters.vanishes(xi) for xi in differences)
+        differences = (
+            tuple(map(m.__rmod__, map(operator.sub, later, row)))
+            for row, later in itertools.combinations(rows, 2)
+        )
+        # Each distinct difference is decided once, in pair order, up to the first failure.
+        vanishes = functools.cache(_Pointwise(point_set.points, decide).vanishes)
+        return all(map(vanishes, differences))
     zero = _Characters(point_set.points, decide, d).zero_mask()
     torus = _Torus(m, d)
-    later = sum(1 << torus.index(row) for row in rows)
+    later = torus.mask(zip(*rows))
     for row in rows:
         later ^= 1 << torus.index(row)
         if later & ~torus.translate(zero, row):

@@ -13,18 +13,18 @@ residue pair) or replayed (an exhausted search with its node count and
 rule; see replay_search).
 
 The search, lifts and coverage checks build no cell tuple they do not
-keep.  There a cell of Z_m^d is a packed integer, its lexicographic index.
-The search keeps, per cell it has branched on, a row of the placements
-that cover that cell with their cell bitmasks, so a node is one bit scan
-and one AND per placement tried.  A row is the k difference shapes T - t,
-stacked in one int, translated by the cell with spectral's _Torus and cut
-into k masks: O(k * m^d) bit work.
-In the lifts and coverage checks each coordinate's wrap table turns a sum
-of two residues into that coordinate's reduced term of the index, so a
-translate or an image is one table lookup per coordinate.
-verify_tiling counts the packed cells of every translate, and lift_tile
-walks Z_m^d one prefix (all coordinates but the last) at a time, deciding
-the prefix's m cells at once against the packed base complement.
+keep.  There a set of cells of Z_m^d is a bitmask, bit j the j-th cell in
+lexicographic order, and spectral's _Torus does all the cell arithmetic:
+building a mask from coordinates, and translating it, one block rotation
+per axis.  The search keeps, per cell it has branched on, a row of the
+placements that cover that cell with their cell bitmasks, so a node is one
+bit scan and one AND per placement tried.  A row is the k difference shapes
+T - t, stacked in one int, translated by the cell and cut into k masks:
+O(k * m^d) bit work.  verify_tiling translates the complement's mask by
+each point, k translates of m^d bits.  lift_tile walks Z_m^d one prefix
+(all coordinates but the last) at a time: one translate of the base
+complement's mask per prefix, from which the prefix's m cells are read as
+bits.
 
 Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_tile verifies its two inputs and never
@@ -159,56 +159,23 @@ class NonTilingCertificate:
             raise ValueError(f"unknown non-tiling reason {self.reason!r}")
 
 
-def _wraps(m: int, dimension: int) -> list[list[int]]:
-    """One wrap table per coordinate of Z_m^dimension.
-
-    A coordinate sum a + b with a, b in [0, m) indexes its table, which
-    holds the sum's residue times the coordinate's stride in the packed
-    (lexicographic) cell index.
-    """
-    strides = (m ** (dimension - 1 - j) for j in range(dimension))
-    return [list(range(0, m * stride, stride)) * 2 for stride in strides]
-
-
-def _residue_columns(points: PointSet, m: int) -> list[list[int]]:
-    return [[c % m for c in column] for column in zip(*points.points)]
-
-
-def _packed(
-    wraps: Sequence[list[int]], offsets: Sequence[int], columns: Sequence[list[int]]
-) -> Iterator[int]:
-    """Packed indices of the cells offsets + column entries, one per entry.
-
-    Offsets and column entries are residues; each coordinate's sum is
-    reduced and weighted by one lookup in its wrap table.
-    """
-    terms = [
-        map(wrap.__getitem__, map(offset.__add__, column))
-        for wrap, offset, column in zip(wraps, offsets, columns)
-    ]
-    cells = terms[0]
-    for term in terms[1:]:
-        cells = map(operator.add, cells, term)
-    return cells
-
-
 def verify_tiling(cert: TilingCertificate) -> bool:
-    """Re-check a tiling certificate by direct coverage counting.
+    """Re-check a tiling certificate on cell bitmasks.
 
-    Each translate's cells are counted as packed integer indices; the
-    certificate's constructor makes the sizes multiply to the group order,
-    so the translates tile exactly when no index repeats.
+    The translates t + C of the complement's mask must be pairwise disjoint
+    and together cover every cell: k translates of m^d bits, one bit per
+    cell.  A complement that repeats a residue has fewer bits and leaves a
+    cell uncovered.
     """
-    m = cert.group.modulus
-    size = len(cert.complement)
-    wraps = _wraps(m, cert.group.dimension)
-    columns = _residue_columns(cert.complement, m)
-    seen: set[int] = set()
-    for count, t in enumerate(cert.set.points, 1):
-        seen.update(_packed(wraps, [c % m for c in t], columns))
-        if len(seen) != count * size:
+    torus = _Torus(cert.group.modulus, cert.group.dimension)
+    shape = torus.mask(zip(*cert.complement.points))
+    covered = 0
+    for t in cert.set.points:
+        cells = torus.translate(shape, t)
+        if cells & covered:
             return False
-    return True
+        covered |= cells
+    return covered == (1 << cert.group.order()) - 1
 
 
 def _exact_cover(
@@ -259,7 +226,7 @@ def _exact_cover(
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
     full = (1 << m**dimension) - 1
     single = _Torus(m, dimension)
-    shape = sum(1 << single.index(t) for t in residues)
+    shape = single.mask(zip(*residues))
     torus = _Torus(m, dimension, len(residues))
     stack = torus.stack(single.translate(shape, [-c for c in t]) for t in residues)
     masks: dict[int, int] = {}
@@ -437,11 +404,12 @@ def lift_tile(
     covers each cell once.
 
     Z_m^d is walked one prefix (all coordinates but the last) at a time, in
-    lexicographic order.  A prefix's image is computed once per image row;
-    its m cells are then decided together from the last column's residues,
-    each row's wrap table and the packed indices of the base complement, so
-    no cell outside the preimage is built.  Memory is O(m * d1) plus the
-    output.
+    lexicographic order.  Cell (prefix, t) maps to image + t * c, where the
+    image is the prefix's and c is the transform's last column.  So one
+    translate of the base complement's mask by -image holds the prefix's
+    answers: the cell is kept when the bit of t * c is set, one of m fixed
+    cells of Z_m^d1, read from the translate's bytes.  No cell outside the
+    preimage is built.  Memory is m^d1 bits plus the output.
     """
     if transform.cols != point_set.dimension:
         raise ValueError("transform width must equal the set dimension")
@@ -451,6 +419,7 @@ def lift_tile(
     d = point_set.dimension
     group = GroupSpec(m, d)
     check_power_guard(m, d, guard)
+    check_power_guard(m, base.group.dimension, guard)
 
     mapped = matmul_mod(transform, point_set.to_columns_matrix(), m)
     mapped_points = tuple(mapped.column(j) for j in range(mapped.cols))
@@ -460,16 +429,20 @@ def lift_tile(
     if not verify_tiling(base):
         raise ValueError("base tiling fails verification")
 
-    d1 = base.group.dimension
-    wraps = _wraps(m, d1)
-    targets = set(_packed(wraps, [0] * d1, _residue_columns(base.complement, m)))
-    rows = [transform.row(i) for i in range(d1)]
+    torus = _Torus(m, base.group.dimension)
+    complement = torus.mask(zip(*base.complement.points))
+    rows = [transform.row(i) for i in range(base.group.dimension)]
     heads = [row[:-1] for row in rows]
-    last = [[row[-1] * t % m for t in range(m)] for row in rows]
+    # The cell t * (last column) of Z_m^d1 for each last coordinate t, as the
+    # byte and the bit that hold it in a mask's little-endian bytes.
+    spots = [torus.index([row[-1] * t % m for row in rows]) for t in range(m)]
+    octets = [j >> 3 for j in spots]
+    bits = [1 << (j & 7) for j in spots]
     sigma: list[tuple[int, ...]] = []
     for prefix in product(range(m), repeat=d - 1):
-        image = [sum(a * x for a, x in zip(head, prefix)) % m for head in heads]
-        hits = map(targets.__contains__, _packed(wraps, image, last))
+        cells = torus.translate(complement, [-sum(map(operator.mul, h, prefix)) for h in heads])
+        data = cells.to_bytes(torus.width, "little")
+        hits = map(operator.and_, map(data.__getitem__, octets), bits)
         sigma += [prefix + (t,) for t in compress(range(m), hits)]
     return TilingCertificate(group, point_set, PointSet(d, tuple(sigma)))
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import DATA_DIR
 from spectratile import certio, spectral, tiling
-from spectratile.cli import main
+from spectratile.cli import _describe_non_tiling, main
 from spectratile.counterexample import DATA_FILES, data_path
 from spectratile.modlinalg import IntMatrix, format_matrix
 from spectratile.spectral import PointSet, format_phase_matrix, format_point_set
@@ -404,3 +404,33 @@ class TestEachCertificateVerifiedOnce:
         calls = list(verified)
         record = certio.parse(out.read_bytes()).payload
         assert calls == [record.base, record.base]
+
+
+def line_points(*values):
+    return PointSet(1, tuple((v,) for v in values))
+
+
+class TestNonTilingMessage:
+    """The refusal message names the reason, and a search its rule."""
+
+    def test_decide_names_the_rooted_rule(self, files, capsys):
+        _, write = files
+        # {0, 1, 3} has a size dividing 6 but does not tile Z_6.
+        set_file = line_file(write, "set.txt", 0, 1, 3)
+        assert main(["tile", "decide", "--set", set_file, "-m", "6"]) == 1
+        nodes = tiling.decide_m_tile(line_points(0, 1, 3), GroupSpec(6, 1)).reason.nodes
+        expected = f"not a tile: rooted exact-cover search exhausted after {nodes} nodes"
+        assert expected in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "points, reason, message",
+        [
+            ((0, 4), ExhaustedSearch(750, "lex"), "lex exact-cover search exhausted after 750"),
+            ((0, 4), ExhaustedSearch(5, "rooted"), "rooted exact-cover search exhausted after 5"),
+            ((0, 1, 2), tiling.DivisibilityObstruction(3, 4), "3 does not divide 4"),
+            ((0, 4), tiling.DuplicateResidues((0,), (4,)), "points (0,) and (4,) collide mod m"),
+        ],
+    )
+    def test_each_reason(self, points, reason, message):
+        cert = NonTilingCertificate(GroupSpec(4, 1), line_points(*points), reason)
+        assert _describe_non_tiling(cert).startswith(f"not a tile: {message}")

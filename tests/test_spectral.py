@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from cyclotomic_oracle import is_spectral_pair_by_division
-from spectratile import spectral
+from spectratile import certio, spectral
 from spectratile.cyclotomic import is_vanishing_sum
 from spectratile.counterexample import (
     HADAMARD_EXPONENTS,
@@ -620,3 +620,61 @@ class TestPointSetCoordinates:
             PointSet(2, ((1, 2), (1,)))
         with pytest.raises(ValueError):
             PointSet(2, ())
+
+
+class TestPointwisePairsDecidedLazily:
+    """The pointwise path walks the row pairs in order and decides each
+    distinct difference once, stopping at the first that does not vanish."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        """Each (xi, verdict) that _Pointwise.vanishes is asked, in order."""
+        calls = []
+        vanishes = spectral._Pointwise.vanishes
+
+        def recording(self, xi):
+            calls.append((xi, vanishes(self, xi)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(spectral._Pointwise, "vanishes", recording)
+        return calls
+
+    # {0, ..., 5} in Z_60 has the spectrum 10 * {0, ..., 5}: its differences
+    # 10 * j, j not 0 mod 6, all vanish.
+    POINTS = line_set(0, 1, 2, 3, 4, 5)
+
+    def spectrum(self, *rows):
+        return PhaseMatrix(IntMatrix.from_rows([[r] for r in rows]), 60)
+
+    def test_accepted_spectrum_decides_each_distinct_difference_once(self, decided):
+        assert not _dense_pays(6, 60, 1)
+        assert is_m_spectral(self.POINTS, self.spectrum(0, 10, 20, 30, 40, 50))
+        # 15 pairs, 5 distinct differences, first met on the pairs with row 0.
+        assert decided == [((10 * j,), True) for j in range(1, 6)]
+
+    def test_refusal_stops_at_the_first_failing_pair(self, decided):
+        assert not is_m_spectral(self.POINTS, self.spectrum(0, 10, 20, 30, 40, 51))
+        # Pairs (0, 10), ..., (0, 40) vanish; (0, 51) is the fifth pair and fails.
+        assert decided == [((10 * j,), True) for j in range(1, 5)] + [((51,), False)]
+
+    def test_hostile_envelope_refused_after_one_decision(self, rng, decided):
+        """2,000 points and 2,000 distinct rows in Z_1000^2: deciding all
+        k(k-1)/2 differences first took seconds and over 100 MB."""
+        k, m = 2000, 1000
+        points, rows = set(), set()
+        while len(points) < k:
+            points.add((rng.randrange(m), rng.randrange(m)))
+        while len(rows) < k:
+            rows.add((rng.randrange(m), rng.randrange(m)))
+        rows = sorted(rows)
+        spectrum = PhaseMatrix(IntMatrix.from_rows(rows), m)
+        cert = SpectrumCertificate(GroupSpec(m, 2), PointSet(2, tuple(points)), spectrum)
+        assert not _dense_pays(k, m, 2)
+        envelope = certio.CertificateEnvelope(
+            certio.SCHEMA_VERSION, "spectrum", cert, (certio.ProvenanceEntry("test", ()),)
+        )
+        data = certio.serialize(envelope)
+        with pytest.raises(certio.InvariantViolation):
+            certio.parse(data)
+        first = tuple((b - a) % m for a, b in zip(rows[0], rows[1]))
+        assert decided == [(first, False)]
