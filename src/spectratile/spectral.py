@@ -29,16 +29,20 @@ width of the cyclotomic VanishingDecision for m and k, and that one
 decision settles it exactly, each distinct polynomial once.  The polynomial
 comes either pointwise (packed from the k residues xi.t mod m) or densely (a
 separable transform gives the packed polynomials of all of Z_m^d at once,
-m digits per character).  Which one runs, and how the transform treats a
-line, depends on input size alone, from timings of both sides:
+m digits per character).  _zero_set is the one builder of the Z(1_T) mask.
+Which route runs, and how the transform treats a line, depends on input
+size alone, from timings of both sides:
 
-- fourier_zero_set transforms when m <= k and the transform's m^(d+1)
-  digits fit the guard; otherwise it evaluates each character pointwise
-  (sets of 2 to 1296 points, m up to 100, d up to 4).
-- is_m_spectral, for k other than m^d, transforms when m^(d+1) <= 2k(k-1),
-  at most four digits per row pair; otherwise it decides each distinct row
-  difference pointwise, so a small set in a large group never pays for the
-  transform.
+- _zero_set transforms when m <= k and the transform's m^(d+1) digits fit
+  its limit; otherwise it evaluates each character pointwise (sets of 2 to
+  1296 points, m up to 100, d up to 4).  fourier_zero_set and
+  find_spectrum pass the guard as the limit.
+- is_m_spectral, for k other than m^d, builds the whole mask when
+  m^(d+1) <= 2k(k-1), at most four digits per row pair, by _zero_set with
+  that pair budget as its limit; otherwise it decides each distinct row
+  difference pointwise, so a small set in a large group never pays for a
+  mask.  Under that budget the mask is transformed unless m > k, which
+  m^(d+1) <= 2k(k-1) allows only at d = 1.
 - The transform maps each line of m cells with one Kronecker product per
   residue when the line kernel, 2*m^2*w bits at digit width w, is at most
   _KERNEL_BITS = 12,000 bits, and by shifts and adds otherwise.  In two
@@ -51,7 +55,7 @@ line, depends on input size alone, from timings of both sides:
   than a transform.
 
 find_spectrum searches for cliques with the zero set, and is_m_spectral's
-transform path checks a given clique with the same step: the rows after l
+full-mask path checks a given clique with the same step: the rows after l
 must lie in Z(1_T) translated to l.  is_log_hadamard is is_m_spectral of
 the unit basis e_1..e_k of Z^k: the pair sum of rows l and l' over the e_j
 is sum_j exp(2*pi*i*(l_j - l'_j)/m), the rows' inner product.  So every
@@ -280,17 +284,6 @@ class _Pointwise:
         return self.decided(self.pack(sum(map(operator.mul, xi, t)) for t in self.points))
 
 
-def _mask(flags: Iterable[bool]) -> int:
-    """The bitmask whose j-th bit is the j-th flag."""
-    packed = bytearray()
-    for j, flag in enumerate(flags):
-        if j & 7 == 0:
-            packed.append(0)
-        if flag:
-            packed[-1] |= 1 << (j & 7)
-    return int.from_bytes(packed, "little")
-
-
 _Line = Callable[[list[int]], list[int]]
 
 
@@ -318,7 +311,7 @@ def _line_kernels(m: int, w: int) -> tuple[int, ...]:
     """K_s = sum over xi of x^(xi*s mod m) in slot xi, for each residue s.
 
     Slot xi holds 2m digits of w bits, room for a product of degree below
-    2m - 1.  _Characters builds kernels only up to _KERNEL_BITS bits, where
+    2m - 1.  _zero_set builds kernels only up to _KERNEL_BITS bits, where
     m <= 54 since w >= 2, so each cached entry holds at most
     54 * _KERNEL_BITS bits.
     """
@@ -360,11 +353,16 @@ _KERNEL_BITS = 12_000
 def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> list[int]:
     """The count polynomials of all of Z_m^d, axis by axis, one line at a time.
 
-    Cells are kept densely in lexicographic index order.  Along an axis, a
-    line is the m cells that differ only in that axis's digit; line maps
-    their polynomials P_t (t the digit) to the outputs O_xi = sum over t of
-    x^(xi*t mod m) * P_t, which replace them.  Lines with no points are left
-    at zero.
+    Cells are kept densely in lexicographic index order.  Axis by axis, each
+    cell holds the count polynomial sum_t x^(xi . t), in Z[x]/(x^m - 1),
+    over the transformed axes of the points that agree with the cell on the
+    axes not yet transformed.  Along an axis, a line is the m cells that
+    differ only in that axis's digit; line maps their polynomials P_t (t the
+    digit) to the outputs O_xi = sum over t of x^(xi*t mod m) * P_t, which
+    replace them.  Lines with no points are left at zero.  A polynomial is
+    packed into one int, w bits per coefficient: at the vanishing decision's
+    width w >= k.bit_length() + 1 every coefficient is at most k < 2^(w-1),
+    and sums never carry across digits.
     """
     size = m**d
     strides = [m ** (d - 1 - a) for a in range(d)]
@@ -381,31 +379,16 @@ def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> 
     return cells
 
 
-class _Characters:
-    """The character sums of T over Z_m^d as count polynomials, by a separable transform.
+def _cell_mask(indices: Iterable[int], width: int) -> int:
+    """The mask of width bytes with bit j set for each j in indices.
 
-    Axis by axis, each cell holds the count polynomial sum_t x^(xi . t), in
-    Z[x]/(x^m - 1), over the transformed axes of the points that agree with
-    the cell on the axes not yet transformed.  A polynomial is packed into one
-    int at the width of the vanishing decision, w bits per coefficient: w is
-    at least k.bit_length() + 1, so every coefficient is at most k < 2^(w-1),
-    and sums never carry across digits.  Each line is transformed with one
-    Kronecker product per residue when its kernel, 2*m^2*w bits, is at most
-    _KERNEL_BITS, and by shifts and adds otherwise; both give the same ints.
-    Character xi lies in Z(1_T) when the decision accepts its packed
-    polynomial as it stands; each distinct polynomial is decided once.
+    The package's one bit-setting loop: it touches listed bits only, and a
+    j listed twice sets its bit once.
     """
-
-    def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision, d: int) -> None:
-        m = decide.modulus
-        w = decide.width
-        line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
-        self.polys = _transform(points, m, d, line(m, w))
-        self.decided = functools.cache(decide)
-
-    def zero_mask(self) -> int:
-        """Z(1_T) as a bitmask in lexicographic index order."""
-        return _mask(map(self.decided, self.polys))
+    bits = bytearray(width)
+    for j in indices:
+        bits[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(bits, "little")
 
 
 class _Torus:
@@ -426,9 +409,10 @@ class _Torus:
         self.m = m
         self.strides = [m ** (d - 1 - a) for a in range(d)]
         self.width = width = -(-(m**d) // 8)
+        self.full = (1 << m**d) - 1  # every cell of one copy
         self.cuts = [slice(j * width, (j + 1) * width) for j in range(copies)]
         # repunits[a] sets the first bit of each block of m * strides[a] bits in each copy.
-        repunits = [((1 << m**d) - 1) // ((1 << m * s) - 1) for s in self.strides]
+        repunits = [self.full // ((1 << m * s) - 1) for s in self.strides]
         self.repunits = repunits if copies == 1 else [self.stack([r] * copies) for r in repunits]
 
     def mask(self, columns: Iterable[Iterable[int]]) -> int:
@@ -438,10 +422,7 @@ class _Torus:
         """
         m = self.m
         terms = [map(s.__mul__, map(m.__rmod__, c)) for s, c in zip(self.strides, columns)]
-        bits = bytearray(self.width)
-        for j in map(sum, zip(*terms)):
-            bits[j >> 3] |= 1 << (j & 7)
-        return int.from_bytes(bits, "little")
+        return _cell_mask(map(sum, zip(*terms)), self.width)
 
     def stack(self, masks: Iterable[int]) -> int:
         copies = (mask.to_bytes(self.width, "little") for mask in masks)
@@ -481,15 +462,27 @@ def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> i
 
 
 def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
-    """fourier_zero_set in the group, under the resolved guard limit."""
+    """fourier_zero_set in the group, under a resolved limit on its order.
+
+    The one builder of Z(1_T).  It transforms when m <= k and the
+    transform's m^(d+1) digits fit the limit, and packs each character's
+    polynomial pointwise otherwise; each distinct polynomial is decided
+    once.  Each line is transformed with one Kronecker product per residue
+    when its kernel, 2*m^2*w bits, is at most _KERNEL_BITS, and by shifts
+    and adds otherwise; both give the same ints.
+    """
     check_power_guard(group.modulus, group.dimension, limit)
-    m = group.modulus
+    m, d = group.modulus, group.dimension
+    points = point_set.points
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
-    decide = vanishing_decision(m, len(point_set))
-    if m <= len(point_set) and group.order() * m <= limit:
-        return _Characters(point_set.points, decide, group.dimension).zero_mask()
-    characters = _Pointwise(point_set.points, decide)
-    return _mask(characters.vanishes(xi) for xi in group.elements())
+    decide = vanishing_decision(m, len(points))
+    if m <= len(points) and group.order() * m <= limit:
+        w = decide.width
+        line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
+        flags = map(functools.cache(decide), _transform(points, m, d, line(m, w)))
+    else:
+        flags = map(_Pointwise(points, decide).vanishes, group.elements())
+    return _cell_mask(itertools.compress(itertools.count(), flags), -(-group.order() // 8))
 
 
 def _dense_pays(k: int, m: int, d: int) -> bool:
@@ -511,9 +504,10 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     and since it is square its columns are orthogonal too.  Two equal rows,
     or two points congruent mod m, make that matrix singular.)
 
-    Otherwise, when m^(d+1) is at most 2k(k-1), one transform gives Z(1_T)
-    as a bitmask, and the rows are checked as a clique by the step
-    find_spectrum searches with: every row after l must lie in Z(1_T) + l.
+    Otherwise, when m^(d+1) is at most 2k(k-1), _zero_set gives Z(1_T) as a
+    bitmask under that limit (by one transform when m <= k), and the rows
+    are checked as a clique by the step find_spectrum searches with: every
+    row after l must lie in Z(1_T) + l.
     Otherwise the row pairs are walked in order and each distinct difference
     is decided on its own, the first time it appears.  Either way the first
     difference outside Z(1_T) ends the check.
@@ -544,7 +538,8 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
         # Each distinct difference is decided once, in pair order, up to the first failure.
         vanishes = functools.cache(_Pointwise(point_set.points, decide).vanishes)
         return all(map(vanishes, differences))
-    zero = _Characters(point_set.points, decide, d).zero_mask()
+    # _dense_pays makes the limit hold m^(d+1) >= m^d, so the guard never refuses.
+    zero = _zero_set(point_set, GroupSpec(m, d), 2 * k * (k - 1))
     torus = _Torus(m, d)
     later = torus.mask(zip(*rows))
     for row in rows:

@@ -20,11 +20,11 @@ per axis.  The search keeps, per cell it has branched on, a row of the
 placements that cover that cell with their cell bitmasks, so a node is one
 bit scan and one AND per placement tried.  A row is the k difference shapes
 T - t, stacked in one int, translated by the cell and cut into k masks:
-O(k * m^d) bit work.  verify_tiling translates the complement's mask by
-each point, k translates of m^d bits.  lift_tile walks Z_m^d one prefix
-(all coordinates but the last) at a time: one translate of the base
-complement's mask per prefix, from which the prefix's m cells are read as
-bits.
+O(k * m^d) bit work.  A coverage check translates the complement's mask
+by each point, k translates of m^d bits.  lift_tile checks its base so and
+then walks Z_m^d one prefix (all coordinates but the last) at a time: one
+translate of the same mask per prefix, from which the prefix's m cells
+are read as bits.
 
 Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_tile verifies its two inputs and never
@@ -160,7 +160,12 @@ class NonTilingCertificate:
 
 
 def verify_tiling(cert: TilingCertificate) -> bool:
-    """Re-check a tiling certificate on cell bitmasks.
+    """Re-check a tiling certificate on cell bitmasks (see _coverage)."""
+    return _coverage(cert) is not None
+
+
+def _coverage(cert: TilingCertificate) -> tuple[_Torus, int] | None:
+    """The group's _Torus and the complement's mask if the certificate tiles, else None.
 
     The translates t + C of the complement's mask must be pairwise disjoint
     and together cover every cell: k translates of m^d bits, one bit per
@@ -168,14 +173,14 @@ def verify_tiling(cert: TilingCertificate) -> bool:
     cell uncovered.
     """
     torus = _Torus(cert.group.modulus, cert.group.dimension)
-    shape = torus.mask(zip(*cert.complement.points))
+    complement = torus.mask(zip(*cert.complement.points))
     covered = 0
     for t in cert.set.points:
-        cells = torus.translate(shape, t)
+        cells = torus.translate(complement, t)
         if cells & covered:
-            return False
+            return None
         covered |= cells
-    return covered == (1 << cert.group.order()) - 1
+    return (torus, complement) if covered == torus.full else None
 
 
 def _exact_cover(
@@ -224,8 +229,8 @@ def _exact_cover(
     read again.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
-    full = (1 << m**dimension) - 1
     single = _Torus(m, dimension)
+    full = single.full
     shape = single.mask(zip(*residues))
     torus = _Torus(m, dimension, len(residues))
     stack = torus.stack(single.translate(shape, [-c for c in t]) for t in residues)
@@ -388,9 +393,10 @@ def lift_tile(
 
     If the columns of transform @ T are, mod m, exactly the base tiling's
     set (same order), then the preimage of the base complement under the
-    transform tiles Z_m^d with T.  The base is verified (m^d1 cells); a base
-    that is not a tiling fails that check with ValueError.  The result is
-    not verified, because the pullback lemma proves it:
+    transform tiles Z_m^d with T.  The base is verified (m^d1 cells) on the
+    complement mask the walk below reads, one _Torus and one mask for both;
+    a base that is not a tiling fails that check with ValueError.  The
+    result is not verified, because the pullback lemma proves it:
 
     Let phi: G -> H be a group homomorphism that is injective on T, and let
     phi(T) + C = H be a tiling.  Then T + phi^-1(C) = G is a tiling.  (Every
@@ -426,11 +432,11 @@ def lift_tile(
     base_points = tuple(tuple(c % m for c in p) for p in base.set.points)
     if mapped_points != base_points:
         raise ValueError("base certificate's set does not match transform @ T")
-    if not verify_tiling(base):
+    checked = _coverage(base)
+    if checked is None:
         raise ValueError("base tiling fails verification")
+    torus, complement = checked
 
-    torus = _Torus(m, base.group.dimension)
-    complement = torus.mask(zip(*base.complement.points))
     rows = [transform.row(i) for i in range(base.group.dimension)]
     heads = [row[:-1] for row in rows]
     # The cell t * (last column) of Z_m^d1 for each last coordinate t, as the

@@ -1,8 +1,10 @@
-"""Tilings checked and lifted on _Torus cell bitmasks: the mask builder, the
-coverage check's memory, and the guard on the orders they walk."""
+"""Cell bitmasks: the one bit-setting loop behind _Torus.mask and the zero
+set, tilings checked and lifted on them, the coverage check's memory, and
+the guard on the orders they walk."""
 
 import random
 import tracemalloc
+from itertools import compress, count
 
 import pytest
 
@@ -10,7 +12,14 @@ from spectratile import certio
 from spectratile.cli import main
 from spectratile.guard import GuardExceeded
 from spectratile.modlinalg import IntMatrix
-from spectratile.spectral import GroupSpec, PointSet, _Torus, format_point_set
+from spectratile.spectral import (
+    GroupSpec,
+    PointSet,
+    _cell_mask,
+    _Torus,
+    format_point_set,
+    fourier_zero_set,
+)
 from spectratile.tiling import TilingCertificate, lift_tile, verify_tiling
 
 
@@ -94,3 +103,64 @@ class TestTilingGuard:
         assert lift_tile(points, phi, base, guard=10_000).complement.points == ((0,),)
         with pytest.raises(GuardExceeded, match="exceeds the guard of 1000"):
             lift_tile(points, phi, base, guard=1000)
+
+
+@pytest.mark.parametrize("m, d", [(1, 2), (2, 3), (3, 2), (5, 1), (6, 2)])
+def test_flag_mask_equals_listed_mask(m, d):
+    """_zero_set's mask from the indices of its true flags is the mask of
+    the flagged cells listed by coordinates, with none, all, and repeated
+    or unreduced cells."""
+    rng = random.Random(m * 10 + d)
+    order = list(GroupSpec(m, d).elements())
+    torus = _Torus(m, d)
+    draws = [[rng.random() < 0.5 for _ in order] for _ in range(6)]
+    for flags in [[False] * len(order), [True] * len(order)] + draws:
+        listed = [cell for cell, flag in zip(order, flags) if flag]
+        again = [tuple(c + m * rng.randint(-2, 2) for c in cell) for cell in listed]
+        built = _cell_mask(compress(count(), flags), torus.width)
+        assert built == torus.mask(zip(*listed)) == torus.mask(zip(*(listed + again)))
+        assert built.bit_count() == len(listed)
+
+
+@pytest.mark.parametrize("m, d", [(2, 3), (4, 2), (6, 1)])
+def test_zero_set_of_a_point_and_of_the_whole_group(m, d):
+    """One point's sum never vanishes: the empty mask.  The whole group,
+    once or with each cell twice, vanishes at every xi but 0.  Both routes."""
+    cells = list(GroupSpec(m, d).elements())
+    twice = cells + [tuple(c + m for c in cell) for cell in cells]
+    for guard in (None, m**d):  # m**d cells leave no room for the transform
+        assert fourier_zero_set(PointSet(d, (cells[-1],)), m, guard) == 0
+        for points in (cells, twice):
+            assert fourier_zero_set(PointSet(d, tuple(points)), m, guard) == (1 << m**d) - 2
+
+
+class TestLiftBaseMask:
+    """lift_tile checks its base on the complement mask it walks."""
+
+    @pytest.fixture
+    def masks(self, monkeypatch):
+        built = []
+        original = _Torus.mask
+
+        def counting(torus, columns):
+            built.append(torus.m)
+            return original(torus, columns)
+
+        monkeypatch.setattr(_Torus, "mask", counting)
+        return built
+
+    def test_one_base_mask_per_lift(self, masks):
+        points = PointSet(1, tuple((i,) for i in range(6)))
+        phi = IntMatrix.from_rows([[1], [0]])
+        lifted = lift_tile(points, phi, line_tiling(6))
+        assert lifted.complement.points == ((0,),)
+        assert masks == [6]
+
+    def test_base_that_does_not_tile_raises(self, masks):
+        base = line_tiling(6)
+        overlapping = PointSet(2, base.complement.points[:-1] + ((0, 6),))
+        base = TilingCertificate(base.group, base.set, overlapping)
+        points = PointSet(1, tuple((i,) for i in range(6)))
+        with pytest.raises(ValueError, match="base tiling fails verification"):
+            lift_tile(points, IntMatrix.from_rows([[1], [0]]), base)
+        assert masks == [6]

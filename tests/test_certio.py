@@ -448,13 +448,13 @@ class TestHostileGroupOrder:
 
 @pytest.fixture
 def verified(monkeypatch):
-    """Every certificate verify_spectrum or verify_tiling is called on, in order."""
+    """Every certificate verify_spectrum is called on or whose tiling
+    coverage is checked (by verify_tiling or lift_tile), in order."""
     calls = []
     for module, name in (
         (certio, "verify_spectrum"),
         (spectral, "verify_spectrum"),
-        (certio, "verify_tiling"),
-        (tiling, "verify_tiling"),
+        (tiling, "_coverage"),
     ):
         original = getattr(module, name)
 

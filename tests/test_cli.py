@@ -358,15 +358,15 @@ class TestEachCertificateVerifiedOnce:
 
     @pytest.fixture
     def verified(self, monkeypatch):
+        # verify_tiling and lift_tile both check coverage through _coverage.
         calls = []
-        original = tiling.verify_tiling
+        original = tiling._coverage
 
         def recording(cert):
             calls.append(cert)
             return original(cert)
 
-        monkeypatch.setattr(certio, "verify_tiling", recording)
-        monkeypatch.setattr(tiling, "verify_tiling", recording)
+        monkeypatch.setattr(tiling, "_coverage", recording)
         return calls
 
     def _decide(self, tmp_path, write, name, m):

@@ -1,8 +1,10 @@
-"""is_m_spectral's transform path checks the rows as a clique in
+"""is_m_spectral's full-mask path checks the rows as a clique in
 Cay(Z_m^d, Z(1_T)) with the step find_spectrum searches by: every row after l
 lies in Z(1_T) translated to l."""
 
 from itertools import product
+
+import pytest
 
 from cyclotomic_oracle import is_spectral_pair_by_division
 from spectratile import spectral
@@ -27,8 +29,8 @@ def counting_transforms(monkeypatch):
         built.append(len(args[0]))
         return original(*args)
 
-    original = spectral._Characters
-    monkeypatch.setattr(spectral, "_Characters", build)
+    original = spectral._transform
+    monkeypatch.setattr(spectral, "_transform", build)
     return built
 
 
@@ -77,3 +79,57 @@ def test_find_spectrum_results_pass_the_clique_check(rng, monkeypatch):
         built.clear()  # find_spectrum transforms too
         assert is_m_spectral(point_set, spectrum_of(rows, m, d))
         assert built == [8]
+
+
+def route_counts(monkeypatch):
+    """How often _zero_set builds Z(1_T), and how often by a transform."""
+    counts = {"mask": 0, "transform": 0}
+    for name, key in (("_zero_set", "mask"), ("_transform", "transform")):
+
+        def counting(*args, original=getattr(spectral, name), key=key):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(spectral, name, counting)
+    return counts
+
+
+def without(m, *cells):
+    return PointSet(1, tuple((t,) for t in range(m) if t not in cells))
+
+
+# (set, m, whether the mask is built, whether it is transformed).  The d = 1
+# sets with m > k and m^2 <= 2k(k-1) take the pointwise mask: Z_12 and Z_15
+# without a coset of order 3 have Z(1_T) = the xi prime to 3, so rows pass
+# some pairs before they fail.
+ROUTES = [
+    (PointSet(2, tuple(product(range(2), range(4)))), 4, True, True),
+    (PointSet(1, tuple((t,) for t in range(10))), 13, True, False),
+    (without(12, 0, 4, 8), 12, True, False),
+    (without(15, 0, 5, 10), 15, True, False),
+    (PointSet(1, ((0,), (1,), (2,), (3,))), 13, False, False),
+    (PointSet(2, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))), 6, False, False),
+]
+
+
+@pytest.mark.parametrize("point_set, m, mask, transform", ROUTES)
+def test_agrees_with_long_division_on_each_route(rng, monkeypatch, point_set, m, mask, transform):
+    """On both sides of _dense_pays, and on the full-mask side whether or not
+    m <= k, the clique check gives the long-division verdict."""
+    k, d = len(point_set), point_set.dimension
+    assert _dense_pays(k, m, d) == mask
+    assert transform == (mask and m <= k)
+    cells = list(product(range(m), repeat=d))
+    candidates = [rng.sample(cells, k) for _ in range(40)]
+    found = find_spectrum(point_set, m)
+    if found is not None:
+        candidates.append([found.spectrum.row(i) for i in range(k)])
+    counts = route_counts(monkeypatch)
+    verdicts = set()
+    for rows in candidates:
+        spectrum = spectrum_of(rows, m, d)
+        verdict = is_m_spectral(point_set, spectrum)
+        assert verdict == is_spectral_pair_by_division(point_set, spectrum)
+        verdicts.add(verdict)
+    assert counts == {"mask": mask * len(candidates), "transform": transform * len(candidates)}
+    assert verdicts == ({True, False} if found is not None else {False})

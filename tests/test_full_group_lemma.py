@@ -81,7 +81,7 @@ def test_cube_is_checked_without_character_sums(monkeypatch):
         raise AssertionError("a character sum was computed")
 
     cube = cube_spectrum(6, 4)
-    monkeypatch.setattr(spectral, "_Characters", refuse)
+    monkeypatch.setattr(spectral, "_transform", refuse)
     monkeypatch.setattr(spectral, "_Pointwise", refuse)
     assert verify_spectrum(cube)
 
@@ -94,15 +94,17 @@ def test_bundle_parses_without_character_sums_of_the_cube(monkeypatch):
     sizes = []
 
     def refusing(original):
-        def build(points, decide, *rest):
-            if len(points) == decide.modulus ** len(points[0]):
+        def build(points, how, *rest):
+            # _Pointwise is given a decision, _transform the modulus.
+            m = getattr(how, "modulus", how)
+            if len(points) == m ** len(points[0]):
                 raise AssertionError("a full group reached a character sum")
             sizes.append(len(points))
-            return original(points, decide, *rest)
+            return original(points, how, *rest)
 
         return build
 
-    monkeypatch.setattr(spectral, "_Characters", refusing(spectral._Characters))
+    monkeypatch.setattr(spectral, "_transform", refusing(spectral._transform))
     monkeypatch.setattr(spectral, "_Pointwise", refusing(spectral._Pointwise))
     parse(data)
     assert sizes == [6, 6]

@@ -1,6 +1,6 @@
 """The two line transforms of the character sums agree, on both sides of the kernel rule.
 
-_Characters transforms each line either with one Kronecker product per
+_zero_set transforms each line either with one Kronecker product per
 residue (_kernel_line) or by shifts and adds (_shift_add_line), chosen by the
 kernel's size alone.  The shift-add transform is the oracle for the kernel.
 """
@@ -18,7 +18,6 @@ from spectratile.spectral import (
     _KERNEL_BITS,
     GroupSpec,
     PointSet,
-    _Characters,
     _kernel_line,
     _shift_add_line,
     _transform,
@@ -32,6 +31,21 @@ def both_transforms(points, m, d, w):
     kernel = _transform(points, m, d, _kernel_line(m, w))
     shifted = _transform(points, m, d, _shift_add_line(m, w))
     return kernel, shifted
+
+
+def zero_set_transforms(point_set, m):
+    """What each _transform call in fourier_zero_set returns."""
+    seen = []
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    original = spectral._transform
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_transform", recording)
+        fourier_zero_set(point_set, m)
+    return seen
 
 
 def character_polys(points, m, d, w):
@@ -129,7 +143,7 @@ class TestKernelAgainstShiftAdd:
         m, points = composed.group.modulus, composed.set.points
         decide = vanishing_decision(m, len(points))
         kernel, shifted = both_transforms(points, m, 4, decide.width)
-        assert kernel == shifted == _Characters(points, decide, 4).polys
+        assert [kernel] == [shifted] == zero_set_transforms(composed.set, m)
 
 
 class TestLargeKernels:

@@ -56,13 +56,13 @@ def refuse(*args):
 @hypothesis.given(phase_matrices())
 def test_agrees_with_pairwise_long_division(mat):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_Characters", refuse)
+        mp.setattr(spectral, "_transform", refuse)
         assert is_log_hadamard(mat) == by_division(mat)
 
 
 @pytest.mark.parametrize("m, a, b", [(12, 2, 3), (12, 2, 4), (12, 1, 6), (30, 2, 3), (30, 5, 1)])
 def test_character_tables_over_composite_denominators(monkeypatch, m, a, b):
-    monkeypatch.setattr(spectral, "_Characters", refuse)
+    monkeypatch.setattr(spectral, "_transform", refuse)
     rows = fourier(m, a, b)
     mat = PhaseMatrix(IntMatrix.from_rows(rows), m)
     assert is_log_hadamard(mat) and by_division(mat)

@@ -238,11 +238,12 @@ def test_parsing_the_golden_eliminates_once(monkeypatch):
     assert calls == [(6, 6)]
 
 
-def test_the_pipeline_eliminates_four_times(monkeypatch):
-    # The rank step, the factorization and one re-check of each factorization.
+def test_the_pipeline_eliminates_twice(monkeypatch):
+    # The rank step and the factorization; each factorization is checked
+    # against the rank step's rank, as parse checks a bundle.
     calls = count_eliminations(monkeypatch)
     run_counterexample(2)
-    assert calls == [(6, 6)] * 4
+    assert calls == [(6, 6)] * 2
 
 
 class TestDetAndAdjugate:

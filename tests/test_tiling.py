@@ -577,15 +577,16 @@ class TestPackedVerifyAgainstTupleSet:
 class TestIndependentTileChecksEachCertificateOnce:
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Every certificate verify_tiling is called on, in call order."""
+        """Every certificate whose coverage is checked, in call order:
+        verify_tiling and lift_tile both check it through _coverage."""
         calls = []
-        original = tiling_module.verify_tiling
+        original = tiling_module._coverage
 
         def recording(cert):
             calls.append(cert)
             return original(cert)
 
-        monkeypatch.setattr(tiling_module, "verify_tiling", recording)
+        monkeypatch.setattr(tiling_module, "_coverage", recording)
         return calls
 
     @pytest.mark.parametrize(
