@@ -29,12 +29,15 @@ bytes.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
 payloads are re-verified outright.  The counterexample bundle is checked
-from its three premises: the phase matrix must be log-Hadamard, its two rank
-factorizations mod p must re-multiply to it, and the side count must be
-positive.  The published factorization then fixes the group, the base set,
-the rank, the base spectrum and both base non-tiling certificates, and each
-stored field is compared once with the value derived for it; the one claim
-taken as stored there is the exhausted search's node count.  A derived
+by one ordered sequence of named checks, the same that
+counterexample.run_counterexample runs as its pipeline steps: the phase
+matrix must be log-Hadamard with rank 4 mod p, its denominator, its two rank
+factorizations mod p must re-multiply to it with that rank, and the side
+count must be positive.  The published factorization then fixes the base
+spectrum and both base non-tiling certificates, which with the side count
+fix the composed spectrum and the obstruction report; each stored field is
+compared once with the value a check derives for it, and the one claim
+taken as stored is the exhausted search's node count.  A derived
 certificate (a composition's or lift's result, the bundle's composed
 spectrum) must have the group and set size its construction produces; only
 then is the construction run and its output compared, so a tampered one
@@ -576,20 +579,20 @@ _COMPOSE = {"spectrum": spectral.compose_spectral, "tiling": tiling.compose_tile
 _LIFT_BACK = {"spectrum": spectral.lift_spectrum, "tiling": tiling.lift_tile}
 
 
-def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
-    """Pin a derived certificate's group and set size, then recompute it.
-
-    Only once both equal the construction's does the construction run and
-    its output get compared with the result.  The construction does the
-    verifying, of its inputs and never of its output: a composition checks
-    its two parts and proves the product by its lemma, and a lift checks its
-    base and proves the pullback by its lemma.  A tiling's sizes multiply to
-    its group order, so a tiling construction then builds no more cells,
-    and a spectral one checks no more points, than the result lists.
-    """
+def _pin(what: str, result: Any, group: GroupSpec, size: int) -> None:
+    """Before a construction runs, its result must have the group and set
+    size it produces.  A tiling's sizes multiply to its group order, so a
+    tiling construction then builds no more cells, and a spectral one
+    checks no more points, than the result lists."""
     for field in ("modulus", "dimension"):
         _require(getattr(result.group, field) == getattr(group, field), f"{what} {field} mismatch")
     _require(len(result.set) == size, f"{what} set size is not the construction's")
+
+
+def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
+    """Pin a derived certificate, then recompute it.  The construction
+    verifies its inputs and never its output, which its lemma proves."""
+    _pin(what, result, group, size)
     _require(construct() == result, f"{what} result does not recompute")
 
 
@@ -657,78 +660,179 @@ def _verify_chain(rec: IndependenceChain) -> None:
     _verify_tiling(one)
 
 
-def _verify_counterexample(rec: CounterexampleRecord) -> None:
-    """Check the bundle's three premises, derive the rest, compare once.
+class _Facts(dict):
+    """A counterexample's fields by name, as its checks take and derive them.
 
-    The premises are the phase matrix, which must be log-Hadamard, its two
-    rank factorizations mod p = its denominator, which must re-multiply to
-    it with its rank, and the side count n.  With the rank matched, the
-    product alone shows both factors have it (see is_rank_factorization).
-    The published factorization then fixes every other field: the group
-    Z_p^r with r its inner dimension, the base set (the right factor's
-    columns), the base spectrum (the left factor's rows over p) and both
-    base non-tiling certificates (the group and base set with their stored
-    reasons, whose kinds are checked first; constructing one pins a
-    divisibility reason's sizes).
-    Each stored field must equal its derived value.  The composed spectrum
-    is pinned and recomputed, its construction verifying the base and the
-    cube.  The obstruction report is derived by arithmetic (the lemma in
-    tiling._obstruction_report) and compared field by field.  The one
-    claim taken as stored is the exhausted search's node count.
+    A premise (the side count, the phase matrix, both factorizations, both
+    base non-tiling certificates) is ``given[name]()``, taken in the check
+    that checks it: a stored bundle's field, or the pipeline's construction,
+    which so runs inside that check.  A field the premises fix is compared
+    once, when it is derived, with the ``claimed`` bundle's, if there is one.
     """
-    _require(rec.side_count >= 1, "side count must be at least 1")
-    phase = rec.phase_exponents
-    p = phase.denominator
-    n = rec.side_count
+
+    def __init__(
+        self,
+        given: dict[str, Callable[[], Any]],
+        claimed: CounterexampleRecord | None = None,
+        guard: int | None = None,
+    ) -> None:
+        super().__init__()
+        self.given, self.claimed, self.guard = given, claimed, guard
+
+    def premise(self, name: str) -> Any:
+        value = self[name] = self.given[name]()
+        return value
+
+    def derive(self, name: str, value: Any) -> Any:
+        if self.claimed is not None:
+            stored = getattr(self.claimed, name)
+            _require(stored == value, f"{name.replace('_', ' ')} does not recompute")
+        self[name] = value
+        return value
+
+    def record(self) -> CounterexampleRecord:
+        return CounterexampleRecord(**{f.name: self[f.name] for f in fields(CounterexampleRecord)})
+
+
+def _log_hadamard(facts: _Facts) -> str:
+    phase = facts.premise("phase_exponents")
     # It builds its cyclotomic decision, and so checks the bound, before it
     # allocates anything by the denominator.
     _require(is_log_hadamard(phase), "phase exponent matrix is not log-Hadamard")
-    rank = rank_mod_p(phase.numerators, p)
-    for name, fact in (
-        ("published", rec.published_factorization),
-        ("computed", rec.computed_factorization),
-    ):
-        _require(fact.modulus == p, f"{name} factorization modulus mismatch")
-        _require(fact.rank == rank, f"{name} factorization rank mismatch")
-        _require(
-            fact.product_mod_p() == phase.numerators,
-            f"{name} factorization does not re-multiply to the phase matrix",
-        )
+    k = phase.numerators.rows
+    return f"all {k * (k - 1) // 2} row pairs vanish exactly"
 
-    left, right = rec.published_factorization.left, rec.published_factorization.right
-    group = GroupSpec(p, right.rows)
+
+def _rank(facts: _Facts) -> str:
+    phase = facts["phase_exponents"]
+    p = phase.denominator
+    rank = facts.derive("rank", rank_mod_p(phase.numerators, p))
+    _require(rank == 4, f"rank {rank} mod {p}, where the construction needs 4")
+    return f"rank {rank} mod {p}"
+
+
+def _factorization(facts: _Facts, name: str) -> RankFactorization:
+    """With the rank matched, the product alone shows both factors have it
+    (see is_rank_factorization)."""
+    fact, phase = facts.premise(f"{name}_factorization"), facts["phase_exponents"]
+    _require(fact.modulus == phase.denominator, f"{name} factorization modulus mismatch")
+    _require(fact.rank == facts["rank"], f"{name} factorization rank mismatch")
+    _require(
+        fact.product_mod_p() == phase.numerators,
+        f"{name} factorization does not re-multiply to the phase matrix",
+    )
+    return fact
+
+
+def _published(facts: _Facts) -> str:
+    """The published factorization fixes the base spectrum: the group Z_p^r,
+    the right factor's columns as its set and the left factor's rows over p."""
+    fact = _factorization(facts, "published")
+    p, right = fact.modulus, fact.right
     base_set = PointSet(right.rows, tuple(right.column(j) for j in range(right.cols)))
-    base = SpectrumCertificate(group, base_set, PhaseMatrix(left, p))
-    derived = {"rank": rank, "base_spectrum": base}
-    for name, kind in (("divisibility", DivisibilityObstruction), ("search", ExhaustedSearch)):
-        field, what = f"base_non_tiling_{name}", f"base non tiling {name}"
-        reason = getattr(rec, field).reason
+    group = GroupSpec(p, right.rows)
+    facts.derive("base_spectrum", SpectrumCertificate(group, base_set, PhaseMatrix(fact.left, p)))
+    return f"left @ right re-multiplies to the phase matrix mod {p}"
+
+
+def _computed(facts: _Facts) -> str:
+    return f"computed factorization re-multiplies, rank {_factorization(facts, 'computed').rank}"
+
+
+def _non_tiling(name: str, kind: type, detail: str) -> Callable[[_Facts], str]:
+    """The check of a base non-tiling certificate: the base group and set
+    with its reason, whose kind is checked first; building the certificate
+    pins a divisibility reason's sizes."""
+    field, what = f"base_non_tiling_{name}", f"base non tiling {name}"
+
+    def check(facts: _Facts) -> str:
+        reason = getattr(facts.premise(field), "reason", None)
         _require(isinstance(reason, kind), f"{what} carries the wrong reason")
+        base = facts["base_spectrum"]
         try:
-            derived[field] = NonTilingCertificate(group, base_set, reason)
+            facts.derive(field, NonTilingCertificate(base.group, base.set, reason))
         except ValueError as exc:
             raise InvariantViolation(f"{what} does not recompute: {exc}") from exc
-    for field, value in derived.items():
-        _require(getattr(rec, field) == value, f"{field.replace('_', ' ')} does not recompute")
+        return detail.format(reason)
 
-    # The pinned group and set size bound the recomputation by the
-    # envelope's own size, whatever side count it claims.  compose_spectral
-    # verifies both the base and the cube it is given.
-    d = group.dimension
-    _recompute(
-        "composed",
-        rec.composed_spectrum,
-        GroupSpec(p * n, d),
-        len(base_set) * n**d,
-        lambda: spectral.compose_spectral(base, cube_spectrum(n, d)),
+    return check
+
+
+def _composed(facts: _Facts) -> str:
+    n = facts.premise("side_count")
+    _require(n >= 1, "side count must be at least 1")
+    base = facts["base_spectrum"]
+    p, d = base.group.modulus, base.group.dimension
+    if facts.claimed is not None:
+        # The pinned group and set size bound the recomputation by the
+        # envelope's own size, whatever side count it claims.
+        _pin("composed", facts.claimed.composed_spectrum, GroupSpec(p * n, d), len(base.set) * n**d)
+    # compose_spectral verifies the base and the cube, and raises if either
+    # fails; the product lemma makes the composed rows a spectrum.
+    composed = spectral.compose_spectral(base, cube_spectrum(n, d, facts.guard))
+    facts.derive("composed_spectrum", composed)
+    return (
+        "product of the base spectrum and the cube spectrum, both verified: "
+        f"{len(composed.set)} points, denominator {p * n}"
     )
+
+
+def _obstructions(facts: _Facts) -> str:
+    """The report by arithmetic (the lemma in tiling._obstruction_report)
+    with the divisibility certificate as its base verdict.  A stored report
+    is compared field by field, so a refusal names the first that differs."""
+    base, n = facts["base_spectrum"], facts["side_count"]
+    p = base.group.modulus
     # The base set lies in [0, p), as RankFactorization keeps it: the lemma holds.
-    expected = tiling._obstruction_report(base_set, p, n, rec.base_non_tiling_divisibility)
-    for field in fields(ExtensionObstructionReport):
-        _require(
-            getattr(rec.obstructions, field.name) == getattr(expected, field.name),
-            f"obstruction {field.name.replace('_', ' ')} does not recompute",
-        )
+    rep = facts["obstructions"] = tiling._obstruction_report(
+        base.set, p, n, facts["base_non_tiling_divisibility"]
+    )
+    if facts.claimed is not None:
+        for field in fields(rep):
+            _require(
+                getattr(facts.claimed.obstructions, field.name) == getattr(rep, field.name),
+                f"obstruction {field.name.replace('_', ' ')} does not recompute",
+            )
+    _require(not rep.size_divides, "the extension's size divides its group order")
+    return (
+        f"{rep.extension_size} does not divide {rep.extended_group_order}; "
+        f"mod-{p} reduction multiplicity {rep.reduction_multiplicity}; "
+        "asymptotic non-tiling recorded as a cited claim"
+    )
+
+
+# The counterexample's checks in order: step name, payload field, check.  A
+# check returns its detail or raises InvariantViolation.  parse runs them on
+# a stored bundle; counterexample.run_counterexample runs them on the
+# premises it builds, one timed pipeline step each.
+_COUNTEREXAMPLE_CHECKS: tuple[tuple[str, str, Callable[[_Facts], str]], ...] = (
+    ("phase-matrix-log-hadamard", "payload.phase_exponents", _log_hadamard),
+    ("rank-mod-3", "payload.rank", _rank),
+    ("published-factorization", "payload.published_factorization", _published),
+    ("fresh-factorization", "payload.computed_factorization", _computed),
+    (
+        "base-set-not-a-tile-divisibility",
+        "payload.base_non_tiling_divisibility",
+        _non_tiling(
+            "divisibility", DivisibilityObstruction, "{0.set_size} does not divide {0.group_order}"
+        ),
+    ),
+    (
+        "base-set-not-a-tile-exhaustive",
+        "payload.base_non_tiling_search",
+        # The node count is the one claim taken as stored (see trust_marker).
+        _non_tiling("search", ExhaustedSearch, "search exhausted after {0.nodes} nodes"),
+    ),
+    ("composed-set-spectral", "payload.composed_spectrum", _composed),
+    ("extension-obstructions", "payload.obstructions", _obstructions),
+)
+
+
+def _verify_counterexample(rec: CounterexampleRecord) -> None:
+    """Run the counterexample's checks with the stored fields as premises."""
+    facts = _Facts({f.name: partial(getattr, rec, f.name) for f in fields(rec)}, rec)
+    for _, _, check in _COUNTEREXAMPLE_CHECKS:
+        check(facts)
 
 
 class _Kind(NamedTuple):

@@ -8,9 +8,11 @@ does not divide 3^4, so the set cannot tile Z_3^4.  Composing with a cube of
 side n keeps the composed set 3n-spectral while the finite non-tiling
 obstructions persist.
 
-Every claim in that chain is executed and re-checked by
-:func:`run_counterexample`, which returns a step-by-step report and a
-self-contained certificate envelope.
+:func:`run_counterexample` builds the chain's premises (the bundled data,
+a fresh factorization and both base non-tiling verdicts) and checks every
+claim with the checks that parse runs on a stored bundle, in
+``certio._COUNTEREXAMPLE_CHECKS``.  It returns one timed step per check and
+a self-contained certificate envelope built from the checked fields.
 """
 
 from __future__ import annotations
@@ -18,33 +20,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from .certio import (
+    _COUNTEREXAMPLE_CHECKS,
     SCHEMA_VERSION,
     CertificateEnvelope,
-    CounterexampleRecord,
+    InvariantViolation,
     ProvenanceEntry,
+    _Facts,
 )
 from .guard import GuardExceeded
-from .modlinalg import parse_matrix, rank_factorize_mod_p, rank_mod_p, RankFactorization
-from .spectral import (
-    GroupSpec,
-    PhaseMatrix,
-    PointSet,
-    SpectrumCertificate,
-    compose_spectral,
-    cube_spectrum,
-    is_log_hadamard,
-    verify_spectrum,
-)
-from .tiling import (
-    DivisibilityObstruction,
-    ExhaustedSearch,
-    NonTilingCertificate,
-    _obstruction_report,
-    decide_m_tile,
-)
+from .modlinalg import parse_matrix, rank_factorize_mod_p, RankFactorization
+from .spectral import GroupSpec, PhaseMatrix, PointSet, SpectrumCertificate
+from .tiling import decide_m_tile
 
 __all__ = [
     "PHASE_DENOMINATOR",
@@ -120,7 +108,7 @@ class PipelineStep:
     name: str
     passed: bool
     detail: str
-    certificate: str  # field path inside the envelope payload, "" if none
+    certificate: str  # field path inside the envelope payload
     seconds: float
 
 
@@ -161,143 +149,45 @@ def _provenance(n: int) -> tuple[ProvenanceEntry, ...]:
 
 
 def run_counterexample(n: int = 2, guard: int | None = None) -> PipelineReport:
-    """Execute and re-check the whole construction for cube side n.
+    """Build the construction's premises for cube side n and check them.
 
-    Returns a report with one timed pass/fail step per claim.  When every
-    step passes the report carries a self-contained certificate envelope
-    that any third party can re-verify without rerunning the searches.
+    The checks are the ones parse runs on a stored bundle, one timed step
+    each; the first that fails ends the report.  When every step passes the
+    report carries a self-contained certificate envelope that any third
+    party can re-verify without rerunning the searches.
     """
     if n < 1:
         raise ValueError(f"side count must be at least 1, got {n}")
+    m = PHASE_DENOMINATOR
+    group = GroupSpec(m, POINT_COLUMNS.rows)
+    # Each premise is built inside the step that checks it, so its time is
+    # the step's own.
+    facts = _Facts(
+        {
+            "side_count": lambda: n,
+            "phase_exponents": lambda: PhaseMatrix(HADAMARD_EXPONENTS, m),
+            "published_factorization": published_factorization,
+            "computed_factorization": lambda: rank_factorize_mod_p(HADAMARD_EXPONENTS, m),
+            "base_non_tiling_divisibility": lambda: decide_m_tile(base_point_set(), group, guard),
+            "base_non_tiling_search": lambda: decide_m_tile(
+                base_point_set(), group, guard, divisibility_shortcut=False
+            ),
+        },
+        guard=guard,
+    )
     steps: list[PipelineStep] = []
-    # What the steps build, by name, for the steps after them and the envelope.
-    made: dict[str, Any] = {}
-
-    def step(name: str, certificate: str, check) -> bool:
-        # Each step's work runs inside it, so its time is its own.
+    for name, certificate, check in _COUNTEREXAMPLE_CHECKS:
         start = time.perf_counter()
         try:
-            passed, detail = check()
+            passed, detail = True, check(facts)
         except GuardExceeded:
             raise  # a limit the caller set, not a failed claim
+        except InvariantViolation as exc:
+            passed, detail = False, str(exc)
         except Exception as exc:  # surfaced in the report, not swallowed
             passed, detail = False, f"error: {exc}"
         steps.append(PipelineStep(name, passed, detail, certificate, time.perf_counter() - start))
-        return passed
-
-    m = PHASE_DENOMINATOR
-    phase = PhaseMatrix(HADAMARD_EXPONENTS, m)
-    pairs = HADAMARD_EXPONENTS.rows * (HADAMARD_EXPONENTS.rows - 1) // 2
-    step(
-        "phase-matrix-log-hadamard",
-        "payload.phase_exponents",
-        lambda: (is_log_hadamard(phase), f"all {pairs} row pairs vanish exactly"),
-    )
-
-    def check_rank():
-        rank = made["rank"] = rank_mod_p(HADAMARD_EXPONENTS, m)
-        return rank == 4, f"rank {rank} mod {m}"
-
-    step("rank-mod-3", "payload.rank", check_rank)
-
-    def factors(fact: RankFactorization) -> bool:
-        # As certio checks a bundle: with the rank matched, the product alone
-        # shows both factors have it (see is_rank_factorization).
-        return (
-            fact.modulus == m
-            and fact.rank == made["rank"]
-            and fact.product_mod_p() == phase.numerators
-        )
-
-    published = published_factorization()
-    step(
-        "published-factorization",
-        "payload.published_factorization",
-        lambda: (factors(published), "left @ right re-multiplies to the phase matrix mod 3"),
-    )
-
-    def check_fresh():
-        computed = made["computed"] = rank_factorize_mod_p(HADAMARD_EXPONENTS, m)
-        return factors(computed), f"canonical factorization re-multiplies, rank {computed.rank}"
-
-    step("fresh-factorization", "payload.computed_factorization", check_fresh)
-
-    base_cert = base_spectrum_certificate()
-    step(
-        "base-set-spectral",
-        "payload.base_spectrum",
-        lambda: (verify_spectrum(base_cert), f"{len(base_cert.set)} points, denominator {m}"),
-    )
-
-    group = GroupSpec(m, base_cert.set.dimension)
-
-    def check_divisibility():
-        verdict = made["divisibility"] = decide_m_tile(base_cert.set, group, guard)
-        ok = isinstance(verdict, NonTilingCertificate) and isinstance(
-            verdict.reason, DivisibilityObstruction
-        )
-        if not ok:
-            return False, "expected a divisibility obstruction"
-        reason = verdict.reason
-        return True, f"{reason.set_size} does not divide {reason.group_order}"
-
-    step(
-        "base-set-not-a-tile-divisibility",
-        "payload.base_non_tiling_divisibility",
-        check_divisibility,
-    )
-
-    def check_search():
-        verdict = made["search"] = decide_m_tile(
-            base_cert.set, group, guard, divisibility_shortcut=False
-        )
-        ok = isinstance(verdict, NonTilingCertificate) and isinstance(
-            verdict.reason, ExhaustedSearch
-        )
-        if not ok:
-            return False, "expected an exhausted exact-cover search"
-        return True, f"search exhausted after {verdict.reason.nodes} nodes"
-
-    step("base-set-not-a-tile-exhaustive", "payload.base_non_tiling_search", check_search)
-
-    def check_composed():
-        # compose_spectral verifies the base and the cube, and raises if
-        # either fails; the product lemma makes the composed rows a spectrum.
-        cube = cube_spectrum(n, base_cert.set.dimension, guard)
-        composed = made["composed"] = compose_spectral(base_cert, cube)
-        return True, (
-            "product of the base spectrum and the cube spectrum, both verified: "
-            f"{len(composed.set)} points, denominator {m * n}"
-        )
-
-    step("composed-set-spectral", "payload.composed_spectrum", check_composed)
-
-    def check_obstructions():
-        # Arithmetic, since the base set lies in [0, 3)^4; the verdict is reused.
-        verdict = made["divisibility"]
-        rep = made["obstructions"] = _obstruction_report(base_cert.set, m, n, verdict)
-        ok = not rep.size_divides and rep.asymptotic_claim is not None
-        return ok, (
-            f"{rep.extension_size} does not divide {rep.extended_group_order}; "
-            f"mod-{m} reduction multiplicity {rep.reduction_multiplicity}; "
-            "asymptotic non-tiling recorded as a cited claim"
-        )
-
-    step("extension-obstructions", "payload.obstructions", check_obstructions)
-
-    envelope = None
-    if all(s.passed for s in steps):
-        record = CounterexampleRecord(
-            side_count=n,
-            phase_exponents=phase,
-            rank=made["rank"],
-            published_factorization=published,
-            computed_factorization=made["computed"],
-            base_spectrum=base_cert,
-            base_non_tiling_divisibility=made["divisibility"],
-            base_non_tiling_search=made["search"],
-            composed_spectrum=made["composed"],
-            obstructions=made["obstructions"],
-        )
-        envelope = CertificateEnvelope(SCHEMA_VERSION, "counterexample", record, _provenance(n))
+        if not passed:
+            return PipelineReport(side_count=n, steps=tuple(steps), envelope=None)
+    envelope = CertificateEnvelope(SCHEMA_VERSION, "counterexample", facts.record(), _provenance(n))
     return PipelineReport(side_count=n, steps=tuple(steps), envelope=envelope)

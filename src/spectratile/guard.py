@@ -11,6 +11,9 @@ import os
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV_VAR = "SPECTRATILE_GUARD"
+# A count of at most this many bits is cheap to compute and to print exactly;
+# str() of an int above 4300 digits raises.
+_EXACT_BITS = 1024
 
 
 class GuardExceeded(ValueError):
@@ -46,8 +49,7 @@ def power_in_reach(base: int, exponent: int, bound: int) -> bool:
 
 
 def _amount(n: int) -> str:
-    # str() of an int above 4300 digits raises; a lower bound never does.
-    return str(n) if n.bit_length() <= 1024 else f"at least 2**{n.bit_length() - 1}"
+    return str(n) if n.bit_length() <= _EXACT_BITS else f"at least 2**{n.bit_length() - 1}"
 
 
 def check_guard(cells: int, guard: int | None = None) -> None:
@@ -61,11 +63,12 @@ def check_guard(cells: int, guard: int | None = None) -> None:
 def check_power_guard(base: int, exponent: int, guard: int | None = None) -> None:
     """check_guard for the base**exponent cells of Z_base^exponent.
 
-    The power is computed only when it is in reach of the guard, so an
-    order taken from untrusted input costs no more than the guard allows.
+    The power is computed only when it has at most _EXACT_BITS bits, so the
+    refusal names the exact count, or when it is in reach of the guard, so
+    an order taken from untrusted input costs no more than the guard allows.
     """
     limit = resolve_guard(guard)
-    if not power_in_reach(base, exponent, limit):
+    if base.bit_length() * exponent > _EXACT_BITS and not power_in_reach(base, exponent, limit):
         floor = (base.bit_length() - 1) * exponent
         raise GuardExceeded(
             f"enumeration of at least 2**{floor} cells exceeds the guard of {_amount(limit)}"

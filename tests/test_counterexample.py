@@ -2,11 +2,13 @@ import time
 
 import pytest
 
+import spectratile.certio as certio_module
 import spectratile.counterexample as counterexample_module
 import spectratile.spectral as spectral_module
 import spectratile.tiling as tiling_module
 from conftest import DATA_DIR
-from spectratile.certio import trust_marker
+from spectratile.certio import parse, trust_marker
+from spectratile.cli import main
 from spectratile.guard import GuardExceeded
 from spectratile.counterexample import (
     DATA_FILES,
@@ -20,7 +22,7 @@ from spectratile.counterexample import (
     published_factorization,
     run_counterexample,
 )
-from spectratile.modlinalg import format_matrix, parse_matrix
+from spectratile.modlinalg import IntMatrix, format_matrix, parse_matrix
 from spectratile.spectral import cube_spectrum, verify_spectrum
 from spectratile.tiling import ExhaustedSearch
 
@@ -30,7 +32,6 @@ EXPECTED_STEPS = (
     "rank-mod-3",
     "published-factorization",
     "fresh-factorization",
-    "base-set-spectral",
     "base-set-not-a-tile-divisibility",
     "base-set-not-a-tile-exhaustive",
     "composed-set-spectral",
@@ -135,27 +136,55 @@ class TestPipeline:
         ]
 
 
+class TestTamperedData:
+    @pytest.fixture
+    def tampered(self, monkeypatch):
+        rows = [list(row) for row in HADAMARD_EXPONENTS.to_rows()]
+        rows[0][1] += 1
+        monkeypatch.setattr(counterexample_module, "HADAMARD_EXPONENTS", IntMatrix.from_rows(rows))
+
+    def test_the_first_failed_step_ends_the_report(self, tampered):
+        report = run_counterexample(2)
+        assert not report.overall
+        assert [(s.name, s.passed) for s in report.steps] == [("phase-matrix-log-hadamard", False)]
+        assert report.steps[0].detail == "phase exponent matrix is not log-Hadamard"
+        assert report.envelope is None
+
+    def test_the_command_fails_and_writes_no_file(self, tampered, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["verify-counterexample", "-n", "2", "--json", str(out)]) == 1
+        assert not out.exists()
+        assert "overall: FAIL" in capsys.readouterr().out
+
+
 class TestEachSpectrumVerifiedOnce:
-    def test_base_and_composed_verified_once_each(self, monkeypatch):
-        """The base is verified in its own step and again as a premise of
-        compose_spectral, with the cube; the composed spectrum is proved by
-        the product lemma and never verified.  The repeat of the six-point
-        base keeps the public construction's bad-input ValueError, with one
-        code path and no flag."""
-        checked = []
+    """The pipeline and parse run the same checks: compose_spectral
+    verifies the base and the cube, once each, and the product lemma proves
+    the composed spectrum, which is never verified.  The base keeps the
+    public construction's bad-input ValueError, with one code path and no
+    flag."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
         original = spectral_module.verify_spectrum
 
         def recording(cert):
-            checked.append(cert)
+            calls.append(cert)
             return original(cert)
 
         monkeypatch.setattr(spectral_module, "verify_spectrum", recording)
-        monkeypatch.setattr(counterexample_module, "verify_spectrum", recording)
+        return calls
+
+    def test_base_and_composed_verified_once_each(self, checked):
         report = run_counterexample(2)
         assert report.overall
         assert tuple(s.name for s in report.steps) == EXPECTED_STEPS
-        base = base_spectrum_certificate()
-        assert checked == [base, base, cube_spectrum(2, 4)]
+        assert checked == [base_spectrum_certificate(), cube_spectrum(2, 4)]
+
+    def test_parse_verifies_the_same(self, checked):
+        parse((DATA_DIR / "counterexample_n2.json").read_bytes())
+        assert checked == [base_spectrum_certificate(), cube_spectrum(2, 4)]
 
     def test_composes_through_the_public_function(self, monkeypatch):
         composed = []
@@ -166,7 +195,6 @@ class TestEachSpectrumVerifiedOnce:
             return composed[-1]
 
         monkeypatch.setattr(spectral_module, "compose_spectral", recording)
-        monkeypatch.setattr(counterexample_module, "compose_spectral", recording)
         report = run_counterexample(2)
         assert report.overall
         assert composed == [report.envelope.payload.composed_spectrum]
@@ -195,10 +223,11 @@ class TestExtensionBuiltOnce:
         def refuse(*args, **kwargs):
             raise ValueError("left spectrum fails verification")
 
-        monkeypatch.setattr(counterexample_module, "compose_spectral", refuse)
+        monkeypatch.setattr(spectral_module, "compose_spectral", refuse)
         report = run_counterexample(2)
-        failed = {s.name: s.detail for s in report.steps if not s.passed}
-        assert list(failed) == ["composed-set-spectral"]
+        assert [s.name for s in report.steps] == list(EXPECTED_STEPS[:-1])
+        assert [s.name for s in report.steps if not s.passed] == ["composed-set-spectral"]
+        assert report.steps[-1].detail == "error: left spectrum fails verification"
         assert report.envelope is None
 
 
@@ -214,13 +243,15 @@ class TestStepsTimeTheirOwnWork:
         ],
     )
     def test_work_runs_inside_its_step(self, monkeypatch, name, callee):
-        original = getattr(counterexample_module, callee)
+        # The pipeline builds the premises; the checks, in certio, do the rest.
+        module = counterexample_module if hasattr(counterexample_module, callee) else certio_module
+        original = getattr(module, callee)
 
         def slow(*args, **kwargs):
             time.sleep(0.05)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(counterexample_module, callee, slow)
+        monkeypatch.setattr(module, callee, slow)
         report = run_counterexample(2)
         assert report.overall
         assert {s.name: s.seconds for s in report.steps}[name] >= 0.05

@@ -52,6 +52,20 @@ class TestPowerInReach:
             check_power_guard(group.modulus, group.dimension)
 
 
+class TestSmallCountsNamedExactly:
+    """A power of at most 1,024 bits is cheap to compute, so a refusal names
+    it even when bit lengths alone would show that it exceeds the guard."""
+
+    def test_check_power_guard(self):
+        message = r"^enumeration of 81 cells exceeds the guard of 10$"
+        with pytest.raises(GuardExceeded, match=message):
+            check_power_guard(3, 4, 10)
+
+    def test_verify_counterexample(self, capsys):
+        assert main(["verify-counterexample", "-n", "2", "--guard", "10"]) == 2
+        assert "error: enumeration of 81 cells exceeds the guard of 10\n" in capsys.readouterr().err
+
+
 class TestHugeCountsRefusedAsGuardExceeded:
     """A refusal names a count too large for str() without converting it."""
 

@@ -248,7 +248,8 @@ class TestCounterexampleChecksItsParts:
 
     def test_golden_parses_without_building_the_extension(self, monkeypatch):
         """parse builds the 16-point cube, once: the extension is only the
-        recomputed composed spectrum's set, and its report is arithmetic."""
+        recomputed composed spectrum's set, and its report is arithmetic.
+        The guard is the configured one (None), as the pipeline passes its own."""
         built = []
 
         def recording(*args):
@@ -257,7 +258,7 @@ class TestCounterexampleChecksItsParts:
 
         monkeypatch.setattr(certio, "cube_spectrum", recording)
         parse(GOLDEN.read_bytes())
-        assert built == [(2, 4)]
+        assert built == [(2, 4, None)]
 
     def test_extension_size_off_by_one_refused(self):
         data = edited(
