@@ -86,7 +86,7 @@ def _cmd_verify_counterexample(args) -> int:
     out = _Output(args.quiet)
     for step in report.steps:
         tag = "ok  " if step.passed else "FAIL"
-        out.say(f"{tag} {step.name}: {step.detail} ({step.seconds:.2f}s)")
+        out.say(f"{tag} {step.name}: {step.detail} ({step.seconds * 1000:.3f} ms)")
     out.say(f"overall: {'PASS' if report.overall else 'FAIL'}")
     if report.envelope is not None and args.json:
         Path(args.json).write_bytes(certio.serialize(report.envelope))

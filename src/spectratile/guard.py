@@ -3,6 +3,11 @@
 Searches and lifts enumerate up to m^d cells.  A guard caps that count so a
 typo'd modulus fails fast instead of exhausting memory.  Precedence: explicit
 argument, then the SPECTRATILE_GUARD environment variable, then the default.
+
+The exact-cover search (tiling.decide_m_tile and replay_search) holds k
+copies of the group for a k-point set, in its stack of difference shapes
+and in each row.  So it counts k * m^d cells against the same guard, after
+m^d and before it builds anything.
 """
 
 from __future__ import annotations

@@ -402,7 +402,8 @@ class _Torus:
     at once: copy j holds its m^d cells from byte j * width on, width being
     m^d bits rounded up to whole bytes, so stack and unstack convert between
     the copies and the stack in one pass over the bytes.  The bits between
-    copies stay clear.
+    copies stay clear.  Nothing changes a _Torus once it is built, so
+    tiling shares the small ones between searches.
     """
 
     def __init__(self, m: int, d: int, copies: int = 1) -> None:

@@ -17,10 +17,13 @@ keep.  There a set of cells of Z_m^d is a bitmask, bit j the j-th cell in
 lexicographic order, and spectral's _Torus does all the cell arithmetic:
 building a mask from coordinates, and translating it, one block rotation
 per axis.  The search keeps, per cell it has branched on, a row of the
-placements that cover that cell with their cell bitmasks, so a node is one
-bit scan and one AND per placement tried.  A row is the k difference shapes
-T - t, stacked in one int, translated by the cell and cut into k masks:
-O(k * m^d) bit work.  A coverage check translates the complement's mask
+masks of the placements that cover that cell, in point order, so a node is
+one bit scan and one AND per placement tried.  A row is the k difference
+shapes T - t, stacked in one int, translated by the cell and cut into k
+masks by one to_bytes: O(k * m^d) bit work.  Equal masks are one int, and
+the point behind a mask is looked up only for the cover returned.  The
+tori of a small group are built once and shared by its searches.  A
+coverage check translates the complement's mask
 by each point, k translates of m^d bits.  lift_tile checks its base so and
 then walks Z_m^d one prefix (all coordinates but the last) at a time: one
 translate of the same mask per prefix, from which the prefix's m cells
@@ -43,11 +46,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, product
 from typing import Iterator, Sequence
 
-from .guard import check_power_guard
+from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
 from .spectral import GroupSpec, PointSet, _Torus, composed_set
 
@@ -183,6 +186,19 @@ def _coverage(cert: TilingCertificate) -> tuple[_Torus, int] | None:
     return (torus, complement) if covered == torus.full else None
 
 
+# A cached torus keeps d repunits of copies * m^d bits each.  Tori past
+# this many bits are built per call, so no large torus outlives its search.
+_CACHED_TORUS_BITS = 1 << 15
+_cached_torus = lru_cache(maxsize=16, typed=True)(_Torus)
+
+
+def _torus(m: int, dimension: int, copies: int = 1) -> _Torus:
+    """The search's _Torus of Z_m^d, shared between searches in one group when small."""
+    if dimension * copies * m**dimension <= _CACHED_TORUS_BITS:
+        return _cached_torus(m, dimension, copies)
+    return _Torus(m, dimension, copies)
+
+
 def _exact_cover(
     residues: Sequence[tuple[int, ...]],
     m: int,
@@ -201,13 +217,21 @@ def _exact_cover(
     shapes T - t, in point order, each translated by c.  The shapes are
     built once, each one translate of T's mask, and stacked in one int at
     byte-aligned offsets.  A row is then one _Torus translate of the whole
-    stack (d block rotations) cut into its k masks by one to_bytes: O(k *
-    m^d) bit work.  A row is built the first time the search branches on
-    its cell, and equal masks are shared between rows, so the table grows
-    with the cells branched on, not with order * k.  A node costs one bit
-    scan for its cell plus one AND per row entry tried; the residues must be
-    distinct mod m.  The translates sigma are computed only for the cover
-    returned, each from the cell its state branched on.
+    stack (d block rotations), cut into its k masks by one to_bytes: O(k *
+    m^d) bit work.  The single-copy and k-copy tori come from a small cache
+    (see _torus), so a search in a group seen before builds neither.  A row
+    is built the first time the search branches on its cell, and holds its
+    masks alone, equal masks shared between rows, so the table grows with
+    the cells branched on, not with order * k.  A node costs one bit scan
+    for its cell plus one AND per mask tried; the residues must be distinct
+    mod m.
+
+    The trail keeps each state's covered cells and its row iterator, and no
+    point index.  Only the cover returned is read back: state j branched on
+    the least cell it left uncovered, and placed the mask by which state
+    j + 1 grew.  Its point is the first in that cell's row with that mask,
+    which is the one the search tried: an equal mask further on leads to the
+    same subtree, so it is reached only once the first has failed.
 
     With a limit, the search stops without a cover as soon as it visits
     node limit + 1, and returns that count.
@@ -225,48 +249,51 @@ def _exact_cover(
     So if some tiling exists, one places t_0 at cell 0, and the rooted
     search finds a tiling exactly when the unrooted one does.  Its tree is
     the unrooted tree's first root branch, so it returns the same cover and
-    never more nodes.  Cell 0 is covered below the root, so its row is never
-    read again.
+    never more nodes.  Cell 0 is covered below the root, so its row is
+    built only to name the root's point in a cover.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
-    single = _Torus(m, dimension)
+    single = _torus(m, dimension)
     full = single.full
     shape = single.mask(zip(*residues))
-    torus = _Torus(m, dimension, len(residues))
+    torus = _torus(m, dimension, len(residues))
     stack = torus.stack(single.translate(shape, [-c for c in t]) for t in residues)
     masks: dict[int, int] = {}
-    rows: dict[int, list[tuple[int, int]]] = {}
+    rows: dict[int, list[int]] = {}
 
-    def row(cell: int) -> list[tuple[int, int]]:
+    def row(cell: int) -> list[int]:
         cut = torus.unstack(torus.translate(stack, torus.row(cell)))
-        rows[cell] = entries = list(enumerate(map(masks.setdefault, cut, cut)))
+        rows[cell] = entries = list(map(masks.setdefault, cut, cut))
         return entries
+
+    def placement(before: int, after: int) -> tuple[int, ...]:
+        """The translate c - t that took the search from state before to after."""
+        cell = (before ^ (before + 1)).bit_length() - 1
+        t = residues[(rows.get(cell) or row(cell)).index(after ^ before)]
+        return tuple((c - u) % m for c, u in zip(torus.row(cell), t))
 
     nodes = 1  # the root state
     covered = 0
-    trail: list[tuple[int, Iterator[tuple[int, int]], int]] = []
-    entries = iter(row(0)[:1] if rooted else row(0))
+    trail: list[tuple[int, Iterator[int]]] = []
+    # Rooted, the root's one placement is copy 0 of the stack, T - t_0, as is.
+    entries = iter([stack & full] if rooted else row(0))
     while True:
-        for i, mask in entries:
+        for mask in entries:
             if not mask & covered:
                 break
         else:
             if not trail:
                 return None, nodes
-            covered, entries, _ = trail.pop()
+            covered, entries = trail.pop()
             continue
-        trail.append((covered, entries, i))
+        trail.append((covered, entries))
         covered |= mask
         nodes += 1
         if nodes == stop:
             return None, nodes
         if covered == full:
-            # Each placement was made at the least cell its state left uncovered.
-            cells = (torus.row((before ^ (before + 1)).bit_length() - 1) for before, _, _ in trail)
-            return [
-                tuple((c - u) % m for c, u in zip(cell, residues[i]))
-                for cell, (_, _, i) in zip(cells, trail)
-            ], nodes
+            states = [before for before, _ in trail] + [full]
+            return list(map(placement, states, states[1:])), nodes
         # covered ^ (covered + 1) sets the bits up to the least uncovered cell.
         cell = (covered ^ (covered + 1)).bit_length() - 1
         entries = iter(rows.get(cell) or row(cell))
@@ -276,14 +303,13 @@ def _distinct_residues(
     point_set: PointSet, m: int
 ) -> list[tuple[int, ...]] | DuplicateResidues:
     """The points' residues mod m, or the first pair of points that collide."""
-    residues: list[tuple[int, ...]] = []
-    first_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in point_set.points:
-        res = tuple(c % m for c in p)
-        if res in first_seen:
-            return DuplicateResidues(first_seen[res], p)
-        first_seen[res] = p
-        residues.append(res)
+    residues = [tuple(map(m.__rmod__, p)) for p in point_set.points]
+    if len(set(residues)) < len(residues):
+        first_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for p, res in zip(point_set.points, residues):
+            if res in first_seen:
+                return DuplicateResidues(first_seen[res], p)
+            first_seen[res] = p
     return residues
 
 
@@ -298,7 +324,9 @@ def decide_m_tile(
 
     Pipeline: reject duplicate residues, reject when the set size does not
     divide the group order, then run the exact-cover search with its root
-    fixed to the first point (the "rooted" rule; see _exact_cover).
+    fixed to the first point (the "rooted" rule; see _exact_cover).  The
+    guard bounds the m^d cells of the group first and, before the search
+    builds anything, the k * m^d bits of its k-copy stack and of each row.
 
     With divisibility_shortcut False the size check is skipped, so the
     search itself exhausts, and it runs by the "lex" rule, every root
@@ -307,7 +335,8 @@ def decide_m_tile(
     """
     if point_set.dimension != group.dimension:
         raise ValueError("set dimension does not match the group")
-    check_power_guard(group.modulus, group.dimension, guard)
+    limit = resolve_guard(guard)
+    check_power_guard(group.modulus, group.dimension, limit)
     residues = _distinct_residues(point_set, group.modulus)
     if isinstance(residues, DuplicateResidues):
         return NonTilingCertificate(group, point_set, residues)
@@ -319,6 +348,7 @@ def decide_m_tile(
             DivisibilityObstruction(len(point_set), group.order()),
         )
 
+    check_guard(len(residues) * group.order(), limit)  # the search's k copies of the group
     rule = "rooted" if divisibility_shortcut else "lex"
     solution, nodes = _exact_cover(
         residues, group.modulus, group.dimension, rooted=rule == "rooted"
@@ -335,14 +365,17 @@ def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
     The search runs by the rule the record names, lex or rooted; the replay
     holds when it exhausts after exactly the recorded node count.  It stops
     as soon as it passes that count, so a replay costs no more nodes than
-    the certificate claims, plus one.
+    the certificate claims, plus one.  The guard bounds m^d and k * m^d as
+    in decide_m_tile, so a large set fails before its rows are built.
     """
     if not isinstance(cert.reason, ExhaustedSearch):
         raise ValueError("only an exhausted-search certificate can be replayed")
-    check_power_guard(cert.group.modulus, cert.group.dimension, guard)
+    limit = resolve_guard(guard)
+    check_power_guard(cert.group.modulus, cert.group.dimension, limit)
     residues = _distinct_residues(cert.set, cert.group.modulus)
     if isinstance(residues, DuplicateResidues):
         return False
+    check_guard(len(residues) * cert.group.order(), limit)
     claimed = cert.reason.nodes
     solution, nodes = _exact_cover(
         residues,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -42,6 +43,17 @@ class TestVerifyCounterexample:
 
     def test_guard_exceeded_is_exit_two(self, capsys):
         assert main(["verify-counterexample", "-n", "2", "--guard", "10"]) == 2
+
+    def test_every_step_prints_a_positive_time(self, capsys):
+        """Step times print in milliseconds, so a step that takes less than
+        5 ms does not read as zero."""
+        assert main(["verify-counterexample", "-n", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        steps = [line for line in lines if line.startswith("ok ")]
+        assert len(steps) == 8
+        for line in steps:
+            time = re.fullmatch(r".* \(([0-9]+\.[0-9]{3}) ms\)", line)
+            assert time and float(time.group(1)) > 0, line
 
     def test_quiet_suppresses_steps(self, capsys):
         assert main(["--quiet", "verify-counterexample", "-n", "1"]) == 0
