@@ -53,7 +53,8 @@ thing a static file cannot prove is an exhausted-search node count; such
 certificates parse but carry a "replay-required" trust marker (inside
 composite records an exhausted search is corroborating evidence only - the
 load-bearing claims are re-checked).
-tiling.replay_search re-runs such a search and compares its node count.
+tiling.replay_search re-decides the set by the search's rule and compares
+the certificates.
 A search reason's kind names its rule: "exhausted-search" is the lex rule,
 which every file written before the rooted rule means by it, and
 "rooted-search" the rooted rule (see tiling._exact_cover); the replay runs

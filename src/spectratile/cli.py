@@ -54,15 +54,10 @@ def _read(path: str) -> str:
 
 
 def _write_envelope(path: str | None, kind: str, payload, operation: str, inputs: tuple[str, ...]):
-    envelope = certio.CertificateEnvelope(
-        certio.SCHEMA_VERSION,
-        kind,
-        payload,
-        (certio.ProvenanceEntry(operation, inputs),),
-    )
     if path:
+        provenance = (certio.ProvenanceEntry(operation, inputs),)
+        envelope = certio.CertificateEnvelope(certio.SCHEMA_VERSION, kind, payload, provenance)
         Path(path).write_bytes(certio.serialize(envelope))
-    return envelope
 
 
 def _load_tiling_envelope(path: str) -> TilingCertificate:
@@ -72,51 +67,47 @@ def _load_tiling_envelope(path: str) -> TilingCertificate:
     return envelope.payload
 
 
-class _Output:
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def say(self, text: str) -> None:
-        if not self.quiet:
-            print(text)
+def _say(args, text: str) -> None:
+    if not args.quiet:
+        print(text)
 
 
 def _cmd_verify_counterexample(args) -> int:
     report = run_counterexample(args.n, args.guard)
-    out = _Output(args.quiet)
     for step in report.steps:
         tag = "ok  " if step.passed else "FAIL"
-        out.say(f"{tag} {step.name}: {step.detail} ({step.seconds * 1000:.3f} ms)")
-    out.say(f"overall: {'PASS' if report.overall else 'FAIL'}")
+        _say(args, f"{tag} {step.name}: {step.detail} ({step.seconds * 1000:.3f} ms)")
+    _say(args, f"overall: {'PASS' if report.overall else 'FAIL'}")
     if report.envelope is not None and args.json:
         Path(args.json).write_bytes(certio.serialize(report.envelope))
-        out.say(f"certificate written to {args.json}")
+        _say(args, f"certificate written to {args.json}")
     return EXIT_YES if report.overall else EXIT_NO
 
 
-def _cmd_spectrum(args) -> int:
-    out = _Output(args.quiet)
+def _cmd_spectrum_find(args) -> int:
     point_set = parse_point_set(_read(args.set))
-    if args.subcommand == "find":
-        cert = find_spectrum(point_set, args.m, args.guard)
-        if cert is None:
-            out.say(f"no spectrum with denominator {args.m} exists")
-            return EXIT_NO
-        out.say(format_phase_matrix(cert.spectrum).rstrip("\n"))
-        _write_envelope(
-            args.json, "spectrum", cert, "find_spectrum", (f"set={args.set}", f"m={args.m}")
-        )
-        return EXIT_YES
-    # check
+    cert = find_spectrum(point_set, args.m, args.guard)
+    if cert is None:
+        _say(args, f"no spectrum with denominator {args.m} exists")
+        return EXIT_NO
+    _say(args, format_phase_matrix(cert.spectrum).rstrip("\n"))
+    _write_envelope(
+        args.json, "spectrum", cert, "find_spectrum", (f"set={args.set}", f"m={args.m}")
+    )
+    return EXIT_YES
+
+
+def _cmd_spectrum_check(args) -> int:
+    point_set = parse_point_set(_read(args.set))
     spectrum = parse_phase_matrix(_read(args.spectrum))
     if args.m is not None and args.m != spectrum.denominator:
         raise ValueError(
             f"-m {args.m} disagrees with the spectrum file denominator {spectrum.denominator}"
         )
     if is_m_spectral(point_set, spectrum):
-        out.say("spectral: the spectrum verifies")
+        _say(args, "spectral: the spectrum verifies")
         return EXIT_YES
-    out.say("not spectral: the spectrum does not verify")
+    _say(args, "not spectral: the spectrum does not verify")
     return EXIT_NO
 
 
@@ -129,80 +120,78 @@ def _describe_non_tiling(cert: NonTilingCertificate) -> str:
     return f"not a tile: {reason.rule} exact-cover search exhausted after {reason.nodes} nodes"
 
 
-def _replay(envelope: certio.CertificateEnvelope, out: _Output) -> int:
-    """Re-run the exhausted search an envelope records, if it records one."""
+def _cmd_tile_decide(args) -> int:
+    point_set = parse_point_set(_read(args.set))
+    verdict = decide_m_tile(point_set, GroupSpec(args.m, point_set.dimension), args.guard)
+    inputs = (f"set={args.set}", f"m={args.m}")
+    if isinstance(verdict, TilingCertificate):
+        _say(args, "tiles; complement:")
+        _say(args, format_point_set(verdict.complement).rstrip("\n"))
+        _write_envelope(args.json, "tiling", verdict, "decide_m_tile", inputs)
+        return EXIT_YES
+    _say(args, _describe_non_tiling(verdict))
+    _write_envelope(args.json, "non-tiling", verdict, "decide_m_tile", inputs)
+    return EXIT_NO
+
+
+def _cmd_tile_verify(args) -> int:
+    try:
+        envelope = certio.parse(Path(args.certificate).read_bytes())
+    except certio.InvariantViolation as exc:
+        _say(args, f"does not verify: {exc}")
+        return EXIT_NO
+    _say(args, f"verifies ({envelope.kind}); trust: {certio.trust_marker(envelope)}")
+    if not args.replay:
+        return EXIT_YES
+    # Re-run the exhausted search the envelope records, if it records one.
     if envelope.kind == "counterexample":
         cert = envelope.payload.base_non_tiling_search
     elif envelope.kind == "non-tiling" and isinstance(envelope.payload.reason, ExhaustedSearch):
         cert = envelope.payload
     else:
-        out.say("replay: no exhausted search to replay")
+        _say(args, "replay: no exhausted search to replay")
         return EXIT_YES
     if replay_search(cert):
-        out.say(f"replay: search exhausted after {cert.reason.nodes} nodes, as recorded")
+        _say(args, f"replay: search exhausted after {cert.reason.nodes} nodes, as recorded")
         return EXIT_YES
-    out.say(f"replay fails: the search does not exhaust after {cert.reason.nodes} nodes")
+    _say(args, f"replay fails: the search does not exhaust after {cert.reason.nodes} nodes")
     return EXIT_NO
 
 
-def _cmd_tile(args) -> int:
-    out = _Output(args.quiet)
-    if args.subcommand == "decide":
-        point_set = parse_point_set(_read(args.set))
-        verdict = decide_m_tile(point_set, GroupSpec(args.m, point_set.dimension), args.guard)
-        if isinstance(verdict, TilingCertificate):
-            out.say("tiles; complement:")
-            out.say(format_point_set(verdict.complement).rstrip("\n"))
-            _write_envelope(
-                args.json, "tiling", verdict, "decide_m_tile", (f"set={args.set}", f"m={args.m}")
-            )
-            return EXIT_YES
-        out.say(_describe_non_tiling(verdict))
-        _write_envelope(
-            args.json, "non-tiling", verdict, "decide_m_tile", (f"set={args.set}", f"m={args.m}")
-        )
-        return EXIT_NO
-    if args.subcommand == "verify":
-        try:
-            envelope = certio.parse(Path(args.certificate).read_bytes())
-        except certio.InvariantViolation as exc:
-            out.say(f"does not verify: {exc}")
-            return EXIT_NO
-        out.say(f"verifies ({envelope.kind}); trust: {certio.trust_marker(envelope)}")
-        if args.replay:
-            return _replay(envelope, out)
-        return EXIT_YES
-    if args.subcommand == "compose":
-        left = _load_tiling_envelope(args.left)
-        right = _load_tiling_envelope(args.right)
-        composed = compose_tile(left, right)
-        out.say("composed tiling is the product of two verified tilings; complement:")
-        out.say(format_point_set(composed.complement).rstrip("\n"))
-        record = certio.CompositionRecord("tiling", left, right, composed)
-        _write_envelope(
-            args.json, "composition", record, "compose_tile", (args.left, args.right)
-        )
-        return EXIT_YES
-    if args.subcommand == "lift":
-        point_set = parse_point_set(_read(args.set))
-        transform = parse_matrix(_read(args.matrix))
-        base = _load_tiling_envelope(args.certificate)
-        lifted = lift_tile(point_set, transform, base, args.guard)
-        out.say("lifted tiling is the pullback of a verified tiling; complement:")
-        out.say(format_point_set(lifted.complement).rstrip("\n"))
-        record = certio.LiftRecord("tiling", transform, base, lifted)
-        _write_envelope(
-            args.json, "lift", record, "lift_tile",
-            (f"set={args.set}", f"matrix={args.matrix}", args.certificate),
-        )
-        return EXIT_YES
-    # independent
+def _cmd_tile_compose(args) -> int:
+    left = _load_tiling_envelope(args.left)
+    right = _load_tiling_envelope(args.right)
+    composed = compose_tile(left, right)
+    _say(args, "composed tiling is the product of two verified tilings; complement:")
+    _say(args, format_point_set(composed.complement).rstrip("\n"))
+    record = certio.CompositionRecord("tiling", left, right, composed)
+    _write_envelope(args.json, "composition", record, "compose_tile", (args.left, args.right))
+    return EXIT_YES
+
+
+def _cmd_tile_lift(args) -> int:
+    point_set = parse_point_set(_read(args.set))
+    transform = parse_matrix(_read(args.matrix))
+    base = _load_tiling_envelope(args.certificate)
+    lifted = lift_tile(point_set, transform, base, args.guard)
+    _say(args, "lifted tiling is the pullback of a verified tiling; complement:")
+    _say(args, format_point_set(lifted.complement).rstrip("\n"))
+    record = certio.LiftRecord("tiling", transform, base, lifted)
+    _write_envelope(
+        args.json, "lift", record, "lift_tile",
+        (f"set={args.set}", f"matrix={args.matrix}", args.certificate),
+    )
+    return EXIT_YES
+
+
+def _cmd_tile_independent(args) -> int:
     point_set = parse_point_set(_read(args.set))
     chain = independent_tile(point_set, args.guard)
     d = point_set.dimension
-    out.say(
+    _say(
+        args,
         f"independent set tiles Z_{chain.modulus}^{d}; complement size "
-        f"{chain.modulus**d // len(point_set)}"
+        f"{chain.modulus**d // len(point_set)}",
     )
     _write_envelope(
         args.json, "independence-chain", chain, "independent_tile", (f"set={args.set}",)
@@ -210,26 +199,27 @@ def _cmd_tile(args) -> int:
     return EXIT_YES
 
 
-def _cmd_matrix(args) -> int:
-    out = _Output(args.quiet)
-    matrix = parse_matrix(_read(args.matrix))
-    if args.subcommand == "rank":
-        out.say(str(rank_mod_p(matrix, args.p)))
-        return EXIT_YES
-    if args.subcommand == "factorize":
-        fact = rank_factorize_mod_p(matrix, args.p)
-        out.say(f"rank {fact.rank}")
-        out.say("left")
-        out.say(format_matrix(fact.left).rstrip("\n"))
-        out.say("right")
-        out.say(format_matrix(fact.right).rstrip("\n"))
-        return EXIT_YES
-    # hadamard
-    phase = PhaseMatrix.reduce(matrix, args.m)
+def _cmd_matrix_rank(args) -> int:
+    _say(args, str(rank_mod_p(parse_matrix(_read(args.matrix)), args.p)))
+    return EXIT_YES
+
+
+def _cmd_matrix_factorize(args) -> int:
+    fact = rank_factorize_mod_p(parse_matrix(_read(args.matrix)), args.p)
+    _say(args, f"rank {fact.rank}")
+    _say(args, "left")
+    _say(args, format_matrix(fact.left).rstrip("\n"))
+    _say(args, "right")
+    _say(args, format_matrix(fact.right).rstrip("\n"))
+    return EXIT_YES
+
+
+def _cmd_matrix_hadamard(args) -> int:
+    phase = PhaseMatrix.reduce(parse_matrix(_read(args.matrix)), args.m)
     if is_log_hadamard(phase):
-        out.say(f"log-Hadamard over denominator {args.m}")
+        _say(args, f"log-Hadamard over denominator {args.m}")
         return EXIT_YES
-    out.say(f"not log-Hadamard over denominator {args.m}")
+    _say(args, f"not log-Hadamard over denominator {args.m}")
     return EXIT_NO
 
 
@@ -249,78 +239,75 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-counterexample",
-        help="run and re-check the 4-dimensional spectral-not-tile construction",
+    # The options that several commands share, each declared once.
+    set_file, matrix, json_file, guard = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    set_file.add_argument("--set", required=True, metavar="FILE", help="point set file")
+    matrix.add_argument("--matrix", required=True, metavar="FILE", help="integer matrix file")
+    json_file.add_argument("--json", metavar="FILE", help="write the certificate envelope here")
+    guard.add_argument("--guard", type=_integer, help="override the enumeration guard")
+
+    def command(commands, name, func, help, *shared):
+        p = commands.add_parser(name, help=help, parents=shared)
+        p.set_defaults(func=func)
+        return p
+
+    def group(name, help):
+        # The dest only names a missing subcommand in argparse's error; func dispatches.
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    p = command(
+        sub, "verify-counterexample", _cmd_verify_counterexample,
+        "run and re-check the 4-dimensional spectral-not-tile construction", json_file, guard,
     )
     p.add_argument("-n", type=_integer, default=2, help="cube side count (default 2)")
-    p.add_argument("--json", metavar="FILE", help="write the certificate envelope here")
-    p.add_argument("--guard", type=_integer, help="override the enumeration guard")
-    p.set_defaults(func=_cmd_verify_counterexample)
 
-    p = sub.add_parser("spectrum", help="find or check spectra")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    f = ssub.add_parser("find", help="search for a spectrum with denominator m")
-    f.add_argument("--set", required=True, metavar="FILE", help="point set file")
-    f.add_argument("-m", type=_integer, required=True, help="denominator")
-    f.add_argument("--json", metavar="FILE", help="write the certificate envelope here")
-    f.add_argument("--guard", type=_integer, help="override the enumeration guard")
-    f.set_defaults(func=_cmd_spectrum)
-    c = ssub.add_parser("check", help="check a given spectrum against a set")
-    c.add_argument("--set", required=True, metavar="FILE", help="point set file")
-    c.add_argument("--spectrum", required=True, metavar="FILE", help="phase matrix file")
-    c.add_argument("-m", type=_integer, help="expected denominator (cross-checked)")
-    c.set_defaults(func=_cmd_spectrum)
+    spectrum = group("spectrum", "find or check spectra")
+    p = command(
+        spectrum, "find", _cmd_spectrum_find, "search for a spectrum with denominator m",
+        set_file, json_file, guard,
+    )
+    p.add_argument("-m", type=_integer, required=True, help="denominator")
+    p = command(
+        spectrum, "check", _cmd_spectrum_check, "check a given spectrum against a set", set_file
+    )
+    p.add_argument("--spectrum", required=True, metavar="FILE", help="phase matrix file")
+    p.add_argument("-m", type=_integer, help="expected denominator (cross-checked)")
 
-    p = sub.add_parser("tile", help="tiling decisions, verification, and constructions")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    d = tsub.add_parser("decide", help="decide whether a set tiles Z_m^d")
-    d.add_argument("--set", required=True, metavar="FILE")
-    d.add_argument("-m", type=_integer, required=True, help="modulus")
-    d.add_argument("--json", metavar="FILE")
-    d.add_argument("--guard", type=_integer)
-    d.set_defaults(func=_cmd_tile)
-    v = tsub.add_parser("verify", help="verify a certificate envelope file")
-    v.add_argument("certificate", metavar="CERT")
-    v.add_argument(
+    tile = group("tile", "tiling decisions, verification, and constructions")
+    p = command(
+        tile, "decide", _cmd_tile_decide, "decide whether a set tiles Z_m^d",
+        set_file, json_file, guard,
+    )
+    p.add_argument("-m", type=_integer, required=True, help="modulus")
+    p = command(tile, "verify", _cmd_tile_verify, "verify a certificate envelope file")
+    p.add_argument("certificate", metavar="CERT")
+    p.add_argument(
         "--replay",
         action="store_true",
         help="also re-run a recorded exhausted search and compare its node count",
     )
-    v.set_defaults(func=_cmd_tile)
-    co = tsub.add_parser("compose", help="compose two tiling certificates")
-    co.add_argument("left", metavar="CERT_T")
-    co.add_argument("right", metavar="CERT_S")
-    co.add_argument("--json", metavar="FILE")
-    co.set_defaults(func=_cmd_tile)
-    li = tsub.add_parser("lift", help="lift a tiling through an integer matrix")
-    li.add_argument("--set", required=True, metavar="FILE")
-    li.add_argument("--matrix", required=True, metavar="FILE")
-    li.add_argument("certificate", metavar="CERT")
-    li.add_argument("--json", metavar="FILE")
-    li.add_argument("--guard", type=_integer)
-    li.set_defaults(func=_cmd_tile)
-    ind = tsub.add_parser("independent", help="tile from a linearly independent set")
-    ind.add_argument("--set", required=True, metavar="FILE")
-    ind.add_argument("--json", metavar="FILE")
-    ind.add_argument("--guard", type=_integer)
-    ind.set_defaults(func=_cmd_tile)
+    p = command(tile, "compose", _cmd_tile_compose, "compose two tiling certificates", json_file)
+    p.add_argument("left", metavar="CERT_T")
+    p.add_argument("right", metavar="CERT_S")
+    p = command(
+        tile, "lift", _cmd_tile_lift, "lift a tiling through an integer matrix",
+        set_file, matrix, json_file, guard,
+    )
+    p.add_argument("certificate", metavar="CERT")
+    command(
+        tile, "independent", _cmd_tile_independent, "tile from a linearly independent set",
+        set_file, json_file, guard,
+    )
 
-    p = sub.add_parser("matrix", help="exact matrix computations")
-    msub = p.add_subparsers(dest="subcommand", required=True)
-    r = msub.add_parser("rank", help="rank over the field with p elements")
-    r.add_argument("--matrix", required=True, metavar="FILE")
-    r.add_argument("-p", type=_integer, required=True, help="prime modulus")
-    r.set_defaults(func=_cmd_matrix)
-    fa = msub.add_parser("factorize", help="canonical rank factorization mod p")
-    fa.add_argument("--matrix", required=True, metavar="FILE")
-    fa.add_argument("-p", type=_integer, required=True, help="prime modulus")
-    fa.set_defaults(func=_cmd_matrix)
-    h = msub.add_parser("hadamard", help="is matrix/m log-Hadamard?")
-    h.add_argument("--matrix", required=True, metavar="FILE")
-    h.add_argument("-m", type=_integer, required=True, help="denominator")
-    h.set_defaults(func=_cmd_matrix)
-
+    matrices = group("matrix", "exact matrix computations")
+    p = command(matrices, "rank", _cmd_matrix_rank, "rank over the field with p elements", matrix)
+    p.add_argument("-p", type=_integer, required=True, help="prime modulus")
+    p = command(
+        matrices, "factorize", _cmd_matrix_factorize, "canonical rank factorization mod p", matrix
+    )
+    p.add_argument("-p", type=_integer, required=True, help="prime modulus")
+    p = command(matrices, "hadamard", _cmd_matrix_hadamard, "is matrix/m log-Hadamard?", matrix)
+    p.add_argument("-m", type=_integer, required=True, help="denominator")
     return parser
 
 

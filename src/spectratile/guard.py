@@ -12,7 +12,10 @@ m^d and before it builds anything.
 
 from __future__ import annotations
 
+import operator
 import os
+
+from .modlinalg import _decimal
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV_VAR = "SPECTRATILE_GUARD"
@@ -26,16 +29,20 @@ class GuardExceeded(ValueError):
 
 
 def resolve_guard(guard: int | None = None) -> int:
+    """The guard in force.  An explicit guard must be an integer, as
+    operator.index takes it; the variable is read by the rule of the matrix
+    files and of --guard, -?[0-9]+ in ASCII digits."""
     if guard is not None:
+        guard = operator.index(guard)
         if guard < 1:
             raise ValueError(f"guard must be positive, got {guard}")
         return guard
     env = os.environ.get(GUARD_ENV_VAR)
     if env is not None:
         try:
-            value = int(env)
+            value = _decimal(env)
         except ValueError:
-            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ValueError(f"{GUARD_ENV_VAR} must be a decimal integer, got {env!r}") from None
         if value < 1:
             raise ValueError(f"{GUARD_ENV_VAR} must be positive, got {value}")
         return value

@@ -12,22 +12,9 @@ comes with a reason that can be re-checked (divisibility, a colliding
 residue pair) or replayed (an exhausted search with its node count and
 rule; see replay_search).
 
-The search, lifts and coverage checks build no cell tuple they do not
-keep.  There a set of cells of Z_m^d is a bitmask, bit j the j-th cell in
-lexicographic order, and spectral's _Torus does all the cell arithmetic:
-building a mask from coordinates, and translating it, one block rotation
-per axis.  The search keeps, per cell it has branched on, a row of the
-masks of the placements that cover that cell, in point order, so a node is
-one bit scan and one AND per placement tried.  A row is the k difference
-shapes T - t, stacked in one int, translated by the cell and cut into k
-masks by one to_bytes: O(k * m^d) bit work.  Equal masks are one int, and
-the point behind a mask is looked up only for the cover returned.  The
-tori of a small group are built once and shared by its searches.  A
-coverage check translates the complement's mask
-by each point, k translates of m^d bits.  lift_tile checks its base so and
-then walks Z_m^d one prefix (all coordinates but the last) at a time: one
-translate of the same mask per prefix, from which the prefix's m cells
-are read as bits.
+The search, lifts and coverage checks work on cell bitmasks, bit j the
+j-th cell of Z_m^d in lexicographic order, and spectral's _Torus does all
+the cell arithmetic; _exact_cover's docstring describes the search's rows.
 
 Every construction checks its inputs, never its output, and raises
 ValueError on a bad input.  compose_tile verifies its two inputs and never
@@ -313,6 +300,39 @@ def _distinct_residues(
     return residues
 
 
+def _decide(
+    point_set: PointSet,
+    group: GroupSpec,
+    guard: int | None,
+    rule: str,
+    claim: int | None = None,
+) -> TilingCertificate | NonTilingCertificate:
+    """The certificate the exact-cover search by this rule gives the set.
+
+    The guard bounds the m^d cells of the group first.  Duplicate residues
+    are refused next; then, by the rooted rule with no claim, a set size
+    that does not divide the group order.  Before the search builds
+    anything the guard bounds the k * m^d bits of its k-copy stack and of
+    each row.  With a claim the search stops at node claim + 1.
+    """
+    limit = resolve_guard(guard)
+    check_power_guard(group.modulus, group.dimension, limit)
+    residues = _distinct_residues(point_set, group.modulus)
+    if isinstance(residues, DuplicateResidues):
+        return NonTilingCertificate(group, point_set, residues)
+    if rule == "rooted" and claim is None and group.order() % len(point_set) != 0:
+        reason = DivisibilityObstruction(len(point_set), group.order())
+        return NonTilingCertificate(group, point_set, reason)
+    check_guard(len(residues) * group.order(), limit)  # the search's k copies of the group
+    solution, nodes = _exact_cover(
+        residues, group.modulus, group.dimension, claim, rooted=rule == "rooted"
+    )
+    if solution is None:
+        return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes, rule))
+    complement = PointSet(group.dimension, tuple(sorted(solution)))
+    return TilingCertificate(group, point_set, complement)
+
+
 def decide_m_tile(
     point_set: PointSet,
     group: GroupSpec,
@@ -322,11 +342,10 @@ def decide_m_tile(
 ) -> TilingCertificate | NonTilingCertificate:
     """Complete tiling decision for Z_m^d.
 
-    Pipeline: reject duplicate residues, reject when the set size does not
-    divide the group order, then run the exact-cover search with its root
-    fixed to the first point (the "rooted" rule; see _exact_cover).  The
-    guard bounds the m^d cells of the group first and, before the search
-    builds anything, the k * m^d bits of its k-copy stack and of each row.
+    Pipeline (see _decide): reject duplicate residues, reject when the set
+    size does not divide the group order, then run the exact-cover search
+    with its root fixed to the first point (the "rooted" rule; see
+    _exact_cover).
 
     With divisibility_shortcut False the size check is skipped, so the
     search itself exhausts, and it runs by the "lex" rule, every root
@@ -335,56 +354,22 @@ def decide_m_tile(
     """
     if point_set.dimension != group.dimension:
         raise ValueError("set dimension does not match the group")
-    limit = resolve_guard(guard)
-    check_power_guard(group.modulus, group.dimension, limit)
-    residues = _distinct_residues(point_set, group.modulus)
-    if isinstance(residues, DuplicateResidues):
-        return NonTilingCertificate(group, point_set, residues)
-
-    if divisibility_shortcut and group.order() % len(point_set) != 0:
-        return NonTilingCertificate(
-            group,
-            point_set,
-            DivisibilityObstruction(len(point_set), group.order()),
-        )
-
-    check_guard(len(residues) * group.order(), limit)  # the search's k copies of the group
-    rule = "rooted" if divisibility_shortcut else "lex"
-    solution, nodes = _exact_cover(
-        residues, group.modulus, group.dimension, rooted=rule == "rooted"
-    )
-    if solution is None:
-        return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes, rule))
-    complement = PointSet(group.dimension, tuple(sorted(solution)))
-    return TilingCertificate(group, point_set, complement)
+    return _decide(point_set, group, guard, "rooted" if divisibility_shortcut else "lex")
 
 
 def replay_search(cert: NonTilingCertificate, guard: int | None = None) -> bool:
-    """Re-run the exhausted search a certificate records and compare.
+    """Re-decide the set by the record's rule and compare certificates.
 
-    The search runs by the rule the record names, lex or rooted; the replay
-    holds when it exhausts after exactly the recorded node count.  It stops
-    as soon as it passes that count, so a replay costs no more nodes than
-    the certificate claims, plus one.  The guard bounds m^d and k * m^d as
-    in decide_m_tile, so a large set fails before its rows are built.
+    The search runs without the divisibility shortcut, by the rule the
+    record names, lex or rooted, and stops one node past the claim; the
+    replay holds when it produces exactly this certificate.  So a replay
+    costs no more nodes than the certificate claims, plus one, and the
+    guard bounds m^d and k * m^d as in decide_m_tile, so a large set fails
+    before its rows are built.
     """
     if not isinstance(cert.reason, ExhaustedSearch):
         raise ValueError("only an exhausted-search certificate can be replayed")
-    limit = resolve_guard(guard)
-    check_power_guard(cert.group.modulus, cert.group.dimension, limit)
-    residues = _distinct_residues(cert.set, cert.group.modulus)
-    if isinstance(residues, DuplicateResidues):
-        return False
-    check_guard(len(residues) * cert.group.order(), limit)
-    claimed = cert.reason.nodes
-    solution, nodes = _exact_cover(
-        residues,
-        cert.group.modulus,
-        cert.group.dimension,
-        limit=claimed,
-        rooted=cert.reason.rule == "rooted",
-    )
-    return solution is None and nodes == claimed
+    return _decide(cert.set, cert.group, guard, cert.reason.rule, cert.reason.nodes) == cert
 
 
 def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> TilingCertificate:
@@ -546,9 +531,11 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
     rule gives the row vector r with r . block = |det| * (0, ..., k - 1):
     r_i = sign(det) * det(block with row i replaced by (0, ..., k - 1)), so
     phi(x) = r . x[selected] mod M maps the points onto that progression of
-    Z_M, and the progression's tiling of Z_M is verified.  The pullback
-    lemma (if phi: G -> H is injective on A and phi(A) + C = H, then
+    Z_M, which tiles Z_M with complement [0, |det|).  The pullback lemma
+    (if phi: G -> H is injective on A and phi(A) + C = H, then
     A + phi^-1(C) = G; see lift_tile) then makes the set tile Z_M^d.
+    Like every construction it checks its input and not its output: the
+    lift inside final, and parse, check the tiling of Z_M as a premise.
     Nothing here walks Z_M^d.
     """
     k = len(point_set)
@@ -570,16 +557,12 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
         rows = [list(row) for row in block]
         rows[i] = list(range(k))
         weights.append(sign * _det_bareiss(rows))
-    progression = [sum(w * p[r] for w, r in zip(weights, selected)) for p in points]
-    assert progression == [big_d * i for i in range(k)]
 
     one_dim = TilingCertificate(
         GroupSpec(modulus, 1),
         PointSet(1, tuple((big_d * i,) for i in range(k))),
         PointSet(1, tuple((s,) for s in range(big_d))),
     )
-    if not verify_tiling(one_dim):
-        raise RuntimeError("progression tiling failed verification; implementation fault")
     return IndependenceChain(
         set=point_set,
         selected_rows=tuple(selected),

@@ -17,10 +17,13 @@
 # cells.  The exact-cover search counts its k copies of the group against
 # the guard: under a guard of 100,000 cells, deciding that line (100 points,
 # 10^6 bits) exits 2, and so does replaying the {0, 1, 3} search (18 bits)
-# under a guard of 10.  Last, two chains through the zero-set mask and the
-# shared coverage check: {(0,0), (1,0)} gets a spectrum over 2 whose
-# envelope verifies, and {0, 1} tiles Z_4, lifts through the 1x2 matrix
-# (1 0) to Z_4^2, and the lift record verifies.
+# under a guard of 10.  Composing the {0, 1, 3} refusal, which is not a
+# tiling, and a log-Hadamard check over the denominator 0 are usage errors
+# too.  Last, two chains through the zero-set mask and the shared coverage
+# check: {(0,0), (1,0)} gets a spectrum over 2 whose envelope verifies, and
+# {0, 1} tiles Z_4 (but exits 2 under a guard variable written 1_0, which
+# --guard refuses too, and not as a guard of 10 cells), lifts through the
+# 1x2 matrix (1 0) to Z_4^2, and the lift record verifies.
 set -euo pipefail
 
 SPECTRATILE=${SPECTRATILE:-spectratile}
@@ -57,11 +60,15 @@ st tile decide --set "$tmp/line.txt" -m 100 --json "$tmp/line.json"
 expect 2 env SPECTRATILE_GUARD=1000 $SPECTRATILE tile verify "$tmp/line.json"
 expect 2 env SPECTRATILE_GUARD=100000 $SPECTRATILE tile decide --set "$tmp/line.txt" -m 100
 expect 2 env SPECTRATILE_GUARD=10 $SPECTRATILE tile verify "$tmp/rooted.json" --replay
+expect 2 st tile compose "$tmp/rooted.json" "$tmp/rooted.json"
+printf '2 2\n0 0\n0 1\n' > "$tmp/hadamard.txt"
+expect 2 st matrix hadamard --matrix "$tmp/hadamard.txt" -m 0
 printf '2 2\n0 0\n1 0\n' > "$tmp/pair.txt"
 st spectrum find --set "$tmp/pair.txt" -m 2 --json "$tmp/spectrum.json"
 st tile verify "$tmp/spectrum.json"
 printf '2 1\n0\n1\n' > "$tmp/step.txt"
 st tile decide --set "$tmp/step.txt" -m 4 --json "$tmp/step.json"
+expect 2 env SPECTRATILE_GUARD=1_0 $SPECTRATILE tile decide --set "$tmp/step.txt" -m 4
 printf '1 2\n1 0\n' > "$tmp/phi.txt"
 st tile lift --set "$tmp/pair.txt" --matrix "$tmp/phi.txt" "$tmp/step.json" --json "$tmp/lift.json"
 st tile verify "$tmp/lift.json"

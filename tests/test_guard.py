@@ -5,7 +5,7 @@ import pytest
 
 from spectratile import certio
 from spectratile.cli import main
-from spectratile.guard import GuardExceeded, check_power_guard, power_in_reach
+from spectratile.guard import GuardExceeded, check_power_guard, power_in_reach, resolve_guard
 from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import (
     GroupSpec,
@@ -172,3 +172,40 @@ class TestGuardBeforeTheOrder:
         with pytest.raises(GuardExceeded):
             call()
         assert time.perf_counter() - start < 0.5
+
+
+class TestGuardValues:
+    """SPECTRATILE_GUARD is read by the rule of --guard and the matrix files,
+    -?[0-9]+ in ASCII digits, and an explicit guard must be an integer."""
+
+    @pytest.mark.parametrize("value", ["1_0", " 12 ", "+20", "١٠", "1e3", ""])
+    def test_variable_refused_like_the_option(self, monkeypatch, value):
+        monkeypatch.setenv("SPECTRATILE_GUARD", value)
+        with pytest.raises(ValueError, match="SPECTRATILE_GUARD must be a decimal integer"):
+            resolve_guard()
+
+    def test_cli_refuses_what_the_option_refuses(self, tmp_path, monkeypatch, capsys):
+        set_file = tmp_path / "set.txt"
+        set_file.write_text(format_point_set(two_points(1)))
+        argv = ["tile", "decide", "--set", str(set_file), "-m", "4"]
+        monkeypatch.setenv("SPECTRATILE_GUARD", "1_0")
+        assert main(argv) == 2
+        assert "SPECTRATILE_GUARD must be a decimal integer, got '1_0'" in capsys.readouterr().err
+        monkeypatch.delenv("SPECTRATILE_GUARD")
+        with pytest.raises(SystemExit):
+            main(argv + ["--guard", "1_0"])
+
+    @pytest.mark.parametrize("guard", [2.5, 100.0, "100"])
+    def test_explicit_guard_must_be_an_integer(self, guard):
+        with pytest.raises(TypeError):
+            resolve_guard(guard)
+        with pytest.raises(TypeError):
+            decide_m_tile(two_points(2), GroupSpec(4, 2), guard)
+
+    def test_explicit_guard_taken_by_index(self):
+        class Cells:
+            def __index__(self):
+                return 81
+
+        assert resolve_guard(Cells()) == 81
+        assert decide_m_tile(two_points(4), GroupSpec(3, 4), Cells()).reason.set_size == 2
