@@ -26,16 +26,25 @@ multiplicity.  So a spectrum is a k-clique in the Cayley graph
 Cay(Z_m^d, Z(1_T)), and every spectral check asks which characters xi lie
 in Z(1_T).  A character's count polynomial is packed into one int at the
 width of the cyclotomic VanishingDecision for m and k, and that one
-decision settles it exactly, each distinct polynomial once.  The polynomial
-comes either pointwise (packed from the k residues xi.t mod m) or densely (a
-separable transform gives the packed polynomials of all of Z_m^d at once,
-m digits per character).  _zero_set is the one builder of the Z(1_T) mask.
-Which route runs, and how the transform treats a line, depends on input
-size alone, from timings of both sides:
+decision settles it exactly, each distinct polynomial once.  _zero_set is
+the one builder of the Z(1_T) mask.  Galois lemma: xi lies in Z(1_T)
+exactly when a*xi does, for every unit a mod m (the proof is in
+_zero_set's docstring).  The orbit of xi under the units is the set of
+generators of the cyclic group <xi>, so Z(1_T) is a union of such sets, and
+_zero_set decides each orbit's least cell (its leader) once and sets the
+bits of the whole orbit.  The orbits of a small group are listed once, in a
+table of at most six bytes per cell kept on the cached torus (see _torus for
+the cache's bound); a larger group is walked afresh at one byte per cell.
+A leader's polynomial comes either pointwise (packed from the k residues
+xi.t mod m) or densely (a separable transform gives the packed polynomials
+of all of Z_m^d at once, m digits per character).  Which route runs, and
+how the transform treats a line, depends on input size alone, from timings
+of both sides:
 
 - _zero_set transforms when m <= k and the transform's m^(d+1) digits fit
-  its limit; otherwise it evaluates each character pointwise (sets of 2 to
-  1296 points, m up to 100, d up to 4).  fourier_zero_set and
+  its limit, and reads the leaders' polynomials from it; otherwise it packs
+  and decides only the leaders pointwise (sets of 2 to 1296 points, m up to
+  100, d up to 4, timed before leaders were used).  fourier_zero_set and
   find_spectrum pass the guard as the limit.
 - is_m_spectral, for k other than m^d, builds the whole mask when
   m^(d+1) <= 2k(k-1), at most four digits per row pair, by _zero_set with
@@ -74,13 +83,15 @@ Certificates from outside are verified where they enter, in certio.parse.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .cyclotomic import VanishingDecision, vanishing_decision
+from .cyclotomic import VanishingDecision, _prime_divisors, vanishing_decision
 from .guard import check_power_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, _decimal, format_matrix, matmul_mod, parse_matrix
 
@@ -184,14 +195,6 @@ class PointSet:
         if len(set(reduced)) != len(reduced):
             raise ValueError("points are not distinct mod m")
         return PointSet(self.dimension, tuple(reduced))
-
-    def translated(self, offset: Sequence[int]) -> "PointSet":
-        if len(offset) != self.dimension:
-            raise ValueError("offset dimension mismatch")
-        return PointSet(
-            self.dimension,
-            tuple(tuple(c + o for c, o in zip(p, offset)) for p in self.points),
-        )
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,11 @@ def _kernel_line(m: int, w: int) -> _Line:
 _KERNEL_BITS = 12_000
 
 
+def _strides(m: int, d: int) -> list[int]:
+    """Each axis's stride in a cell index: cell xi of Z_m^d has index sum of xi_a * m^(d-1-a)."""
+    return [m ** (d - 1 - a) for a in range(d)]
+
+
 def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> list[int]:
     """The count polynomials of all of Z_m^d, axis by axis, one line at a time.
 
@@ -365,7 +373,7 @@ def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> 
     and sums never carry across digits.
     """
     size = m**d
-    strides = [m ** (d - 1 - a) for a in range(d)]
+    strides = _strides(m, d)
     cells = [0] * size
     for p in points:
         cells[sum(c % m * s for c, s in zip(p, strides))] += 1
@@ -391,6 +399,88 @@ def _cell_mask(indices: Iterable[int], width: int) -> int:
     return int.from_bytes(bits, "little")
 
 
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+class _Orbits:
+    """The orbits of Z_m^d under multiplication by the units mod m, cells as indices.
+
+    The orbit of xi is the set of generators of the cyclic group <xi>.  Let
+    r = m / gcd(m, xi_1, ..., xi_d) be the order of xi.  A unit u acts as
+    u mod r, every unit mod r is one mod m reduced, and a*xi = b*xi exactly
+    when a = b mod r.  So the orbit is the phi(r) distinct cells a*xi for
+    a < r coprime to r, listed in that order (for r = 1 that is a = 0, and
+    0*xi = xi = 0), one step per cell: the units below r are sieved once per
+    order.  An orbit's leader is its least index, and leaders lists the
+    leaders in index order.
+
+    Kept (on a cached torus, see _orbits), the orbits are walked once into a
+    table: their cells, orbit after orbit, and where each ends, two bytes an
+    entry, so at most six bytes per cell with the leaders.  Otherwise the
+    leaders are walked as they are read, once, at one byte per cell, and an
+    orbit is listed afresh when asked for.
+    """
+
+    def __init__(self, m: int, d: int, keep: bool = False) -> None:
+        self.m = m
+        self.strides = _strides(m, d)
+        self.primes = _prime_divisors(m)
+        self.units: dict[int, list[int]] = {}  # order r -> the a < r coprime to r
+        self.table: tuple[array, array] | None = None
+        if keep:
+            leaders, cells, ends = array("H"), array("H"), array("H")
+            for orbit in self.walk():
+                leaders.append(orbit[0])
+                cells.extend(orbit)
+                ends.append(len(cells))
+            self.leaders: Iterable[int] = leaders
+            self.table, self.units = (cells, ends), {}
+        else:
+            self.leaders = map(operator.itemgetter(0), self.walk())
+
+    def row(self, index: int) -> list[int]:
+        return [index // s % self.m for s in self.strides]
+
+    def orbit(self, leader: int) -> Sequence[int]:
+        """The cells of the leader's orbit, the leader first."""
+        if self.table:
+            cells, ends = self.table
+            i = bisect.bisect_left(self.leaders, leader)
+            return cells[ends[i - 1] if i else 0 : ends[i]]
+        m = self.m
+        xi = self.row(leader)
+        r = m // functools.reduce(_gcd, xi, m)
+        if r not in self.units:
+            coprime = bytearray(b"\x01") * r
+            for p in self.primes:
+                if r % p == 0:
+                    coprime[::p] = bytes(len(range(0, r, p)))
+            self.units[r] = list(itertools.compress(range(r), coprime))
+        # Coordinate by coordinate: a * xi_a mod m at its stride, for each unit a.
+        axes = [
+            map(s.__mul__, map(m.__rmod__, map(c.__mul__, self.units[r])))
+            for c, s in zip(xi, self.strides)
+        ]
+        return list(map(sum, zip(*axes)))
+
+    def walk(self) -> Iterator[Sequence[int]]:
+        """The orbits in the order of their leaders: each cell not yet seen leads its orbit.
+
+        One byte per cell marks the cells of the orbits walked so far.
+        """
+        seen = bytearray(self.m ** len(self.strides))
+        leader = 0
+        while leader >= 0:
+            orbit = self.orbit(leader)
+            for j in orbit:
+                seen[j] = 1
+            yield orbit
+            leader = seen.find(0, leader + 1)
+
+
 class _Torus:
     """The cells of Z_m^d as bits, in lexicographic order: the package's one cell arithmetic.
 
@@ -402,13 +492,14 @@ class _Torus:
     at once: copy j holds its m^d cells from byte j * width on, width being
     m^d bits rounded up to whole bytes, so stack and unstack convert between
     the copies and the stack in one pass over the bytes.  The bits between
-    copies stay clear.  Nothing changes a _Torus once it is built, so
-    tiling shares the small ones between searches.
+    copies stay clear.  Nothing changes a _Torus once it is built, so the
+    small ones are shared between calls (see _torus); a shared single copy
+    also keeps its group's _Orbits once _zero_set asks for them.
     """
 
     def __init__(self, m: int, d: int, copies: int = 1) -> None:
         self.m = m
-        self.strides = [m ** (d - 1 - a) for a in range(d)]
+        self.strides = _strides(m, d)
         self.width = width = -(-(m**d) // 8)
         self.full = (1 << m**d) - 1  # every cell of one copy
         self.cuts = [slice(j * width, (j + 1) * width) for j in range(copies)]
@@ -451,6 +542,43 @@ class _Torus:
                 mask = part << u * s | (mask ^ part) >> (m - u) * s
         return mask
 
+    @functools.cached_property
+    def orbits(self) -> _Orbits:
+        """This group's _Orbits, kept: built on first use (see _orbits)."""
+        return _Orbits(self.m, len(self.strides), keep=True)
+
+
+# Tori past this many bits, d repunits of copies * m^d bits each, are built
+# per call, so no large torus outlives its search.
+_CACHED_TORUS_BITS = 1 << 15
+_cached_torus = functools.lru_cache(maxsize=16, typed=True)(_Torus)
+
+
+def _torus(m: int, dimension: int, copies: int = 1) -> _Torus:
+    """The _Torus of Z_m^d, shared between calls in one group when small.
+
+    The cache keeps at most 16 tori of d * copies * m^d <= _CACHED_TORUS_BITS
+    repunit bits, 4 KiB each; every caller asks for at most m^d copies.  A
+    single copy may also keep its _Orbits, at most six bytes per cell.
+    _zero_set asks for them only when m <= 10,000 (the cyclotomic bound), so
+    the largest group asked is Z_128^2, 16,384 cells in at most 96 KiB, and
+    the cache's orbit tables hold at most 16 * 96 KiB = 1.5 MiB.
+    """
+    if dimension * copies * m**dimension <= _CACHED_TORUS_BITS:
+        return _cached_torus(m, dimension, copies)
+    return _Torus(m, dimension, copies)
+
+
+def _orbits(m: int, d: int) -> _Orbits:
+    """The _Orbits of Z_m^d, kept on the cached torus when within the cache's bound.
+
+    A larger group gets a fresh instance, walked once as it is read, at one
+    byte per cell.
+    """
+    if d * m**d <= _CACHED_TORUS_BITS:
+        return _torus(m, d).orbits
+    return _Orbits(m, d)
+
 
 def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> int:
     """The zero set Z(1_T) of the Fourier transform of T in Z_m^d, exactly.
@@ -465,25 +593,37 @@ def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> i
 def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     """fourier_zero_set in the group, under a resolved limit on its order.
 
-    The one builder of Z(1_T).  It transforms when m <= k and the
-    transform's m^(d+1) digits fit the limit, and packs each character's
-    polynomial pointwise otherwise; each distinct polynomial is decided
-    once.  Each line is transformed with one Kronecker product per residue
-    when its kernel, 2*m^2*w bits, is at most _KERNEL_BITS, and by shifts
-    and adds otherwise; both give the same ints.
+    The one builder of Z(1_T).  It decides one leader per orbit of Z_m^d
+    under the units mod m (see _Orbits) and sets the bits of the whole orbit
+    from that one verdict, by the Galois lemma:
+
+    For every unit a mod m, xi lies in Z(1_T) exactly when a*xi does.  (The
+    automorphism zeta_m -> zeta_m^a of Q(zeta_m) maps sum_t zeta_m^(xi.t)
+    to sum_t zeta_m^(a*xi.t), and it fixes 0.)
+
+    It transforms all of Z_m^d when m <= k and the transform's m^(d+1)
+    digits fit the limit, and reads each leader's polynomial from it;
+    otherwise it packs each leader's polynomial pointwise.  Either way each
+    distinct polynomial is decided once.  Each line is transformed with one
+    Kronecker product per residue when its kernel, 2*m^2*w bits, is at most
+    _KERNEL_BITS, and by shifts and adds otherwise; both give the same ints.
     """
     check_power_guard(group.modulus, group.dimension, limit)
     m, d = group.modulus, group.dimension
     points = point_set.points
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(points))
+    orbits = _orbits(m, d)
+    leaders, vanishing = itertools.tee(orbits.leaders)
     if m <= len(points) and group.order() * m <= limit:
         w = decide.width
         line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
-        flags = map(functools.cache(decide), _transform(points, m, d, line(m, w)))
+        polynomials = _transform(points, m, d, line(m, w))
+        flags = map(functools.cache(decide), map(polynomials.__getitem__, leaders))
     else:
-        flags = map(_Pointwise(points, decide).vanishes, group.elements())
-    return _cell_mask(itertools.compress(itertools.count(), flags), -(-group.order() // 8))
+        flags = map(_Pointwise(points, decide).vanishes, map(orbits.row, leaders))
+    zero = map(orbits.orbit, itertools.compress(vanishing, flags))
+    return _cell_mask(itertools.chain.from_iterable(zero), -(-group.order() // 8))
 
 
 def _dense_pays(k: int, m: int, d: int) -> bool:
@@ -541,7 +681,7 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
         return all(map(vanishes, differences))
     # _dense_pays makes the limit hold m^(d+1) >= m^d, so the guard never refuses.
     zero = _zero_set(point_set, GroupSpec(m, d), 2 * k * (k - 1))
-    torus = _Torus(m, d)
+    torus = _torus(m, d)
     later = torus.mask(zip(*rows))
     for row in rows:
         later ^= 1 << torus.index(row)
@@ -581,7 +721,7 @@ def find_spectrum(
         zero_row = PhaseMatrix(IntMatrix.zeros(1, group.dimension), m)
         return SpectrumCertificate(group, point_set, zero_row)  # no row pairs to check
     zero = _zero_set(point_set, group, limit)
-    torus = _Torus(m, group.dimension)
+    torus = _torus(m, group.dimension)
     # Depth-first with an explicit stack: left[i] holds the candidates still
     # untried for the row after chosen[i].
     chosen = [0]

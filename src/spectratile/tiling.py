@@ -33,13 +33,23 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, product
 from typing import Iterator, Sequence
 
 from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-from .spectral import GroupSpec, PointSet, _Torus, composed_set
+# The torus cache lives with the cell arithmetic in spectral; its bound and
+# cache are re-exported here with _torus.
+from .spectral import (
+    _CACHED_TORUS_BITS,
+    GroupSpec,
+    PointSet,
+    _cached_torus,
+    _torus,
+    _Torus,
+    composed_set,
+)
 
 __all__ = [
     "TilingCertificate",
@@ -171,19 +181,6 @@ def _coverage(cert: TilingCertificate) -> tuple[_Torus, int] | None:
             return None
         covered |= cells
     return (torus, complement) if covered == torus.full else None
-
-
-# A cached torus keeps d repunits of copies * m^d bits each.  Tori past
-# this many bits are built per call, so no large torus outlives its search.
-_CACHED_TORUS_BITS = 1 << 15
-_cached_torus = lru_cache(maxsize=16, typed=True)(_Torus)
-
-
-def _torus(m: int, dimension: int, copies: int = 1) -> _Torus:
-    """The search's _Torus of Z_m^d, shared between searches in one group when small."""
-    if dimension * copies * m**dimension <= _CACHED_TORUS_BITS:
-        return _cached_torus(m, dimension, copies)
-    return _Torus(m, dimension, copies)
 
 
 def _exact_cover(

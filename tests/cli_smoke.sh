@@ -23,7 +23,12 @@
 # check: {(0,0), (1,0)} gets a spectrum over 2 whose envelope verifies, and
 # {0, 1} tiles Z_4 (but exits 2 under a guard variable written 1_0, which
 # --guard refuses too, and not as a guard of 10 cells), lifts through the
-# 1x2 matrix (1 0) to Z_4^2, and the lift record verifies.
+# 1x2 matrix (1 0) to Z_4^2, and the lift record verifies.  Then one
+# spectrum search on each route of the zero-set builder: four points in
+# Z_12^3 (m > k, so each orbit leader is decided pointwise) and eight
+# spectral points in Z_8^3 (m <= k, so it transforms).  Each prints the
+# lexicographically least spectrum written below, and spectrum check
+# accepts it.
 set -euo pipefail
 
 SPECTRATILE=${SPECTRATILE:-spectratile}
@@ -72,4 +77,14 @@ expect 2 env SPECTRATILE_GUARD=1_0 $SPECTRATILE tile decide --set "$tmp/step.txt
 printf '1 2\n1 0\n' > "$tmp/phi.txt"
 st tile lift --set "$tmp/pair.txt" --matrix "$tmp/phi.txt" "$tmp/step.json" --json "$tmp/lift.json"
 st tile verify "$tmp/lift.json"
+printf '4 3\n2 6 0\n5 7 4\n7 4 10\n8 10 5\n' > "$tmp/z12.txt"
+printf '4 3\n0 0 0\n0 2 2\n6 0 0\n6 2 2\ndenominator 12\n' > "$tmp/z12.want"
+printf '8 3\n6 2 1\n5 0 6\n5 7 5\n3 0 3\n2 1 4\n1 0 7\n0 4 0\n2 1 5\n' > "$tmp/z8.txt"
+printf '8 3\n0 0 0\n1 3 1\n2 6 2\n3 1 3\n4 4 4\n5 7 5\n6 2 6\n7 5 7\ndenominator 8\n' > "$tmp/z8.want"
+for case in "z12 12" "z8 8"; do
+  set -- $case
+  st spectrum find --set "$tmp/$1.txt" -m "$2" > "$tmp/$1.out"
+  cmp "$tmp/$1.out" "$tmp/$1.want"
+  st spectrum check --set "$tmp/$1.txt" --spectrum "$tmp/$1.out" -m "$2"
+done
 echo "cli smoke: ok"

@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 from pathlib import Path
@@ -21,3 +22,9 @@ def child_pythonpath():
 @pytest.fixture
 def rng():
     return random.Random(0x5EC7)
+
+
+def translated(point_set, offset):
+    """The point set moved by offset, point by point, in its order."""
+    moved = (tuple(map(operator.add, p, offset)) for p in point_set.points)
+    return type(point_set)(point_set.dimension, tuple(moved))

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, translated
 from chain_oracle import two_stage_lift
 from cyclotomic_oracle import ExponentMultiset
 from spectratile.certio import parse, serialize
@@ -260,11 +260,11 @@ class TestCriterion6PropertySuites:
                 points.add(tuple(rng.randint(-3, 3) for _ in range(d)))
             ps = PointSet(d, tuple(points))
             cert = find_spectrum(ps, m)
-            translated = ps.translated([rng.randint(-4, 4) for _ in range(d)])
+            moved = translated(ps, [rng.randint(-4, 4) for _ in range(d)])
             if cert is None:
-                assert find_spectrum(translated, m) is None
+                assert find_spectrum(moved, m) is None
             else:
-                assert is_m_spectral(translated, cert.spectrum)
+                assert is_m_spectral(moved, cert.spectrum)
             checked += 1
         report("6a translation-invariance-spectral", checked >= 100)
 
@@ -279,7 +279,7 @@ class TestCriterion6PropertySuites:
             ps = PointSet(d, tuple(rng.sample(pool, k)))
             offset = [rng.randint(-5, 5) for _ in range(d)]
             before = decide_m_tile(ps, GroupSpec(m, d))
-            after = decide_m_tile(ps.translated(offset), GroupSpec(m, d))
+            after = decide_m_tile(translated(ps, offset), GroupSpec(m, d))
             assert isinstance(before, TilingCertificate) == isinstance(
                 after, TilingCertificate
             )

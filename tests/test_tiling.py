@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from chain_oracle import two_stage_lift
+from conftest import translated
 import spectratile.tiling as tiling_module
 from spectratile.counterexample import base_point_set
 from spectratile.guard import GuardExceeded
@@ -413,7 +414,7 @@ class TestInvariants:
             points = line_set(*rng.sample(range(m), k))
             offset = [rng.randint(-5, 5)]
             verdict = decide_m_tile(points, GroupSpec(m, 1))
-            translated_verdict = decide_m_tile(points.translated(offset), GroupSpec(m, 1))
+            translated_verdict = decide_m_tile(translated(points, offset), GroupSpec(m, 1))
             assert isinstance(verdict, TilingCertificate) == isinstance(
                 translated_verdict, TilingCertificate
             )
