@@ -26,26 +26,27 @@ multiplicity.  So a spectrum is a k-clique in the Cayley graph
 Cay(Z_m^d, Z(1_T)), and every spectral check asks which characters xi lie
 in Z(1_T).  A character's count polynomial is packed into one int at the
 width of the cyclotomic VanishingDecision for m and k, and that one
-decision settles it exactly, each distinct polynomial once.  _zero_set is
-the one builder of the Z(1_T) mask.  Galois lemma: xi lies in Z(1_T)
-exactly when a*xi does, for every unit a mod m (the proof is in
-_zero_set's docstring).  The orbit of xi under the units is the set of
-generators of the cyclic group <xi>, so Z(1_T) is a union of such sets, and
-_zero_set decides each orbit's least cell (its leader) once and sets the
-bits of the whole orbit.  The orbits of a small group are listed once, in a
-table of at most six bytes per cell kept on the cached torus (see _torus for
-the cache's bound); a larger group is walked afresh at one byte per cell.
-A leader's polynomial comes either pointwise (packed from the k residues
-xi.t mod m) or densely (a separable transform gives the packed polynomials
-of all of Z_m^d at once, m digits per character).  Which route runs, and
-how the transform treats a line, depends on input size alone, from timings
-of both sides:
+decision settles it exactly.  _zero_set is the one builder of the Z(1_T)
+mask.  Galois lemma: xi lies in Z(1_T) exactly when a*xi does, for every
+unit a mod m (the proof is in _zero_set's docstring).  The orbit of xi
+under the units is the set of generators of the cyclic group <xi>, so
+Z(1_T) is a union of such sets, and _zero_set decides each orbit's least
+cell (its leader) once and sets the bits of the whole orbit.  The orbits
+of a small group are listed once, in a table of at most six bytes per cell
+kept on the cached torus (see _torus for the cache's bound); a larger group
+is walked afresh at one byte per cell.  A leader's polynomial comes either
+pointwise (packed from the k residues xi.t mod m) or from a separable
+transform over a dense table of m^d polynomials, m digits each, that
+transforms only the lines the leaders read (see _transform).  Which route
+runs, and how the transform treats a line, depends on input size alone,
+from timings of both sides:
 
 - _zero_set transforms when m <= k and the transform's m^(d+1) digits fit
-  its limit, and reads the leaders' polynomials from it; otherwise it packs
-  and decides only the leaders pointwise (sets of 2 to 1296 points, m up to
-  100, d up to 4, timed before leaders were used).  fourier_zero_set and
-  find_spectrum pass the guard as the limit.
+  its limit; otherwise it packs and decides only the leaders pointwise.
+  The rule was timed on sets of 2 to 1296 points, m up to 100, d up to 4,
+  before leaders were used, when the transform computed every line and
+  the pointwise route every cell.  fourier_zero_set and find_spectrum pass
+  the guard as the limit.
 - is_m_spectral, for k other than m^d, builds the whole mask when
   m^(d+1) <= 2k(k-1), at most four digits per row pair, by _zero_set with
   that pair budget as its limit; otherwise it decides each distinct row
@@ -274,17 +275,19 @@ def is_log_hadamard(mat: PhaseMatrix) -> bool:
 class _Pointwise:
     """Characters decided one at a time, from the count polynomial packed from k residues.
 
-    Each distinct packed polynomial is decided once.
+    Nothing is kept between characters: _zero_set asks for one leader per
+    orbit, whose polynomials are almost all distinct, and is_m_spectral
+    keeps its own cache of row differences.
     """
 
     def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision) -> None:
         self.points = points
-        self.pack = decide.pack
-        self.decided = functools.cache(decide)
+        self.decide = decide
 
     def vanishes(self, xi: Sequence[int]) -> bool:
         """Whether xi lies in Z(1_T)."""
-        return self.decided(self.pack(sum(map(operator.mul, xi, t)) for t in self.points))
+        decide = self.decide
+        return decide(decide.pack(sum(map(operator.mul, xi, t)) for t in self.points))
 
 
 _Line = Callable[[list[int]], list[int]]
@@ -309,19 +312,17 @@ def _shift_add_line(m: int, w: int) -> _Line:
     return line
 
 
-@functools.lru_cache(maxsize=32)
 def _line_kernels(m: int, w: int) -> tuple[int, ...]:
     """K_s = sum over xi of x^(xi*s mod m) in slot xi, for each residue s.
 
     Slot xi holds 2m digits of w bits, room for a product of degree below
-    2m - 1.  _zero_set builds kernels only up to _KERNEL_BITS bits, where
-    m <= 54 since w >= 2, so each cached entry holds at most
-    54 * _KERNEL_BITS bits.
+    2m - 1.
     """
     slot = 2 * m * w
     return tuple(sum(1 << xi * slot + xi * s % m * w for xi in range(m)) for s in range(m))
 
 
+@functools.lru_cache(maxsize=32)
 def _kernel_line(m: int, w: int) -> _Line:
     """One line of the transform by Kronecker substitution: one product per residue.
 
@@ -331,6 +332,10 @@ def _kernel_line(m: int, w: int) -> _Line:
     2m - 1, so no digit or slot carries.  One fold of the high m digits of
     every slot onto its low m digits, (y & low) + (y >> m*w & low), reduces
     all slots mod x^m - 1 at once, and slot xi is then read out.
+
+    Built once per (m, w).  _zero_set builds kernels only up to _KERNEL_BITS
+    bits, where m <= 54 since w >= 2, so each cached line holds at most
+    55 * _KERNEL_BITS bits: m kernels and one mask of that size.
     """
     width = w * m
     full = (1 << width) - 1
@@ -358,33 +363,44 @@ def _strides(m: int, d: int) -> list[int]:
     return [m ** (d - 1 - a) for a in range(d)]
 
 
-def _transform(points: Sequence[Sequence[int]], m: int, d: int, line: _Line) -> list[int]:
-    """The count polynomials of all of Z_m^d, axis by axis, one line at a time.
+def _transform(
+    points: Sequence[Sequence[int]], m: int, d: int, line: _Line, cells: Sequence[int]
+) -> list[int]:
+    """The count polynomials of the listed cells of Z_m^d, in the order listed.
 
-    Cells are kept densely in lexicographic index order.  Axis by axis, each
-    cell holds the count polynomial sum_t x^(xi . t), in Z[x]/(x^m - 1),
-    over the transformed axes of the points that agree with the cell on the
-    axes not yet transformed.  Along an axis, a line is the m cells that
-    differ only in that axis's digit; line maps their polynomials P_t (t the
-    digit) to the outputs O_xi = sum over t of x^(xi*t mod m) * P_t, which
-    replace them.  Lines with no points are left at zero.  A polynomial is
+    The polynomials are kept densely in lexicographic cell order and
+    transformed axis by axis, one line at a time.  Along axis a, a line is
+    the m cells that differ only in that axis's digit; line maps their
+    polynomials P_t (t the digit) to the outputs O_xi = sum over t of
+    x^(xi*t mod m) * P_t, in Z[x]/(x^m - 1), which replace them.  After pass
+    a, cell (xi_0..xi_a, x_(a+1)..x_(d-1)) holds sum over the points t with
+    that suffix, t_(a+1)..t_(d-1) = x_(a+1)..x_(d-1) mod m, of
+    x^(xi_0*t_0 + ... + xi_a*t_a).  So a listed cell reads, at pass a, only
+    lines on its own prefix xi_0..xi_(a-1), and a line whose suffix no point
+    holds is zero.  Pass a therefore transforms a line only when its prefix
+    is some listed cell's and its suffix some point's; every other line feeds
+    no listed cell or is left at zero.  range(m**d) lists every cell, and
+    then every line that holds a point is transformed.  A polynomial is
     packed into one int, w bits per coefficient: at the vanishing decision's
     width w >= k.bit_length() + 1 every coefficient is at most k < 2^(w-1),
     and sums never carry across digits.
     """
-    size = m**d
     strides = _strides(m, d)
-    cells = [0] * size
-    for p in points:
-        cells[sum(c % m * s for c, s in zip(p, strides))] += 1
-    for stride in strides:
+    indices = [sum(c % m * s for c, s in zip(p, strides)) for p in points]
+    polys = [0] * m**d
+    for j in indices:
+        polys[j] += 1
+    # heads[j], j >= 1: the distinct cell // m^j, each level from the one below it.
+    heads = [cells]
+    for _ in strides:
+        heads.append(set(map(m.__rfloordiv__, heads[-1])))
+    for stride, prefixes in zip(strides, heads[:0:-1]):
         span = m * stride
-        for block in range(0, size, span):
-            for base in range(block, block + stride):
-                terms = cells[base : base + span : stride]
-                if any(terms):
-                    cells[base : base + span : stride] = line(terms)
-    return cells
+        suffixes = set(map(stride.__rmod__, indices))
+        for prefix in prefixes:
+            for base in map((prefix * span).__add__, suffixes):
+                polys[base : base + span : stride] = line(polys[base : base + span : stride])
+    return list(map(polys.__getitem__, cells))
 
 
 def _cell_mask(indices: Iterable[int], width: int) -> int:
@@ -601,12 +617,19 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     automorphism zeta_m -> zeta_m^a of Q(zeta_m) maps sum_t zeta_m^(xi.t)
     to sum_t zeta_m^(a*xi.t), and it fixes 0.)
 
-    It transforms all of Z_m^d when m <= k and the transform's m^(d+1)
-    digits fit the limit, and reads each leader's polynomial from it;
-    otherwise it packs each leader's polynomial pointwise.  Either way each
-    distinct polynomial is decided once.  Each line is transformed with one
-    Kronecker product per residue when its kernel, 2*m^2*w bits, is at most
-    _KERNEL_BITS, and by shifts and adds otherwise; both give the same ints.
+    It transforms when m <= k and the transform's m^(d+1) digits fit the
+    limit, and asks _transform for the leaders' polynomials alone: pass a
+    transforms a line only when its prefix xi_0..xi_(a-1) is some leader's
+    and its suffix x_(a+1)..x_(d-1) some point's.  That is exact.  After
+    pass a, cell (xi_0..xi_a, x_(a+1)..x_(d-1)) holds sum over the points t
+    with that suffix of x^(xi_0*t_0 + ... + xi_a*t_a), so a leader reads
+    only lines on its own prefix, and a line whose suffix no point holds is
+    zero.  Otherwise it packs each leader's polynomial pointwise.  The
+    transform route decides each distinct polynomial once; the pointwise
+    route decides every leader, since their polynomials are almost all
+    distinct.  Each line is transformed with one Kronecker product per
+    residue when its kernel, 2*m^2*w bits, is at most _KERNEL_BITS, and by
+    shifts and adds otherwise; both give the same ints.
     """
     check_power_guard(group.modulus, group.dimension, limit)
     m, d = group.modulus, group.dimension
@@ -614,15 +637,15 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(points))
     orbits = _orbits(m, d)
-    leaders, vanishing = itertools.tee(orbits.leaders)
     if m <= len(points) and group.order() * m <= limit:
         w = decide.width
         line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
-        polynomials = _transform(points, m, d, line(m, w))
-        flags = map(functools.cache(decide), map(polynomials.__getitem__, leaders))
+        leaders = list(orbits.leaders)  # _transform reads them once per axis
+        flags = map(functools.cache(decide), _transform(points, m, d, line(m, w), leaders))
     else:
-        flags = map(_Pointwise(points, decide).vanishes, map(orbits.row, leaders))
-    zero = map(orbits.orbit, itertools.compress(vanishing, flags))
+        leaders, walked = itertools.tee(orbits.leaders)
+        flags = map(_Pointwise(points, decide).vanishes, map(orbits.row, walked))
+    zero = map(orbits.orbit, itertools.compress(leaders, flags))
     return _cell_mask(itertools.chain.from_iterable(zero), -(-group.order() // 8))
 
 

@@ -28,18 +28,19 @@ from spectratile.spectral import (
 
 
 def both_transforms(points, m, d, w):
-    kernel = _transform(points, m, d, _kernel_line(m, w))
-    shifted = _transform(points, m, d, _shift_add_line(m, w))
+    """The full transform, every cell of Z_m^d, by each line map."""
+    kernel = _transform(points, m, d, _kernel_line(m, w), range(m**d))
+    shifted = _transform(points, m, d, _shift_add_line(m, w), range(m**d))
     return kernel, shifted
 
 
 def zero_set_transforms(point_set, m):
-    """What each _transform call in fourier_zero_set returns."""
+    """The cells each _transform call in fourier_zero_set asks for, with what it returns."""
     seen = []
 
     def recording(*args):
-        seen.append(original(*args))
-        return seen[-1]
+        seen.append((list(args[-1]), original(*args)))
+        return seen[-1][1]
 
     original = spectral._transform
     with pytest.MonkeyPatch.context() as mp:
@@ -143,7 +144,9 @@ class TestKernelAgainstShiftAdd:
         m, points = composed.group.modulus, composed.set.points
         decide = vanishing_decision(m, len(points))
         kernel, shifted = both_transforms(points, m, 4, decide.width)
-        assert [kernel] == [shifted] == zero_set_transforms(composed.set, m)
+        assert kernel == shifted
+        [(cells, polynomials)] = zero_set_transforms(composed.set, m)
+        assert polynomials == [kernel[j] for j in cells]
 
 
 class TestLargeKernels:
@@ -172,8 +175,12 @@ st = hypothesis.strategies
 
 
 def zero_set_inputs():
-    # At least m points, so the default guard takes the transform side.
-    return st.tuples(st.integers(2, 12), st.integers(1, 3)).flatmap(
+    # At least m points, so the default guard takes the transform side;
+    # four dimensions for m up to 5.
+    dimensions = st.integers(2, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, 4 if m <= 5 else 3))
+    )
+    return dimensions.flatmap(
         lambda md: st.tuples(
             st.just(md[0]),
             st.just(md[1]),
