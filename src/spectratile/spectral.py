@@ -31,11 +31,11 @@ mask.  Galois lemma: xi lies in Z(1_T) exactly when a*xi does, for every
 unit a mod m (the proof is in _zero_set's docstring).  The orbit of xi
 under the units is the set of generators of the cyclic group <xi>, so
 Z(1_T) is a union of such sets, and _zero_set decides each orbit's least
-cell (its leader) once and sets the bits of the whole orbit.  The orbits
-of a small group are listed once, in a table of at most six bytes per cell
-kept on the cached torus (see _torus for the cache's bound); a larger group
-is walked afresh at one byte per cell.  A leader's polynomial comes either
-pointwise (packed from the k residues xi.t mod m) or from a separable
+cell (its leader) once and sets the bits of the whole orbit.  The group's
+_Torus lists the orbits: a torus that _torus shares keeps them in a table
+of at most six bytes per cell (see _shared for the bound), and a larger
+one walks them afresh at one byte per cell.  A leader's polynomial comes
+either pointwise (packed from the k residues xi.t mod m) or from a separable
 transform over a dense table of m^d polynomials, m digits each, that
 transforms only the lines the leaders read (see _transform).  Which route
 runs, and how the transform treats a line, depends on input size alone,
@@ -272,22 +272,20 @@ def is_log_hadamard(mat: PhaseMatrix) -> bool:
     return is_m_spectral(basis, mat)
 
 
-class _Pointwise:
-    """Characters decided one at a time, from the count polynomial packed from k residues.
+def _pointwise(
+    points: Sequence[Sequence[int]], decide: VanishingDecision
+) -> Callable[[Sequence[int]], bool]:
+    """A predicate: whether a character xi lies in Z(1_T), packed from the k residues xi.t.
 
     Nothing is kept between characters: _zero_set asks for one leader per
     orbit, whose polynomials are almost all distinct, and is_m_spectral
     keeps its own cache of row differences.
     """
 
-    def __init__(self, points: Sequence[Sequence[int]], decide: VanishingDecision) -> None:
-        self.points = points
-        self.decide = decide
+    def vanishes(xi: Sequence[int]) -> bool:
+        return decide(decide.pack(sum(map(operator.mul, xi, t)) for t in points))
 
-    def vanishes(self, xi: Sequence[int]) -> bool:
-        """Whether xi lies in Z(1_T)."""
-        decide = self.decide
-        return decide(decide.pack(sum(map(operator.mul, xi, t)) for t in self.points))
+    return vanishes
 
 
 _Line = Callable[[list[int]], list[int]]
@@ -358,15 +356,10 @@ def _kernel_line(m: int, w: int) -> _Line:
 _KERNEL_BITS = 12_000
 
 
-def _strides(m: int, d: int) -> list[int]:
-    """Each axis's stride in a cell index: cell xi of Z_m^d has index sum of xi_a * m^(d-1-a)."""
-    return [m ** (d - 1 - a) for a in range(d)]
-
-
 def _transform(
-    points: Sequence[Sequence[int]], m: int, d: int, line: _Line, cells: Sequence[int]
+    points: Sequence[Sequence[int]], torus: _Torus, line: _Line, cells: Sequence[int]
 ) -> list[int]:
-    """The count polynomials of the listed cells of Z_m^d, in the order listed.
+    """The count polynomials of the listed cells of the torus's Z_m^d, in the order listed.
 
     The polynomials are kept densely in lexicographic cell order and
     transformed axis by axis, one line at a time.  Along axis a, a line is
@@ -385,9 +378,9 @@ def _transform(
     width w >= k.bit_length() + 1 every coefficient is at most k < 2^(w-1),
     and sums never carry across digits.
     """
-    strides = _strides(m, d)
-    indices = [sum(c % m * s for c, s in zip(p, strides)) for p in points]
-    polys = [0] * m**d
+    m, strides = torus.m, torus.strides
+    indices = list(torus.cells(zip(*points)))
+    polys = [0] * m ** len(strides)
     for j in indices:
         polys[j] += 1
     # heads[j], j >= 1: the distinct cell // m^j, each level from the one below it.
@@ -416,121 +409,60 @@ def _cell_mask(indices: Iterable[int], width: int) -> int:
 
 
 def _gcd(a: int, b: int) -> int:
+    # Not math.gcd: the trusted path imports no math (tests/test_trusted_path_exact.py).
     while b:
         a, b = b, a % b
     return a
 
 
-class _Orbits:
-    """The orbits of Z_m^d under multiplication by the units mod m, cells as indices.
-
-    The orbit of xi is the set of generators of the cyclic group <xi>.  Let
-    r = m / gcd(m, xi_1, ..., xi_d) be the order of xi.  A unit u acts as
-    u mod r, every unit mod r is one mod m reduced, and a*xi = b*xi exactly
-    when a = b mod r.  So the orbit is the phi(r) distinct cells a*xi for
-    a < r coprime to r, listed in that order (for r = 1 that is a = 0, and
-    0*xi = xi = 0), one step per cell: the units below r are sieved once per
-    order.  An orbit's leader is its least index, and leaders lists the
-    leaders in index order.
-
-    Kept (on a cached torus, see _orbits), the orbits are walked once into a
-    table: their cells, orbit after orbit, and where each ends, two bytes an
-    entry, so at most six bytes per cell with the leaders.  Otherwise the
-    leaders are walked as they are read, once, at one byte per cell, and an
-    orbit is listed afresh when asked for.
-    """
-
-    def __init__(self, m: int, d: int, keep: bool = False) -> None:
-        self.m = m
-        self.strides = _strides(m, d)
-        self.primes = _prime_divisors(m)
-        self.units: dict[int, list[int]] = {}  # order r -> the a < r coprime to r
-        self.table: tuple[array, array] | None = None
-        if keep:
-            leaders, cells, ends = array("H"), array("H"), array("H")
-            for orbit in self.walk():
-                leaders.append(orbit[0])
-                cells.extend(orbit)
-                ends.append(len(cells))
-            self.leaders: Iterable[int] = leaders
-            self.table, self.units = (cells, ends), {}
-        else:
-            self.leaders = map(operator.itemgetter(0), self.walk())
-
-    def row(self, index: int) -> list[int]:
-        return [index // s % self.m for s in self.strides]
-
-    def orbit(self, leader: int) -> Sequence[int]:
-        """The cells of the leader's orbit, the leader first."""
-        if self.table:
-            cells, ends = self.table
-            i = bisect.bisect_left(self.leaders, leader)
-            return cells[ends[i - 1] if i else 0 : ends[i]]
-        m = self.m
-        xi = self.row(leader)
-        r = m // functools.reduce(_gcd, xi, m)
-        if r not in self.units:
-            coprime = bytearray(b"\x01") * r
-            for p in self.primes:
-                if r % p == 0:
-                    coprime[::p] = bytes(len(range(0, r, p)))
-            self.units[r] = list(itertools.compress(range(r), coprime))
-        # Coordinate by coordinate: a * xi_a mod m at its stride, for each unit a.
-        axes = [
-            map(s.__mul__, map(m.__rmod__, map(c.__mul__, self.units[r])))
-            for c, s in zip(xi, self.strides)
-        ]
-        return list(map(sum, zip(*axes)))
-
-    def walk(self) -> Iterator[Sequence[int]]:
-        """The orbits in the order of their leaders: each cell not yet seen leads its orbit.
-
-        One byte per cell marks the cells of the orbits walked so far.
-        """
-        seen = bytearray(self.m ** len(self.strides))
-        leader = 0
-        while leader >= 0:
-            orbit = self.orbit(leader)
-            for j in orbit:
-                seen[j] = 1
-            yield orbit
-            leader = seen.find(0, leader + 1)
-
-
 class _Torus:
     """The cells of Z_m^d as bits, in lexicographic order: the package's one cell arithmetic.
 
-    Bit j of a mask is the j-th cell of GroupSpec(m, d).elements().  mask
-    builds one from coordinate columns, index and row convert one cell, and
-    translate moves a whole mask by a row.  is_m_spectral and find_spectrum
-    translate Z(1_T) to a row; tiling.verify_tiling and lift_tile translate
-    a complement's mask.  tiling._exact_cover translates a stack of copies
-    at once: copy j holds its m^d cells from byte j * width on, width being
-    m^d bits rounded up to whole bytes, so stack and unstack convert between
-    the copies and the stack in one pass over the bytes.  The bits between
-    copies stay clear.  Nothing changes a _Torus once it is built, so the
-    small ones are shared between calls (see _torus); a shared single copy
-    also keeps its group's _Orbits once _zero_set asks for them.
+    Bit j of a mask is the j-th cell of GroupSpec(m, d).elements(), the cell
+    xi of index sum of xi_a * m^(d-1-a).  cells lists the indices of cells
+    given as coordinate columns, mask sets their bits, index and row convert
+    one cell, and translate moves a whole mask by a row.  is_m_spectral and
+    find_spectrum translate Z(1_T) to a row; tiling.verify_tiling and
+    lift_tile translate a complement's mask.  tiling._exact_cover translates
+    a stack of copies at once: copy j holds its m^d cells from byte j * width
+    on, width being m^d bits rounded up to whole bytes, so stack and unstack
+    convert between the copies and the stack in one pass over the bytes.
+    The bits between copies stay clear.  For _zero_set, a single copy also
+    lists the orbits of its cells under the units mod m (see listed, walk
+    and table).  Nothing changes a _Torus once it is built, so the small
+    ones are shared between calls and keep their orbit tables (see _shared).
     """
 
     def __init__(self, m: int, d: int, copies: int = 1) -> None:
         self.m = m
-        self.strides = _strides(m, d)
+        self.strides = [m ** (d - 1 - a) for a in range(d)]
         self.width = width = -(-(m**d) // 8)
         self.full = (1 << m**d) - 1  # every cell of one copy
         self.cuts = [slice(j * width, (j + 1) * width) for j in range(copies)]
-        # repunits[a] sets the first bit of each block of m * strides[a] bits in each copy.
-        repunits = [self.full // ((1 << m * s) - 1) for s in self.strides]
-        self.repunits = repunits if copies == 1 else [self.stack([r] * copies) for r in repunits]
+        self.units: dict[int, list[int]] = {}  # order r -> the a < r coprime to r
 
-    def mask(self, columns: Iterable[Iterable[int]]) -> int:
-        """The bitmask of the cells listed by columns, column a holding axis a's coordinates.
+    @functools.cached_property
+    def repunits(self) -> list[int]:
+        """repunits[a] sets the first bit of each block of m * strides[a] bits in each copy.
 
-        Coordinates are reduced mod m; a cell listed twice sets its bit once.
+        Built on first use, so a torus that only lists orbits never builds them.
+        """
+        repunits = [self.full // ((1 << self.m * s) - 1) for s in self.strides]
+        copies = len(self.cuts)
+        return repunits if copies == 1 else [self.stack([r] * copies) for r in repunits]
+
+    def cells(self, columns: Iterable[Iterable[int]]) -> Iterator[int]:
+        """The index of each cell listed by columns, column a holding axis a's coordinates.
+
+        Coordinates are reduced mod m.
         """
         m = self.m
         terms = [map(s.__mul__, map(m.__rmod__, c)) for s, c in zip(self.strides, columns)]
-        return _cell_mask(map(sum, zip(*terms)), self.width)
+        return map(sum, zip(*terms))
+
+    def mask(self, columns: Iterable[Iterable[int]]) -> int:
+        """The bitmask of the cells listed by columns; a cell listed twice sets its bit once."""
+        return _cell_mask(self.cells(columns), self.width)
 
     def stack(self, masks: Iterable[int]) -> int:
         copies = (mask.to_bytes(self.width, "little") for mask in masks)
@@ -558,10 +490,70 @@ class _Torus:
                 mask = part << u * s | (mask ^ part) >> (m - u) * s
         return mask
 
+    def listed(self, leader: int) -> list[int]:
+        """The orbit of the cell leader under the units mod m, leader first, listed afresh.
+
+        The orbit of xi is the set of generators of the cyclic group <xi>.
+        Let r = m / gcd(m, xi_1, ..., xi_d) be the order of xi.  A unit u acts
+        as u mod r, every unit mod r is one mod m reduced, and a*xi = b*xi
+        exactly when a = b mod r.  So the orbit is the phi(r) distinct cells
+        a*xi for a < r coprime to r, listed in that order (for r = 1 that is
+        a = 0, and 0*xi = xi = 0), one step per cell: the units below r are
+        sieved once per order.
+        """
+        xi = self.row(leader)
+        r = self.m // functools.reduce(_gcd, xi, self.m)
+        if r not in self.units:
+            coprime = bytearray(b"\x01") * r
+            for p in _prime_divisors(r):
+                coprime[::p] = bytes(len(range(0, r, p)))
+            self.units[r] = list(itertools.compress(range(r), coprime))
+        return list(self.cells([map(c.__mul__, self.units[r]) for c in xi]))
+
+    def walk(self) -> Iterator[list[int]]:
+        """The orbits, listed afresh in the order of their leaders.
+
+        Each cell not yet seen leads its orbit; one byte per cell marks the
+        cells of the orbits walked so far.
+        """
+        seen = bytearray(self.m ** len(self.strides))
+        leader = 0
+        while leader >= 0:
+            orbit = self.listed(leader)
+            for j in orbit:
+                seen[j] = 1
+            yield orbit
+            leader = seen.find(0, leader + 1)
+
     @functools.cached_property
-    def orbits(self) -> _Orbits:
-        """This group's _Orbits, kept: built on first use (see _orbits)."""
-        return _Orbits(self.m, len(self.strides), keep=True)
+    def table(self) -> tuple[array, array, array] | None:
+        """The orbits kept, when _shared keeps this torus; otherwise None.
+
+        One walk, on first use, lists the leaders, the cells orbit after orbit
+        and where each orbit ends, two bytes an entry, so at most six bytes
+        per cell.  The units sieved while walking are dropped.
+        """
+        if not _shared(self.m, len(self.strides), len(self.cuts)):
+            return None
+        leaders, cells, ends = array("H"), array("H"), array("H")
+        for orbit in self.walk():
+            leaders.append(orbit[0])
+            cells.extend(orbit)
+            ends.append(len(cells))
+        self.units.clear()
+        return leaders, cells, ends
+
+    def leaders(self) -> Iterable[int]:
+        """The orbits' leaders in index order: the table's, or walked once as they are read."""
+        return self.table[0] if self.table else map(operator.itemgetter(0), self.walk())
+
+    def orbit(self, leader: int) -> Sequence[int]:
+        """The cells of the leader's orbit, the leader first: the table's, or listed afresh."""
+        if not self.table:
+            return self.listed(leader)
+        leaders, cells, ends = self.table
+        i = bisect.bisect_left(leaders, leader)
+        return cells[ends[i - 1] if i else 0 : ends[i]]
 
 
 # Tori past this many bits, d repunits of copies * m^d bits each, are built
@@ -570,30 +562,24 @@ _CACHED_TORUS_BITS = 1 << 15
 _cached_torus = functools.lru_cache(maxsize=16, typed=True)(_Torus)
 
 
-def _torus(m: int, dimension: int, copies: int = 1) -> _Torus:
-    """The _Torus of Z_m^d, shared between calls in one group when small.
+def _shared(m: int, d: int, copies: int = 1) -> bool:
+    """Whether _torus shares the torus of copies of Z_m^d, which then keeps its orbit table.
 
     The cache keeps at most 16 tori of d * copies * m^d <= _CACHED_TORUS_BITS
-    repunit bits, 4 KiB each; every caller asks for at most m^d copies.  A
-    single copy may also keep its _Orbits, at most six bytes per cell.
-    _zero_set asks for them only when m <= 10,000 (the cyclotomic bound), so
-    the largest group asked is Z_128^2, 16,384 cells in at most 96 KiB, and
-    the cache's orbit tables hold at most 16 * 96 KiB = 1.5 MiB.
+    repunit bits, 4 KiB each; every caller asks for at most m^d copies.  An
+    orbit table takes at most six bytes per cell.  _zero_set asks for one only
+    when m <= 10,000 (the cyclotomic bound), so the largest group asked is
+    Z_128^2, 16,384 cells in at most 96 KiB, and the cache's orbit tables
+    hold at most 16 * 96 KiB = 1.5 MiB.
     """
-    if dimension * copies * m**dimension <= _CACHED_TORUS_BITS:
+    return d * copies * m**d <= _CACHED_TORUS_BITS
+
+
+def _torus(m: int, dimension: int, copies: int = 1) -> _Torus:
+    """The _Torus of Z_m^d, shared between calls in one group when _shared says so."""
+    if _shared(m, dimension, copies):
         return _cached_torus(m, dimension, copies)
     return _Torus(m, dimension, copies)
-
-
-def _orbits(m: int, d: int) -> _Orbits:
-    """The _Orbits of Z_m^d, kept on the cached torus when within the cache's bound.
-
-    A larger group gets a fresh instance, walked once as it is read, at one
-    byte per cell.
-    """
-    if d * m**d <= _CACHED_TORUS_BITS:
-        return _torus(m, d).orbits
-    return _Orbits(m, d)
 
 
 def fourier_zero_set(point_set: PointSet, m: int, guard: int | None = None) -> int:
@@ -610,8 +596,8 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     """fourier_zero_set in the group, under a resolved limit on its order.
 
     The one builder of Z(1_T).  It decides one leader per orbit of Z_m^d
-    under the units mod m (see _Orbits) and sets the bits of the whole orbit
-    from that one verdict, by the Galois lemma:
+    under the units mod m (see _Torus.listed) and sets the bits of the
+    whole orbit from that one verdict, by the Galois lemma:
 
     For every unit a mod m, xi lies in Z(1_T) exactly when a*xi does.  (The
     automorphism zeta_m -> zeta_m^a of Q(zeta_m) maps sum_t zeta_m^(xi.t)
@@ -636,17 +622,17 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     points = point_set.points
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(points))
-    orbits = _orbits(m, d)
+    torus = _torus(m, d)
     if m <= len(points) and group.order() * m <= limit:
         w = decide.width
         line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
-        leaders = list(orbits.leaders)  # _transform reads them once per axis
-        flags = map(functools.cache(decide), _transform(points, m, d, line(m, w), leaders))
+        leaders = list(torus.leaders())  # _transform reads them once per axis
+        flags = map(functools.cache(decide), _transform(points, torus, line(m, w), leaders))
     else:
-        leaders, walked = itertools.tee(orbits.leaders)
-        flags = map(_Pointwise(points, decide).vanishes, map(orbits.row, walked))
-    zero = map(orbits.orbit, itertools.compress(leaders, flags))
-    return _cell_mask(itertools.chain.from_iterable(zero), -(-group.order() // 8))
+        leaders, walked = itertools.tee(torus.leaders())
+        flags = map(_pointwise(points, decide), map(torus.row, walked))
+    zero = map(torus.orbit, itertools.compress(leaders, flags))
+    return _cell_mask(itertools.chain.from_iterable(zero), torus.width)
 
 
 def _dense_pays(k: int, m: int, d: int) -> bool:
@@ -700,7 +686,7 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
             for row, later in itertools.combinations(rows, 2)
         )
         # Each distinct difference is decided once, in pair order, up to the first failure.
-        vanishes = functools.cache(_Pointwise(point_set.points, decide).vanishes)
+        vanishes = functools.cache(_pointwise(point_set.points, decide))
         return all(map(vanishes, differences))
     # _dense_pays makes the limit hold m^(d+1) >= m^d, so the guard never refuses.
     zero = _zero_set(point_set, GroupSpec(m, d), 2 * k * (k - 1))

@@ -39,17 +39,7 @@ from typing import Iterator, Sequence
 
 from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-# The torus cache lives with the cell arithmetic in spectral; its bound and
-# cache are re-exported here with _torus.
-from .spectral import (
-    _CACHED_TORUS_BITS,
-    GroupSpec,
-    PointSet,
-    _cached_torus,
-    _torus,
-    _Torus,
-    composed_set,
-)
+from .spectral import GroupSpec, PointSet, _torus, _Torus, composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -172,7 +162,7 @@ def _coverage(cert: TilingCertificate) -> tuple[_Torus, int] | None:
     cell.  A complement that repeats a residue has fewer bits and leaves a
     cell uncovered.
     """
-    torus = _Torus(cert.group.modulus, cert.group.dimension)
+    torus = _torus(cert.group.modulus, cert.group.dimension)
     complement = torus.mask(zip(*cert.complement.points))
     covered = 0
     for t in cert.set.points:
@@ -456,7 +446,7 @@ def lift_tile(
     heads = [row[:-1] for row in rows]
     # The cell t * (last column) of Z_m^d1 for each last coordinate t, as the
     # byte and the bit that hold it in a mask's little-endian bytes.
-    spots = [torus.index([row[-1] * t % m for row in rows]) for t in range(m)]
+    spots = list(torus.cells([row[-1] * t for t in range(m)] for row in rows))
     octets = [j >> 3 for j in spots]
     bits = [1 << (j & 7) for j in spots]
     sigma: list[tuple[int, ...]] = []

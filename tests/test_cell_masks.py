@@ -46,6 +46,21 @@ def test_mask_sets_each_listed_cell_once(m, d):
         assert torus.mask(zip(*points)) == sum(1 << order.index(cell) for cell in cells)
 
 
+@pytest.mark.parametrize("m, d", [(1, 4), (2, 4), (3, 3), (4, 4), (5, 2), (6, 3), (7, 1)])
+def test_cells_are_the_indices_of_the_reduced_rows(m, d):
+    """Unreduced and negative coordinates give, in the order listed and
+    repeats kept, the index of their reduced row, its position in
+    lexicographic order."""
+    rng = random.Random(m * 100 + d)
+    order = list(GroupSpec(m, d).elements())
+    torus = _Torus(m, d)
+    points = [tuple(rng.randrange(-3 * m, 3 * m) for _ in range(d)) for _ in range(20)]
+    points += points[:3]
+    reduced = [tuple(c % m for c in p) for p in points]
+    assert list(torus.cells(zip(*points))) == list(map(torus.index, reduced))
+    assert list(map(torus.index, reduced)) == list(map(order.index, reduced))
+
+
 class TestVerifyTilingMemory:
     """Coverage is counted on one bit per cell, not one int per cell."""
 

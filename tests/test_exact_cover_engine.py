@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from spectratile import certio, tiling
+from spectratile import certio, spectral, tiling
 from spectratile.cli import main
 from spectratile.guard import GuardExceeded
 from spectratile.spectral import GroupSpec, PointSet
@@ -119,16 +119,16 @@ class TestToriShared:
         assert tiling._torus(4, 3, 8) is not tiling._torus(4, 3, 4)
 
     def test_cache_is_bounded_in_entries_and_in_entry_size(self):
-        assert tiling._cached_torus.cache_info().maxsize <= 16
+        assert spectral._cached_torus.cache_info().maxsize <= 16
         # d * copies * m^d bits: Z_2^8 with 16 copies is at the limit.
-        assert 8 * 16 * 2**8 == tiling._CACHED_TORUS_BITS
+        assert 8 * 16 * 2**8 == spectral._CACHED_TORUS_BITS
         assert tiling._torus(2, 8, 16) is tiling._torus(2, 8, 16)
         assert tiling._torus(2, 8, 17) is not tiling._torus(2, 8, 17)
         # The Z_100^2 line's rows are 100 copies of 10^4 bits: only the
         # single copy is kept after its search.
-        tiling._cached_torus.cache_clear()
+        spectral._cached_torus.cache_clear()
         tiling._exact_cover(line(100), 100, 2, rooted=True)
-        assert tiling._cached_torus.cache_info().currsize == 1
+        assert spectral._cached_torus.cache_info().currsize == 1
         assert tiling._torus(100, 2) is tiling._torus(100, 2)
 
 

@@ -82,7 +82,7 @@ def test_cube_is_checked_without_character_sums(monkeypatch):
 
     cube = cube_spectrum(6, 4)
     monkeypatch.setattr(spectral, "_transform", refuse)
-    monkeypatch.setattr(spectral, "_Pointwise", refuse)
+    monkeypatch.setattr(spectral, "_pointwise", refuse)
     assert verify_spectrum(cube)
 
 
@@ -95,8 +95,8 @@ def test_bundle_parses_without_character_sums_of_the_cube(monkeypatch):
 
     def refusing(original):
         def build(points, how, *rest):
-            # _Pointwise is given a decision, _transform the modulus.
-            m = getattr(how, "modulus", how)
+            # _pointwise is given a decision, _transform the torus.
+            m = how.m if isinstance(how, spectral._Torus) else how.modulus
             if len(points) == m ** len(points[0]):
                 raise AssertionError("a full group reached a character sum")
             sizes.append(len(points))
@@ -105,7 +105,7 @@ def test_bundle_parses_without_character_sums_of_the_cube(monkeypatch):
         return build
 
     monkeypatch.setattr(spectral, "_transform", refusing(spectral._transform))
-    monkeypatch.setattr(spectral, "_Pointwise", refusing(spectral._Pointwise))
+    monkeypatch.setattr(spectral, "_pointwise", refusing(spectral._pointwise))
     parse(data)
     assert sizes == [6, 6]
 

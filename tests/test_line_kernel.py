@@ -29,8 +29,9 @@ from spectratile.spectral import (
 
 def both_transforms(points, m, d, w):
     """The full transform, every cell of Z_m^d, by each line map."""
-    kernel = _transform(points, m, d, _kernel_line(m, w), range(m**d))
-    shifted = _transform(points, m, d, _shift_add_line(m, w), range(m**d))
+    torus = spectral._torus(m, d)
+    kernel = _transform(points, torus, _kernel_line(m, w), range(m**d))
+    shifted = _transform(points, torus, _shift_add_line(m, w), range(m**d))
     return kernel, shifted
 
 

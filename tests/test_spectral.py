@@ -629,15 +629,20 @@ class TestPointwisePairsDecidedLazily:
 
     @pytest.fixture
     def decided(self, monkeypatch):
-        """Each (xi, verdict) that _Pointwise.vanishes is asked, in order."""
+        """Each (xi, verdict) that a _pointwise predicate is asked, in order."""
         calls = []
-        vanishes = spectral._Pointwise.vanishes
+        pointwise = spectral._pointwise
 
-        def recording(self, xi):
-            calls.append((xi, vanishes(self, xi)))
-            return calls[-1][1]
+        def recording(points, decide):
+            vanishes = pointwise(points, decide)
 
-        monkeypatch.setattr(spectral._Pointwise, "vanishes", recording)
+            def recorded(xi):
+                calls.append((xi, vanishes(xi)))
+                return calls[-1][1]
+
+            return recorded
+
+        monkeypatch.setattr(spectral, "_pointwise", recording)
         return calls
 
     # {0, ..., 5} in Z_60 has the spectrum 10 * {0, ..., 5}: its differences

@@ -1,7 +1,7 @@
 """The transform computes only the lines that the cells it is asked for read.
 
-_transform(points, m, d, line, cells) returns the count polynomials of the
-listed cells, in the order listed.  After pass a, cell (xi_0..xi_a,
+_transform(points, torus, line, cells) returns the count polynomials of the
+listed cells of the torus's Z_m^d, in the order listed.  After pass a, cell (xi_0..xi_a,
 x_(a+1)..x_(d-1)) holds the sum over the points with that suffix of
 x^(xi_0*t_0 + ... + xi_a*t_a), so pass a transforms a line only when its
 prefix is some listed cell's and its suffix some point's.  These tests
@@ -30,7 +30,7 @@ from spectratile.spectral import (
 
 def packed(points, m, d, w, cells):
     """Each listed cell's count polynomial packed directly, with no transform."""
-    strides = spectral._strides(m, d)
+    strides = [m ** (d - 1 - a) for a in range(d)]
     rows = ([j // s % m for s in strides] for j in cells)
     return [sum(1 << w * (sum(a * b for a, b in zip(xi, t)) % m) for t in points) for xi in rows]
 
@@ -68,25 +68,26 @@ def test_leaders_and_random_cells_equal_their_character_sums(d, m, k, make_line)
     points = drawn_points(rng, d, k, m)
     w = vanishing_decision(m, len(points)).width
     line = make_line(m, w)
-    leaders = list(spectral._orbits(m, d).leaders)
+    torus = spectral._torus(m, d)
+    leaders = list(torus.leaders())
     # Out of index order, with the last cell listed twice.
     cells = rng.sample(range(m**d), min(m**d, 40))
     cells.append(cells[-1])
     for wanted in (leaders, cells):
-        assert _transform(points, m, d, line, wanted) == packed(points, m, d, w, wanted)
+        assert _transform(points, torus, line, wanted) == packed(points, m, d, w, wanted)
 
 
 def test_the_largest_size_walks_its_leaders_lazily():
     d, m, k = SIZES[-1]
     assert d * m**d > spectral._CACHED_TORUS_BITS
-    assert not isinstance(spectral._orbits(m, d).leaders, array)
+    assert not isinstance(spectral._torus(m, d).leaders(), array)
 
 
 def test_no_cells_transform_no_lines():
     def refuse(terms):
         raise AssertionError("a line was transformed")
 
-    assert _transform([(1, 2), (3, 4)], 5, 2, refuse, []) == []
+    assert _transform([(1, 2), (3, 4)], spectral._torus(5, 2), refuse, []) == []
 
 
 # The 8-point set in Z_8^3 that tests/cli_smoke.sh searches, and one set of
@@ -133,7 +134,7 @@ def test_lines_per_zero_set_call(case, lines):
     assert lines[0] == pruned
     lines[0] = 0
     w = vanishing_decision(m, len(points)).width
-    _transform(points, m, 3, spectral._kernel_line(m, w), range(m**3))
+    _transform(points, spectral._torus(m, 3), spectral._kernel_line(m, w), range(m**3))
     assert lines[0] == full
     assert pruned < full
     assert mask == fourier_zero_set(point_set, m, guard=m**3)

@@ -100,13 +100,19 @@ def test_both_routes_equal_the_per_cell_oracle(drawn):
 def test_orbits_are_the_generator_sets_of_cyclic_subgroups(m, d):
     """The orbits partition the cells, each lists the generators of <xi>
     once with its leader xi first, and the leader is its least index.  The
-    cached table lists the same leaders as a fresh walk."""
+    cached table holds exactly the orbits of a fresh walk, in the same
+    order: leaders, cells and ends, and orbit reads each one back."""
     cells = list(GroupSpec(m, d).elements())
     index = {cell: j for j, cell in enumerate(cells)}
-    orbits = spectral._Orbits(m, d)
-    leaders = list(orbits.leaders)
-    assert list(spectral._orbits(m, d).leaders) == leaders == sorted(leaders)
-    walked = list(map(orbits.orbit, leaders))
+    torus = spectral._torus(m, d)
+    walked = list(torus.walk())
+    leaders = [orbit[0] for orbit in walked]
+    assert list(torus.leaders()) == leaders == sorted(leaders)
+    kept, kept_cells, ends = torus.table
+    assert list(kept) == leaders
+    assert list(kept_cells) == list(itertools.chain.from_iterable(walked))
+    assert list(ends) == list(itertools.accumulate(map(len, walked)))
+    assert [list(torus.orbit(leader)) for leader in leaders] == walked
     assert sorted(itertools.chain.from_iterable(walked)) == list(range(m**d))
     for orbit in walked:
         xi = cells[orbit[0]]
@@ -156,7 +162,7 @@ def test_one_decision_per_orbit_at_most(case, decisions):
     else:
         points, m = Z97_POINTS, 97
     point_set = PointSet(len(points[0]), tuple(points))
-    assert sum(1 for _ in spectral._Orbits(m, point_set.dimension).leaders) == orbits
+    assert sum(1 for _ in spectral._torus(m, point_set.dimension).walk()) == orbits
     mask = fourier_zero_set(point_set, m)
     assert 0 < decisions[0] <= min(before, orbits)
     assert mask == fourier_zero_set(point_set, m, guard=m**point_set.dimension)
@@ -167,8 +173,9 @@ def test_a_group_past_the_cache_bound_walks_in_little_memory():
     are decided pointwise, one leader per orbit, walking the 1,870 orbits
     with one byte per cell.  Deciding all 250,000 cells peaked at 33.7 MB of
     traced memory, and keeping each leader's polynomial for reuse 0.8 MB;
-    this call peaks at about 0.3 MB: the walk's 250 KB seen map and the
-    mask."""
+    this call peaks at about 0.43 MB: the walk's 250 KB seen map, the mask,
+    the torus's 31 KB full mask, and about 80 KB of pairs that CPython
+    keeps on its tuple free list, which tracemalloc still counts."""
     rng = random.Random(500)
     drawn = set()
     while len(drawn) < 3:
@@ -192,19 +199,19 @@ class TestOrbitTables:
 
     def test_a_table_is_built_once_per_group(self):
         spectral._cached_torus.cache_clear()
-        first = spectral._torus(6, 3).orbits
+        first = spectral._torus(6, 3).table
         fourier_zero_set(PointSet(3, ((0, 0, 0), (1, 2, 3))), 6)
-        assert spectral._orbits(6, 3) is first
+        assert spectral._torus(6, 3).table is first
         assert spectral._cached_torus.cache_info().currsize == 1
 
     @pytest.mark.parametrize("m, d", [(128, 2), (10_000, 1), (22, 3), (2, 11)])
     def test_at_most_six_bytes_per_cell(self, m, d):
         """Two bytes per cell, and two per orbit for its leader and two for
         where it ends; the units sieved while walking are dropped."""
-        orbits = spectral._orbits(m, d)
-        arrays = [orbits.leaders, *orbits.table]
-        assert all(isinstance(a, array) for a in arrays) and not orbits.units
-        assert len(orbits.table[0]) == m**d
+        torus = spectral._torus(m, d)
+        arrays = torus.table
+        assert all(isinstance(a, array) for a in arrays) and not torus.units
+        assert len(arrays[1]) == m**d
         assert sum(a.itemsize * len(a) for a in arrays) <= 6 * m**d
 
     def test_worst_case_is_one_and_a_half_mebibytes(self):
@@ -225,7 +232,8 @@ class TestOrbitTables:
     def test_no_table_past_the_bound(self):
         spectral._cached_torus.cache_clear()
         assert 2 * 129**2 > spectral._CACHED_TORUS_BITS
-        orbits = spectral._orbits(129, 2)
-        assert next(iter(orbits.leaders)) == 0
-        assert not isinstance(orbits.leaders, array)
+        torus = spectral._torus(129, 2)
+        assert next(iter(torus.leaders())) == 0
+        assert not isinstance(torus.leaders(), array)
+        assert torus.table is None
         assert spectral._cached_torus.cache_info().currsize == 0
