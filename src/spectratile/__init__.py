@@ -12,7 +12,6 @@ from .modlinalg import (
     RankFactorization,
     det_and_adjugate,
     format_matrix,
-    is_rank_factorization,
     matmul_mod,
     parse_matrix,
     rank_factorize_mod_p,

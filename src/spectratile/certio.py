@@ -20,9 +20,10 @@ Every integer anywhere in the payload is encoded as a canonical decimal
 string so arbitrary-precision values survive any JSON implementation.
 Integers in [-256, 256], nearly all of those in a certificate, are encoded
 and decoded by lookup in two tables filled on the first serialize or parse,
-one C-level map per array.  A miss (a larger integer, or anything that is
-not a canonical decimal string) sends the array through the per-item path,
-which converts with int() and str() and, for a fault, names its index.
+one C-level map per array; a point set's points are encoded in one map over
+all their coordinates.  A miss (a larger integer, or anything that is not a
+canonical decimal string) sends the array through the per-item path, which
+converts with int() and str() and, for a fault, names its index.
 Object keys are sorted and arrays keep the canonical orders the producing
 operations define, so serializing the same envelope twice yields identical
 bytes.
@@ -37,24 +38,45 @@ count must be positive.  The published factorization then fixes the base
 spectrum and both base non-tiling certificates, which with the side count
 fix the composed spectrum and the obstruction report; each stored field is
 compared once with the value a check derives for it, and the one claim
-taken as stored is the exhausted search's node count.  A derived
-certificate (a composition's or lift's result, the bundle's composed
-spectrum) must have the group and set size its construction produces; only
-then is the construction run and its output compared, so a tampered one
-costs no more than the envelope lists.  The construction does the rest of
-the checking, since every construction checks its inputs and never its
-output: a composition verifies its two parts and its lemma proves the
-product, and a lift verifies its base and its lemma proves the pullback.
+taken as stored is the exhausted search's node count.
+
+parse decodes only the premises.  A field that verification derives from
+them (the bundle's rank, base spectrum, composed spectrum and obstruction
+report, a composition's or lift's result, a chain's one-dimensional tiling)
+stays JSON until its check derives it; the stored JSON is then compared
+with the canonical encoding of the derivation, and if they are equal the
+derivation is the payload's value.  Only a stored field that differs is
+decoded, so a malformed one raises MalformedCertificate at its path, and
+then checked as an object, as verify_envelope checks an in-memory
+envelope: a tampered one raises InvariantViolation.  A derived field is
+read only when its check runs, after the checks of its premises, so a
+malformed one is reported only if they pass: a tampered premise raises
+its own InvariantViolation first, and a construction beyond the guard
+raises GuardExceeded before its result is decoded.  Until then the
+payload that verify_envelope checks holds a _Claim in each derived field;
+parse then puts the values they settled in their places.
+
+A derived certificate (a composition's or lift's result, the bundle's
+composed spectrum) must have the group and set size its construction
+produces, read from the stored JSON; only then is the construction run
+and its output compared, so a tampered one costs no more than the
+envelope lists.  The construction does the rest of the checking, since
+every construction checks its inputs and never its output: a composition
+verifies its two parts and its lemma proves the product, and a lift
+verifies its base and its lemma proves the pullback.
+
 An independence chain stores the premises of the pullback lemma, not the
 tiling of Z_M^d they imply: parse recomputes the selected block's
-determinant, maps each point to Z_M and verifies the one-dimensional
-tiling, which is O(k*d + k^3 + M) work and never walks Z_M^d.  The one
-thing a static file cannot prove is an exhausted-search node count; such
-certificates parse but carry a "replay-required" trust marker (inside
-composite records an exhausted search is corroborating evidence only - the
-load-bearing claims are re-checked).
-tiling.replay_search re-decides the set by the search's rule and compares
-the certificates.
+determinant and maps each point to Z_M.  When the images are the
+progression {|det| * i}, the one-dimensional tiling is the progression's
+(see _verify_chain) and needs no coverage check; any other stored tiling
+of Z_M is verified, O(M) more.  Neither walks Z_M^d.
+
+The one thing a static file cannot prove is an exhausted-search node
+count; such certificates parse but carry a "replay-required" trust marker
+(inside composite records an exhausted search is corroborating evidence
+only - the load-bearing claims are re-checked).  tiling.replay_search
+re-decides the set by the search's rule and compares the certificates.
 A search reason's kind names its rule: "exhausted-search" is the lex rule,
 which every file written before the rooted rule means by it, and
 "rooted-search" the rooted rule (see tiling._exact_cover); the replay runs
@@ -69,8 +91,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import partial
-from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from itertools import chain
+from operator import attrgetter, eq
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import spectral, tiling
 from .guard import GuardExceeded, check_power_guard
@@ -147,11 +170,14 @@ class ProvenanceEntry:
         object.__setattr__(self, "inputs", tuple(str(x) for x in self.inputs))
 
 
-def _check_parts(record: str, certificate_type: str, *parts: object) -> None:
+def _check_parts(record: str, certificate_type: str, *parts: object, result: object) -> None:
     codec = _PARTS.get(certificate_type)
     if codec is None:
         raise ValueError(f"unknown {record} type {certificate_type!r}")
-    if not all(isinstance(part, codec.make) for part in parts):
+    # parse holds the result as a _Claim until verification settles it.
+    if not all(isinstance(part, codec.make) for part in parts) or not isinstance(
+        result, (codec.make, _Claim)
+    ):
         raise ValueError(f"{record} parts must be {codec.make.__name__}")
 
 
@@ -165,7 +191,9 @@ class CompositionRecord:
     result: SpectrumCertificate | TilingCertificate
 
     def __post_init__(self) -> None:
-        _check_parts("composition", self.certificate_type, self.left, self.right, self.result)
+        _check_parts(
+            "composition", self.certificate_type, self.left, self.right, result=self.result
+        )
 
 
 @dataclass(frozen=True)
@@ -178,7 +206,7 @@ class LiftRecord:
     result: SpectrumCertificate | TilingCertificate
 
     def __post_init__(self) -> None:
-        _check_parts("lift", self.certificate_type, self.base, self.result)
+        _check_parts("lift", self.certificate_type, self.base, result=self.result)
 
 
 @dataclass(frozen=True)
@@ -354,11 +382,29 @@ def _list_of(item: _Codec, bulk: _Codec | None = None) -> _Codec:
     return _Codec(encode, decode)
 
 
+def _table_points(points: Any) -> Iterator[list]:
+    """A PointSet's points encoded lazily: every coordinate through the
+    table in one C-level pass, cut back into points of the first point's
+    length, which they all share.  A miss raises when it is reached."""
+    flat = map(_TO_STR.__getitem__, chain.from_iterable(points))
+    return map(list, zip(*[flat] * len(points[0])))
+
+
+def _enc_points(points: Any) -> list:
+    """The points by _table_points, or on a miss through _POINT_LIST point
+    by point."""
+    try:
+        return list(_table_points(points))
+    except _MISS:
+        return _POINT_LIST.encode(points)
+
+
 _INT = _Codec(_enc_int, _dec_int)
 _BOOL = _Codec(bool, _check(bool, "a boolean"))
 _STR = _Codec(str, _check(str, "a string"))
 _INTS = _list_of(_INT, _Codec(_TO_STR.__getitem__, _FROM_STR.__getitem__))
-_POINTS = _list_of(_INTS)
+_POINT_LIST = _list_of(_INTS)
+_POINTS = _Codec(_enc_points, _POINT_LIST.decode)
 
 
 def _keys(obj: Any, keys: frozenset[str]) -> None:
@@ -378,17 +424,131 @@ def _field(obj: dict, key: str, decode: Callable[[Any], Any]) -> Any:
         raise exc.at(f".{key}")
 
 
+class _Derived(NamedTuple):
+    """A payload field that verification derives from the premises: a
+    _Record encodes it by codec and decodes it to a _Claim."""
+
+    codec: Any
+
+
+def _encodes(codec: Any, value: Any, obj: Any) -> bool:
+    """Whether obj is the canonical encoding of value.
+
+    A record is compared field by field and a point set's points point by
+    point, so the encoding is never built whole beside obj.  The type is
+    compared too, since == takes a JSON 0 for false.
+    """
+    if type(codec) is _Record:
+        if type(obj) is not dict or obj.keys() != codec.keys:
+            return False
+        for name, item in codec.fields:
+            if not _encodes(item, getattr(value, name), obj[name]):
+                return False
+        return True
+    if codec is _POINTS and type(obj) is list and len(obj) == len(value):
+        try:
+            return all(map(eq, obj, _table_points(value)))
+        except _MISS:
+            pass  # a coordinate out of the table: compare the whole encoding
+    canonical = codec.encode(value)
+    return type(obj) is type(canonical) and obj == canonical
+
+
+class _Claim:
+    """A derived payload field as the envelope stores it, still JSON.
+
+    parse passes it to the payload's constructor in the field's place, and
+    verification settles it against the field's derivation (see _settle):
+    ``value`` is then the field's value, which parse puts in its place.
+    It is decoded only when it differs from the derivation.
+    """
+
+    __slots__ = ("obj", "codec", "name", "value")
+
+    def __init__(self, obj: Any, codec: Any, name: str) -> None:
+        self.obj, self.codec, self.name = obj, codec, name
+
+    def encodes(self, value: Any) -> bool:
+        self.value = value  # decode replaces it if the two differ
+        return _encodes(self.codec, value, self.obj)
+
+    def decode(self) -> Any:
+        """The stored value; a fault raises located at payload.<name>."""
+        try:
+            self.value = self.codec.decode(self.obj)
+        except _Bad as exc:
+            raise exc.at(f".{self.name}").at(".payload").located() from None
+        return self.value
+
+    def shape(self) -> tuple[GroupSpec, int] | None:
+        """The group and set size the stored certificate claims, read
+        without decoding its points; None if they are not readable so."""
+        try:
+            points = self.obj["set"]["points"]
+            if type(points) is list:
+                return _GROUP.decode(self.obj["group"]), len(points)
+        except (_Bad, *_MISS):
+            pass
+        return None
+
+    def premise(self, key: str) -> Any:
+        """The stored record's field key, a premise, decoded alone; a fault
+        in it raises as decoding the whole claim does."""
+        try:
+            return self.codec.codecs[key].decode(self.obj[key])
+        except (_Bad, *_MISS):
+            return getattr(self.decode(), key)
+
+
+class _Given(NamedTuple):
+    """A derived field of a record built in memory: verify_envelope
+    compares it with its derivation as an object, through a _Claim's
+    methods."""
+
+    value: Any
+
+    def encodes(self, value: Any) -> bool:
+        return self.value == value
+
+    def decode(self) -> Any:
+        return self.value
+
+    def shape(self) -> tuple[GroupSpec, int]:
+        return self.value.group, len(self.value.set)
+
+    def premise(self, key: str) -> Any:
+        return getattr(self.value, key)
+
+
+def _stored(value: Any) -> _Claim | _Given:
+    """A derived field as verification reads it: parse's claim, or else
+    the in-memory value."""
+    return value if type(value) is _Claim else _Given(value)
+
+
 class _Record:
     """A dataclass as a JSON object whose keys are exactly its field names.
 
     ``make`` builds the value from the decoded fields; its ValueError means
-    the fields are well-formed but inconsistent, an InvariantViolation.
+    the fields are well-formed but inconsistent, an InvariantViolation.  A
+    _Derived field is passed to ``make`` as a _Claim; only payload records
+    have them, so a claim's path is payload.<name>.
     """
 
     def __init__(self, make: Callable[..., Any], **fields: Any) -> None:
         self.make = make
-        self.fields = tuple(fields.items())
         self.keys = frozenset(fields)
+        self.codecs = {
+            name: codec.codec if type(codec) is _Derived else codec
+            for name, codec in fields.items()
+        }
+        self.fields = tuple(self.codecs.items())
+        self.decoders = tuple(
+            (name, partial(_Claim, codec=codec.codec, name=name))
+            if type(codec) is _Derived
+            else (name, codec.decode)
+            for name, codec in fields.items()
+        )
 
     def encode(self, value: Any) -> dict:
         return {name: codec.encode(getattr(value, name)) for name, codec in self.fields}
@@ -397,8 +557,8 @@ class _Record:
         _keys(obj, self.keys)
         values = {}
         try:
-            for name, codec in self.fields:
-                values[name] = codec.decode(obj[name])
+            for name, decode in self.decoders:
+                values[name] = decode(obj[name])
         except _Bad as exc:
             raise exc.at(f".{name}")
         try:
@@ -499,7 +659,9 @@ _PARTS = {"spectrum": _SPECTRUM, "tiling": _TILING}
 _COMPOSITION = _Tagged(
     "certificate_type",
     {
-        name: _Record(partial(CompositionRecord, name), left=part, right=part, result=part)
+        name: _Record(
+            partial(CompositionRecord, name), left=part, right=part, result=_Derived(part)
+        )
         for name, part in _PARTS.items()
     },
     attrgetter("certificate_type"),
@@ -507,7 +669,9 @@ _COMPOSITION = _Tagged(
 _LIFT = _Tagged(
     "certificate_type",
     {
-        name: _Record(partial(LiftRecord, name), transform=_MATRIX, base=part, result=part)
+        name: _Record(
+            partial(LiftRecord, name), transform=_MATRIX, base=part, result=_Derived(part)
+        )
         for name, part in _PARTS.items()
     },
     attrgetter("certificate_type"),
@@ -519,7 +683,7 @@ _CHAIN = _Record(
     determinant=_INT,
     modulus=_INT,
     row_transform=_MATRIX,
-    one_dimensional=_TILING,
+    one_dimensional=_Derived(_TILING),
 )
 _OBSTRUCTIONS = _Record(
     ExtensionObstructionReport,
@@ -541,14 +705,14 @@ _COUNTEREXAMPLE = _Record(
     CounterexampleRecord,
     side_count=_INT,
     phase_exponents=_PHASE,
-    rank=_INT,
+    rank=_Derived(_INT),
     published_factorization=_FACTORIZATION,
     computed_factorization=_FACTORIZATION,
-    base_spectrum=_SPECTRUM,
+    base_spectrum=_Derived(_SPECTRUM),
     base_non_tiling_divisibility=_NON_TILING,
     base_non_tiling_search=_NON_TILING,
-    composed_spectrum=_SPECTRUM,
-    obstructions=_OBSTRUCTIONS,
+    composed_spectrum=_Derived(_SPECTRUM),
+    obstructions=_Derived(_OBSTRUCTIONS),
 )
 _PROVENANCE = _list_of(_Record(ProvenanceEntry, operation=_STR, inputs=_list_of(_STR)))
 
@@ -576,6 +740,35 @@ def _verify_non_tiling(cert: NonTilingCertificate) -> None:
     """Reasons are re-validated structurally on construction."""
 
 
+def _settle(stored: Any, derived: Any, differs: Callable[[Any], None]) -> Any:
+    """The value of a derived field: its derivation, if the stored value is
+    that, else the stored value once ``differs(stored)`` accepts it.
+
+    parse's claim is compared as JSON with the derivation's canonical
+    encoding and decoded only if they differ, so a malformed one raises
+    MalformedCertificate at its path; an in-memory value is compared as an
+    object.  differs raises InvariantViolation to refuse.  derived is None
+    when the premises fix no value, and then the stored value always goes
+    to it.
+    """
+    stored = _stored(stored)
+    if derived is not None and stored.encodes(derived):
+        return derived
+    value = stored.decode()
+    if value != derived:
+        differs(value)
+    return value
+
+
+def _refuse(msg: str) -> Callable[[Any], None]:
+    """A differs for _settle that accepts no value but the derivation."""
+
+    def refuse(stored: Any) -> None:
+        raise InvariantViolation(msg)
+
+    return refuse
+
+
 _COMPOSE = {"spectrum": spectral.compose_spectral, "tiling": tiling.compose_tile}
 _LIFT_BACK = {"spectrum": spectral.lift_spectrum, "tiling": tiling.lift_tile}
 
@@ -584,17 +777,24 @@ def _pin(what: str, result: Any, group: GroupSpec, size: int) -> None:
     """Before a construction runs, its result must have the group and set
     size it produces.  A tiling's sizes multiply to its group order, so a
     tiling construction then builds no more cells, and a spectral one
-    checks no more points, than the result lists."""
+    checks no more points, than the result lists.  A claim is read for them
+    undecoded; only a mismatch decodes it, so a malformed one raises as
+    such first."""
+    stored = _stored(result)
+    if stored.shape() == (group, size):
+        return
+    cert = stored.decode()
     for field in ("modulus", "dimension"):
-        _require(getattr(result.group, field) == getattr(group, field), f"{what} {field} mismatch")
-    _require(len(result.set) == size, f"{what} set size is not the construction's")
+        _require(getattr(cert.group, field) == getattr(group, field), f"{what} {field} mismatch")
+    _require(len(cert.set) == size, f"{what} set size is not the construction's")
 
 
 def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
-    """Pin a derived certificate, then recompute it.  The construction
-    verifies its inputs and never its output, which its lemma proves."""
+    """Pin a derived certificate, then recompute and settle it.  The
+    construction verifies its inputs and never its output, which its lemma
+    proves."""
     _pin(what, result, group, size)
-    _require(construct() == result, f"{what} result does not recompute")
+    _settle(result, construct(), _refuse(f"{what} result does not recompute"))
 
 
 def _verify_composition(rec: CompositionRecord) -> None:
@@ -611,7 +811,9 @@ def _verify_composition(rec: CompositionRecord) -> None:
 
 def _verify_lift(rec: LiftRecord) -> None:
     """Pin the result, then lift: the construction verifies the base."""
-    base, points = rec.base, rec.result.set
+    base = rec.base
+    # The points lifted are the result's set, the one premise inside it.
+    points = _stored(rec.result).premise("set")
     _recompute(
         "lift",
         rec.result,
@@ -624,10 +826,17 @@ def _verify_lift(rec: LiftRecord) -> None:
 def _verify_chain(rec: IndependenceChain) -> None:
     """Check the premises of the pullback lemma (see tiling.lift_tile).
 
-    The work is O(k*d + k^3 + M): the selected block's determinant, phi on
-    each point and the tiling of Z_M.  No lift is recomputed, and Z_M^d is
-    not walked; the guard admits Z_M^d only so that reading the
-    chain's on-demand tiling, final, later stays within it.
+    The selected block's determinant must recompute, and phi must map the
+    points onto a tiling of Z_M.  The progression lemma makes that tiling
+    arithmetic when phi maps the i-th point to |det| * i: the progression
+    {|det| * i : i < k} tiles Z_M, M = k * |det|, with complement
+    [0, |det|), since division with remainder writes each x in Z_M as
+    |det| * i + s for exactly one i < k and s < |det|.  That tiling, the one
+    independent_tile stores, is settled with no coverage check; any other
+    stored tiling of Z_M is verified.  The work is O(k*d + k^3) and at most
+    O(M) for another tiling: no lift is recomputed, and Z_M^d is not
+    walked; the guard admits Z_M^d only so that reading the chain's
+    on-demand tiling, final, later stays within it.
     """
     points = rec.set.points
     k, d = len(points), rec.set.dimension
@@ -650,7 +859,14 @@ def _verify_chain(rec: IndependenceChain) -> None:
     weights = rec.row_transform
     _require(weights.rows == 1 and weights.cols == k, "row transform must be 1 x k")
     images = [sum(w * p[r] for w, r in zip(weights.entries, rows)) % m for p in points]
-    one = rec.one_dimensional
+    step = abs(rec.determinant)
+    progression = tiling._progression(k, step) if images == list(range(0, m, step)) else None
+    _settle(rec.one_dimensional, progression, partial(_one_dimensional, m, images))
+
+
+def _one_dimensional(m: int, images: list[int], one: TilingCertificate) -> None:
+    """A stored tiling of Z_M other than the progression's: phi must map
+    the set onto its set, in order, and it must tile."""
     _require(one.group == GroupSpec(m, 1), "one-dimensional tiling is not of Z_M")
     _require(
         images == [p[0] % m for p in one.set.points],
@@ -684,10 +900,15 @@ class _Facts(dict):
         value = self[name] = self.given[name]()
         return value
 
-    def derive(self, name: str, value: Any) -> Any:
+    def derive(self, name: str, value: Any, differs: Callable[[Any], None] | None = None) -> Any:
+        """Settle the claimed field against value (see _settle); by default
+        nothing but value is accepted."""
         if self.claimed is not None:
-            stored = getattr(self.claimed, name)
-            _require(stored == value, f"{name.replace('_', ' ')} does not recompute")
+            value = _settle(
+                getattr(self.claimed, name),
+                value,
+                differs or _refuse(f"{name.replace('_', ' ')} does not recompute"),
+            )
         self[name] = value
         return value
 
@@ -713,8 +934,8 @@ def _rank(facts: _Facts) -> str:
 
 
 def _factorization(facts: _Facts, name: str) -> RankFactorization:
-    """With the rank matched, the product alone shows both factors have it
-    (see is_rank_factorization)."""
+    """With the rank matched, the product alone shows both factors have it:
+    rank(L @ R) <= min(rank L, rank R) <= r (see RankFactorization)."""
     fact, phase = facts.premise(f"{name}_factorization"), facts["phase_exponents"]
     _require(fact.modulus == phase.denominator, f"{name} factorization modulus mismatch")
     _require(fact.rank == facts["rank"], f"{name} factorization rank mismatch")
@@ -770,8 +991,9 @@ def _composed(facts: _Facts) -> str:
         _pin("composed", facts.claimed.composed_spectrum, GroupSpec(p * n, d), len(base.set) * n**d)
     # compose_spectral verifies the base and the cube, and raises if either
     # fails; the product lemma makes the composed rows a spectrum.
-    composed = spectral.compose_spectral(base, cube_spectrum(n, d, facts.guard))
-    facts.derive("composed_spectrum", composed)
+    composed = facts.derive(
+        "composed_spectrum", spectral.compose_spectral(base, cube_spectrum(n, d, facts.guard))
+    )
     return (
         "product of the base spectrum and the cube spectrum, both verified: "
         f"{len(composed.set)} points, denominator {p * n}"
@@ -785,21 +1007,22 @@ def _obstructions(facts: _Facts) -> str:
     base, n = facts["base_spectrum"], facts["side_count"]
     p = base.group.modulus
     # The base set lies in [0, p), as RankFactorization keeps it: the lemma holds.
-    rep = facts["obstructions"] = tiling._obstruction_report(
-        base.set, p, n, facts["base_non_tiling_divisibility"]
-    )
-    if facts.claimed is not None:
-        for field in fields(rep):
-            _require(
-                getattr(facts.claimed.obstructions, field.name) == getattr(rep, field.name),
-                f"obstruction {field.name.replace('_', ' ')} does not recompute",
-            )
+    rep = tiling._obstruction_report(base.set, p, n, facts["base_non_tiling_divisibility"])
+    facts.derive("obstructions", rep, partial(_first_difference, rep))
     _require(not rep.size_divides, "the extension's size divides its group order")
     return (
         f"{rep.extension_size} does not divide {rep.extended_group_order}; "
         f"mod-{p} reduction multiplicity {rep.reduction_multiplicity}; "
         "asymptotic non-tiling recorded as a cited claim"
     )
+
+
+def _first_difference(rep: ExtensionObstructionReport, stored: ExtensionObstructionReport) -> None:
+    for field in fields(rep):
+        _require(
+            getattr(stored, field.name) == getattr(rep, field.name),
+            f"obstruction {field.name.replace('_', ' ')} does not recompute",
+        )
 
 
 # The counterexample's checks in order: step name, payload field, check.  A
@@ -901,10 +1124,15 @@ def parse(data: bytes | str) -> CertificateEnvelope:
     except _Bad as exc:
         raise exc.located() from None
     envelope = CertificateEnvelope(SCHEMA_VERSION, doc["kind"], payload, provenance)
-    # The JSON tree and text are garbage now; free them before the
-    # recomputation in verify_envelope builds its own copy of the payload.
+    # The JSON text and tree are garbage now, but for the derived fields'
+    # JSON, which their claims hold until verification settles them.
     del data, doc
     verify_envelope(envelope)
+    # Each claim now holds the value verification settled for it.  No caller
+    # has seen the payload yet: finish it in place, as __post_init__ would.
+    for name, value in vars(payload).items():
+        if type(value) is _Claim:
+            object.__setattr__(payload, name, value.value)
     return envelope
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "RankFactorization",
     "rank_mod_p",
     "rank_factorize_mod_p",
-    "is_rank_factorization",
     "det_and_adjugate",
     "matmul_mod",
     "format_matrix",
@@ -108,8 +107,10 @@ class RankFactorization:
 
     ``left`` holds the original matrix's pivot columns reduced mod p and
     ``right`` the nonzero rows of its reduced row echelon form, so the shared
-    inner dimension equals the mod-p rank.  Use :func:`is_rank_factorization`
-    to re-check a stored factorization against its source matrix.
+    inner dimension equals the mod-p rank.  A stored factorization is
+    re-checked against its source matrix by its product alone once its rank
+    is known to be the matrix's: rank(L @ R) <= min(rank L, rank R) <= r, so
+    a product of rank r needs both factors of rank r.
     """
 
     modulus: int
@@ -208,21 +209,6 @@ def rank_factorize_mod_p(matrix: IntMatrix, p: int) -> RankFactorization:
     )
     right = IntMatrix(r, matrix.cols, tuple(x for row in rref[:r] for x in row))
     return RankFactorization(modulus=p, left=left, right=right, rank=r)
-
-
-def is_rank_factorization(matrix: IntMatrix, fact: RankFactorization) -> bool:
-    """Check a factorization against its source matrix: product, then rank.
-
-    For L (rows x r) and R (r x cols), rank(L @ R) = r iff both factors have
-    rank r: rank(L @ R) <= min(rank L, rank R) <= r, and an injective L after
-    an onto R keeps rank r.  So one elimination stands for both factors'.
-    """
-    if fact.left.rows != matrix.rows or fact.right.cols != matrix.cols:
-        return False
-    p = fact.modulus
-    if fact.product_mod_p() != matrix.reduced_mod(p):
-        return False
-    return rank_mod_p(matrix, p) == fact.rank
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:

@@ -41,12 +41,28 @@ transforms only the lines the leaders read (see _transform).  Which route
 runs, and how the transform treats a line, depends on input size alone,
 from timings of both sides:
 
-- _zero_set transforms when m <= k and the transform's m^(d+1) digits fit
-  its limit; otherwise it packs and decides only the leaders pointwise.
-  The rule was timed on sets of 2 to 1296 points, m up to 100, d up to 4,
-  before leaders were used, when the transform computed every line and
-  the pointwise route every cell.  fourier_zero_set and find_spectrum pass
-  the guard as the limit.
+- _zero_set transforms when the transform's m^(d+1) digits fit its limit
+  and either m <= k or d >= 3; otherwise it packs and decides only the
+  leaders pointwise.  Timed with leaders on both routes (random sets, best
+  of 5 to 7, equal masks, a 2-vCPU x86_64 VM), transform against pointwise:
+
+      4 points in Z_12^3     1.09 vs 3.46 ms
+      6 points in Z_20^3     3.70 vs 10.8 ms
+      3 points in Z_7^4      0.61 vs 2.49 ms
+      3 points in Z_30^3     68.8 vs 80.5 ms  (past the orbit cache's bound)
+      2 points in Z_40^3     74.1 vs 80.6 ms
+      2 points in Z_56^3      155 vs 166 ms   (m/k = 28; the default guard's
+      3 points in Z_56^3      174 vs 179 ms    largest m at d = 3)
+      2 points in Z_25^4      396 vs 469 ms   (its largest m at d = 4)
+      8 points in Z_8^3      0.46 vs 1.40 ms
+      5 points in Z_97^2     1.12 vs 0.75 ms
+      6 points in Z_1000     5.17 vs 0.34 ms
+
+  So from d = 3 on the transform wins for m > k too, up to the largest m
+  the default guard admits, though by only 3-20% once the torus outgrows
+  the orbit cache; at d = 2 the routes tie or pointwise wins, and at d = 1
+  pointwise wins 10-15x.
+  fourier_zero_set and find_spectrum pass the guard as the limit.
 - is_m_spectral, for k other than m^d, builds the whole mask when
   m^(d+1) <= 2k(k-1), at most four digits per row pair, by _zero_set with
   that pair budget as its limit; otherwise it decides each distinct row
@@ -603,19 +619,21 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     automorphism zeta_m -> zeta_m^a of Q(zeta_m) maps sum_t zeta_m^(xi.t)
     to sum_t zeta_m^(a*xi.t), and it fixes 0.)
 
-    It transforms when m <= k and the transform's m^(d+1) digits fit the
-    limit, and asks _transform for the leaders' polynomials alone: pass a
-    transforms a line only when its prefix xi_0..xi_(a-1) is some leader's
+    It transforms when the transform's m^(d+1) digits fit the limit and
+    either m <= k or d >= 3 (the module docstring has the timings), and
+    asks _transform for the leaders' polynomials alone: pass a transforms
+    a line only when its prefix xi_0..xi_(a-1) is some leader's
     and its suffix x_(a+1)..x_(d-1) some point's.  That is exact.  After
     pass a, cell (xi_0..xi_a, x_(a+1)..x_(d-1)) holds sum over the points t
     with that suffix of x^(xi_0*t_0 + ... + xi_a*t_a), so a leader reads
     only lines on its own prefix, and a line whose suffix no point holds is
     zero.  Otherwise it packs each leader's polynomial pointwise.  The
-    transform route decides each distinct polynomial once; the pointwise
-    route decides every leader, since their polynomials are almost all
-    distinct.  Each line is transformed with one Kronecker product per
-    residue when its kernel, 2*m^2*w bits, is at most _KERNEL_BITS, and by
-    shifts and adds otherwise; both give the same ints.
+    transform route decides each distinct polynomial once, through one
+    dict; the pointwise route decides every leader, since their
+    polynomials are almost all distinct.  Each line is transformed with
+    one Kronecker product per residue when its kernel, 2*m^2*w bits, is at
+    most _KERNEL_BITS, and by shifts and adds otherwise; both give the same
+    ints.
     """
     check_power_guard(group.modulus, group.dimension, limit)
     m, d = group.modulus, group.dimension
@@ -623,11 +641,14 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
     decide = vanishing_decision(m, len(points))
     torus = _torus(m, d)
-    if m <= len(points) and group.order() * m <= limit:
+    if (m <= len(points) or d >= 3) and group.order() * m <= limit:
         w = decide.width
         line = _kernel_line if 2 * m * m * w <= _KERNEL_BITS else _shift_add_line
         leaders = list(torus.leaders())  # _transform reads them once per axis
-        flags = map(functools.cache(decide), _transform(points, torus, line(m, w), leaders))
+        polynomials = list(_transform(points, torus, line(m, w), leaders))
+        distinct = set(polynomials)
+        verdicts = dict(zip(distinct, map(decide, distinct)))
+        flags = map(verdicts.__getitem__, polynomials)
     else:
         leaders, walked = itertools.tee(torus.leaders())
         flags = map(_pointwise(points, decide), map(torus.row, walked))

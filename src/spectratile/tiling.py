@@ -504,6 +504,19 @@ class IndependenceChain:
         return lift_tile(self.set, phi, self.one_dimensional, self.modulus**d)
 
 
+def _progression(k: int, step: int) -> TilingCertificate:
+    """The tiling of Z_(k*step) by {step * i : i < k} with complement [0, step).
+
+    Division with remainder proves it: each x in Z_(k*step) is step * i + s
+    for exactly one i < k and s < step.
+    """
+    return TilingCertificate(
+        GroupSpec(k * step, 1),
+        PointSet(1, tuple((step * i,) for i in range(k))),
+        PointSet(1, tuple((s,) for s in range(step))),
+    )
+
+
 def independent_tile(point_set: PointSet, guard: int | None = None) -> IndependenceChain:
     """Certify that a linearly independent set tiles Z_M^d.
 
@@ -545,18 +558,13 @@ def independent_tile(point_set: PointSet, guard: int | None = None) -> Independe
         rows[i] = list(range(k))
         weights.append(sign * _det_bareiss(rows))
 
-    one_dim = TilingCertificate(
-        GroupSpec(modulus, 1),
-        PointSet(1, tuple((big_d * i,) for i in range(k))),
-        PointSet(1, tuple((s,) for s in range(big_d))),
-    )
     return IndependenceChain(
         set=point_set,
         selected_rows=tuple(selected),
         determinant=det,
         modulus=modulus,
         row_transform=IntMatrix(1, k, tuple(weights)),
-        one_dimensional=one_dim,
+        one_dimensional=_progression(k, big_d),
     )
 
 

@@ -23,15 +23,20 @@
 # check: {(0,0), (1,0)} gets a spectrum over 2 whose envelope verifies, and
 # {0, 1} tiles Z_4 (but exits 2 under a guard variable written 1_0, which
 # --guard refuses too, and not as a guard of 10 cells), lifts through the
-# 1x2 matrix (1 0) to Z_4^2, and the lift record verifies.  Then one
-# spectrum search on each route of the zero-set builder: four points in
-# Z_12^3 (m > k, so each orbit leader is decided pointwise) and eight
-# spectral points in Z_8^3 (m <= k, so it transforms only the lines that
-# the leaders read).  A third search takes the transform route past the
-# orbit cache's bound (4 * 12^4 bits > 2^15), where the leaders are walked
-# on each call: the line {(i, 0, 0, 0) : i < 12} in Z_12^4, whose spectrum
-# is the rows (j, 0, 0, 0), j < 12.  Each prints the lexicographically
-# least spectrum written below, and spectrum check accepts it.
+# 1x2 matrix (1 0) to Z_4^2, and the lift record verifies.  The {0, 1}
+# tiling composed with itself verifies as a composition record, and an
+# independence chain verifies both as written by tile independent and as
+# the stored tests/data/independence_chain.json.  Then spectrum searches on
+# both routes of the zero-set builder, which transforms when m <= k or
+# d >= 3 and transforms only the lines that the orbit leaders read: four
+# points in Z_12^3 (m > k, transformed since d = 3) and eight spectral
+# points in Z_8^3 (m <= k).  A third search takes the transform route
+# past the orbit cache's bound (4 * 12^4 bits > 2^15), where the leaders
+# are walked on each call: the line {(i, 0, 0, 0) : i < 12} in Z_12^4,
+# whose spectrum is the rows (j, 0, 0, 0), j < 12.  A fourth stays
+# pointwise: {0, 500} in Z_1000 (m > k at d = 1), whose spectrum is the
+# rows 0 and 1.  Each prints the lexicographically least spectrum written
+# below, and spectrum check accepts it.
 set -euo pipefail
 
 SPECTRATILE=${SPECTRATILE:-spectratile}
@@ -80,13 +85,21 @@ expect 2 env SPECTRATILE_GUARD=1_0 $SPECTRATILE tile decide --set "$tmp/step.txt
 printf '1 2\n1 0\n' > "$tmp/phi.txt"
 st tile lift --set "$tmp/pair.txt" --matrix "$tmp/phi.txt" "$tmp/step.json" --json "$tmp/lift.json"
 st tile verify "$tmp/lift.json"
+st tile compose "$tmp/step.json" "$tmp/step.json" --json "$tmp/composed.json"
+st tile verify "$tmp/composed.json"
+printf '2 3\n2 0 1\n0 3 0\n' > "$tmp/independent.txt"
+st tile independent --set "$tmp/independent.txt" --json "$tmp/chain.json"
+st tile verify "$tmp/chain.json"
+st tile verify "$root/tests/data/independence_chain.json"
 printf '4 3\n2 6 0\n5 7 4\n7 4 10\n8 10 5\n' > "$tmp/z12.txt"
 printf '4 3\n0 0 0\n0 2 2\n6 0 0\n6 2 2\ndenominator 12\n' > "$tmp/z12.want"
 printf '8 3\n6 2 1\n5 0 6\n5 7 5\n3 0 3\n2 1 4\n1 0 7\n0 4 0\n2 1 5\n' > "$tmp/z8.txt"
 printf '8 3\n0 0 0\n1 3 1\n2 6 2\n3 1 3\n4 4 4\n5 7 5\n6 2 6\n7 5 7\ndenominator 8\n' > "$tmp/z8.want"
 { echo "12 4"; seq 0 11 | sed 's/$/ 0 0 0/'; } > "$tmp/z12d4.txt"
 { cat "$tmp/z12d4.txt"; echo "denominator 12"; } > "$tmp/z12d4.want"
-for case in "z12 12" "z8 8" "z12d4 12"; do
+printf '2 1\n0\n500\n' > "$tmp/z1000.txt"
+printf '2 1\n0\n1\ndenominator 1000\n' > "$tmp/z1000.want"
+for case in "z12 12" "z8 8" "z12d4 12" "z1000 1000"; do
   set -- $case
   st spectrum find --set "$tmp/$1.txt" -m "$2" > "$tmp/$1.out"
   cmp "$tmp/$1.out" "$tmp/$1.want"

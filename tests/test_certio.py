@@ -579,6 +579,8 @@ class TestShapeWalk:
             ("payload", "base_spectrum", "set", "points", 0, 0),
             ("payload", "base_spectrum", "spectrum", "numerators", "entries", 0),
             ("payload", "rank"),
+            ("payload", "composed_spectrum", "set", "points", 95, 3),
+            ("payload", "obstructions", "base_size"),
         ],
     )
     def test_non_string_integers_are_malformed(self, path, value):
@@ -790,6 +792,120 @@ class TestChainPremises:
         assert trust_marker(env) == "verified"
         assert serialize(env) == data
         assert env.payload == independent_tile(CHAIN_SET)
+
+
+class TestDerivedFieldsSettledAsJson:
+    """parse compares a derived field's stored JSON with the canonical
+    encoding of its derivation and keeps the derivation; only a stored
+    field that differs is decoded, and checked as before."""
+
+    def test_the_composed_set_is_built_once(self, monkeypatch):
+        built = []
+        post_init = PointSet.__post_init__
+
+        def counting(self):
+            post_init(self)
+            built.append(len(self))
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        env = parse(GOLDEN.read_bytes())
+        assert len(env.payload.composed_spectrum.set) == 96
+        assert built.count(96) == 1
+
+    def test_the_golden_chain_runs_no_coverage_check(self, monkeypatch):
+        def refuse(cert):
+            raise AssertionError("tiling._coverage called")
+
+        monkeypatch.setattr(tiling, "_coverage", refuse)
+        assert parse(CHAIN_GOLDEN.read_bytes()).payload == independent_tile(CHAIN_SET)
+
+    def test_a_valid_non_canonical_complement_is_verified(self, monkeypatch):
+        # {0, 6} + {0, 7, 2, 9, 4, 11} is Z_12 too, but not [0, |det|).
+        complement = [[str(c)] for c in (0, 7, 2, 9, 4, 11)]
+        path = ("payload", "one_dimensional", "complement", "points")
+        data = _edit(CHAIN_GOLDEN.read_bytes(), path, complement)
+        covered = []
+        coverage = tiling._coverage
+
+        def recording(cert):
+            covered.append(cert)
+            return coverage(cert)
+
+        monkeypatch.setattr(tiling, "_coverage", recording)
+        chain = parse(data).payload
+        assert chain.one_dimensional.complement.points == ((0,), (7,), (2,), (9,), (4,), (11,))
+        assert covered == [chain.one_dimensional]
+        assert parse(serialize(envelope("independence-chain", chain))).payload == chain
+
+    @pytest.mark.parametrize(
+        "golden, path, value, message",
+        [
+            (
+                GOLDEN,
+                ("payload", "composed_spectrum", "set", "points", 5, 1),
+                "01",
+                "payload.composed_spectrum.set.points[5][1]: "
+                "must be a canonical decimal string, got '01'",
+            ),
+            (
+                GOLDEN,
+                ("payload", "composed_spectrum", "spectrum", "numerators", "entries", 7),
+                "+1",
+                "payload.composed_spectrum.spectrum.numerators.entries[7]: "
+                "must be a canonical decimal string, got '+1'",
+            ),
+            # == takes 0 for false: the report's booleans are compared by type too.
+            (
+                GOLDEN,
+                ("payload", "obstructions", "size_divides"),
+                0,
+                "payload.obstructions.size_divides: must be a boolean",
+            ),
+            (
+                CHAIN_GOLDEN,
+                ("payload", "one_dimensional", "set", "points", 1, 0),
+                "06",
+                "payload.one_dimensional.set.points[1][0]: "
+                "must be a canonical decimal string, got '06'",
+            ),
+        ],
+    )
+    def test_a_malformed_derived_field_is_located(self, golden, path, value, message):
+        with pytest.raises(MalformedCertificate) as info:
+            parse(_edit(golden.read_bytes(), path, value))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("lift-spectrum", ("result", "spectrum", "numerators", "entries", 2), "0"),
+            ("lift-tiling", ("result", "complement", "points", 0), ["0", "3"]),
+        ],
+    )
+    def test_a_one_entry_change_in_a_lift_result_is_refused(self, samples, name, path, value):
+        data = serialize(samples[name])
+        with pytest.raises(InvariantViolation, match="^lift result does not recompute$"):
+            parse(_edit(data, ("payload",) + path, value))
+
+    def test_a_tampered_premise_is_reported_before_a_malformed_derived_field(self):
+        data = _edit(
+            GOLDEN.read_bytes(), ("payload", "composed_spectrum", "set", "points", 5, 1), "01"
+        )
+        data = _edit(data, ("payload", "phase_exponents", "numerators", "entries", 0), "1")
+        with pytest.raises(InvariantViolation, match="^phase exponent matrix is not log-Hadamard$"):
+            parse(data)
+
+    def test_a_construction_beyond_the_guard_is_refused_before_its_result_is_read(
+        self, monkeypatch, samples
+    ):
+        path = ("payload", "result", "set", "points", 0, 0)
+        data = _edit(serialize(samples["composition-tiling"]), path, "00")
+        monkeypatch.setenv("SPECTRATILE_GUARD", "15")
+        with pytest.raises(guard.GuardExceeded):
+            parse(data)
+        monkeypatch.setenv("SPECTRATILE_GUARD", "16")
+        with pytest.raises(MalformedCertificate, match=r"^payload\.result\.set\.points\[0\]\[0\]"):
+            parse(data)
 
 
 class TestParseFreesItsInput:

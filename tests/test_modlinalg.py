@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import DATA_DIR
+from factorization_oracle import is_rank_factorization
 from spectratile import modlinalg
 from spectratile.certio import parse
 from spectratile.counterexample import (
@@ -19,7 +20,6 @@ from spectratile.modlinalg import (
     _is_prime,
     det_and_adjugate,
     format_matrix,
-    is_rank_factorization,
     matmul_mod,
     parse_matrix,
     rank_factorize_mod_p,

@@ -475,7 +475,7 @@ class TestFourierZeroSet:
                 expected = is_vanishing_sum(m, exps)
                 assert bool(mask >> index & 1) == expected
             colliding += len({tuple(c % m for c in p) for p in point_set.points}) < len(point_set)
-            dense += m <= len(point_set)
+            dense += m <= len(point_set) or point_set.dimension >= 3
         assert colliding  # points that collide mod m were exercised
         assert 0 < dense < len(cases)  # both the transform and pointwise evaluation ran
 

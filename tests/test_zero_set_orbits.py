@@ -84,8 +84,8 @@ def test_both_routes_equal_the_per_cell_oracle(drawn):
     m, d, point_set, collide = drawn
     hypothesis.event(f"collide={collide}")
     want = oracle_mask(point_set.points, m, d)
-    # The default guard transforms when m <= k; a guard of m^d cells leaves
-    # no room for the transform's m^(d+1) digits, so it evaluates pointwise.
+    # The default guard transforms when m <= k or d >= 3; a guard of m^d cells
+    # leaves no room for the transform's m^(d+1) digits, so it evaluates pointwise.
     masks = [fourier_zero_set(point_set, m, guard) for guard in (None, m**d)]
     k = len(point_set)
     if _dense_pays(k, m, d):
