@@ -13,8 +13,8 @@ certificates store matching cardinalities by construction.
 
 Full-group lemma.  When k = m^d, is_m_spectral needs no character sum: the
 pair is spectral exactly when the k rows are distinct and the k points are
-distinct mod m (the proof is in its docstring).  That is how the cube
-[0, n)^d with its full character spectrum is checked.
+distinct mod m (the proof is in its docstring).  That is how a cube
+[0, n)^d with its full character spectrum is checked when one is given.
 
 Zero-set criterion.  Rows l and l' are orthogonal exactly when their
 difference xi = l - l' lies in the zero set
@@ -88,14 +88,16 @@ is sum_j exp(2*pi*i*(l_j - l'_j)/m), the rows' inner product.  So every
 orthogonality check in the package is is_m_spectral.
 
 Every construction checks its inputs, never its output, and raises
-ValueError on a bad input.  compose_spectral verifies its two inputs and
-never its product: the product lemma (in its docstring) makes the premises
-prove the result, and they have k_T^2 + k_S^2 row pairs against the
-product's (k_T*k_S)^2.  The product itself is built by C-level map and zip
-kernels (composed_set, composed_spectrum_rows), each m*s and each scaled
-left row computed once.  lift_spectrum verifies its base and never the
-lifted spectrum, whose pair sums are the base's own (see its docstring).
-Certificates from outside are verified where they enter, in certio.parse.
+ValueError on a bad input; _proven builds each output a lemma proves, with
+none of its constructor's scans.  compose_spectral verifies its two inputs
+(k_T^2 + k_S^2 row pairs, not (k_T*k_S)^2), and _product builds T + mS,
+which the product lemma proves, with C-level kernels and no check but
+composed_set's of distinct points.  The counterexample's composed spectrum
+is _product of a base that the phase matrix and its factorization prove
+and of cube_spectrum, all of Z_n^d by construction.  lift_spectrum
+verifies its base and never the lifted spectrum, whose pair sums are the
+base's own.  Certificates from outside are verified where they enter, in
+certio.parse.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import VanishingDecision, _prime_divisors, vanishing_decision
 from .guard import check_power_guard, power_in_reach, resolve_guard
@@ -268,6 +270,19 @@ class SpectrumCertificate:
             raise ValueError("spectrum must have one row per point")
         if self.spectrum.numerators.cols != self.set.dimension:
             raise ValueError("spectrum row width must equal the dimension")
+
+
+def _proven(cls: type, **values: Any) -> Any:
+    """A frozen cls holding values, built without __post_init__'s scans: the
+    one constructor of the values that their construction's lemma proves.
+    The lemma must supply what the scans check.  A PointSet's points are a
+    nonempty tuple of distinct tuples of dimension exact ints; an IntMatrix's
+    entries a tuple of rows * cols exact ints; a PhaseMatrix's numerators lie
+    in [0, denominator); a certificate's parts agree with its group and with
+    each other, one spectrum row per point or a tiling's sizes the order."""
+    value = object.__new__(cls)
+    vars(value).update(values)
+    return value
 
 
 def is_log_hadamard(mat: PhaseMatrix) -> bool:
@@ -748,8 +763,7 @@ def find_spectrum(
     k = len(point_set)
     if k == 1:
         check_power_guard(group.modulus, group.dimension, limit)
-        zero_row = PhaseMatrix(IntMatrix.zeros(1, group.dimension), m)
-        return SpectrumCertificate(group, point_set, zero_row)  # no row pairs to check
+        return _spectrum(group, point_set, (0,) * group.dimension)  # no row pairs to check
     zero = _zero_set(point_set, group, limit)
     torus = _torus(m, group.dimension)
     # Depth-first with an explicit stack: left[i] holds the candidates still
@@ -769,10 +783,8 @@ def find_spectrum(
         index = lowest.bit_length() - 1
         chosen.append(index)
         left.append(candidates & torus.translate(zero, torus.row(index)))
-    numerators = IntMatrix(
-        k, group.dimension, tuple(c for index in chosen for c in torus.row(index))
-    )
-    return SpectrumCertificate(group, point_set, PhaseMatrix(numerators, m))
+    # k distinct cells of Z_m^d, each difference in Z(1_T): a spectrum.
+    return _spectrum(group, point_set, tuple(c for index in chosen for c in torus.row(index)))
 
 
 def composed_set(left: PointSet, right: PointSet, m: int) -> PointSet:
@@ -781,12 +793,22 @@ def composed_set(left: PointSet, right: PointSet, m: int) -> PointSet:
         raise ValueError("composed sets must share a dimension")
     # Each m*s is computed once; each t is repeated against all of them at
     # once, and the flat coordinates are grouped back into points.
-    scaled = tuple(map(m.__mul__, itertools.chain.from_iterable(right.points)))
+    scaled = tuple(map(operator.index(m).__mul__, itertools.chain.from_iterable(right.points)))
     size = len(right)
     coords = itertools.chain.from_iterable(
         map(operator.add, t * size, scaled) for t in left.points
     )
-    return PointSet(left.dimension, tuple(zip(*[coords] * left.dimension)))
+    points = tuple(zip(*[coords] * left.dimension))
+    if len(set(points)) != len(points):
+        raise ValueError("points must be distinct")
+    return _proven(PointSet, dimension=left.dimension, points=points)
+
+
+def _rows(left: IntMatrix, right: IntMatrix, n: int) -> Iterator[int]:
+    """Each n*l + q, flat, for each row l of left and inside it each row q of
+    right: each left row is scaled once, then repeated against all of right."""
+    scaled = (tuple(map(n.__mul__, left.row(i))) * right.rows for i in range(left.rows))
+    return itertools.chain.from_iterable(map(operator.add, nl, right.entries) for nl in scaled)
 
 
 def composed_spectrum_rows(left: IntMatrix, right: IntMatrix, m: int, n: int) -> IntMatrix:
@@ -797,15 +819,26 @@ def composed_spectrum_rows(left: IntMatrix, right: IntMatrix, m: int, n: int) ->
     """
     if left.cols != right.cols:
         raise ValueError("composed spectra must share a row width")
-    reduce = (m * n).__rmod__
-    # Each left row is scaled once, then repeated against all right entries at once.
-    scaled = (tuple(map(n.__mul__, left.row(i))) * right.rows for i in range(left.rows))
-    entries = tuple(
-        itertools.chain.from_iterable(
-            map(reduce, map(operator.add, nl, right.entries)) for nl in scaled
-        )
-    )
-    return IntMatrix(left.rows * right.rows, left.cols, entries)
+    m, n = operator.index(m), operator.index(n)
+    entries = tuple(map((m * n).__rmod__, _rows(left, right, n)))
+    return _proven(IntMatrix, rows=left.rows * right.rows, cols=left.cols, entries=entries)
+
+
+def _spectrum(group: GroupSpec, point_set: PointSet, entries: tuple) -> SpectrumCertificate:
+    """The set with the flat spectrum rows entries over the group, by _proven."""
+    rows = _proven(IntMatrix, rows=len(point_set), cols=group.dimension, entries=entries)
+    spectrum = _proven(PhaseMatrix, numerators=rows, denominator=group.modulus)
+    return _proven(SpectrumCertificate, group=group, set=point_set, spectrum=spectrum)
+
+
+def _product(cert_t: SpectrumCertificate, cert_s: SpectrumCertificate) -> SpectrumCertificate:
+    """compose_spectral's product, which the product lemma proves once the
+    caller has proven both spectra: no check but composed_set's, and each
+    n*l + q, l in [0, m) and q in [0, n), lies in [0, m*n) unreduced."""
+    m, n = cert_t.group.modulus, cert_s.group.modulus
+    gamma = composed_set(cert_t.set, cert_s.set, m)
+    rows = tuple(_rows(cert_t.spectrum.numerators, cert_s.spectrum.numerators, n))
+    return _spectrum(GroupSpec(m * n, gamma.dimension), gamma, rows)
 
 
 def compose_spectral(
@@ -816,8 +849,8 @@ def compose_spectral(
     The composed set pairs every t with every s as t + m*s, and the composed
     spectrum pairs the witness rows as (n*l + q)/(m*n).  Both inputs are
     verified (k_T^2 + k_S^2 row pairs, not (k_T*k_S)^2); a bad input fails
-    that check with ValueError.  The result is not verified, because the
-    product lemma proves it:
+    that check with ValueError.  The result, which _product builds, is not
+    verified, because the product lemma proves it:
 
     If T is spectral with rows L over m, and S is spectral with rows Q over
     n, then T + mS is spectral with rows (n*l + q)/(m*n).  (Write
@@ -831,11 +864,7 @@ def compose_spectral(
         raise ValueError("left spectrum fails verification")
     if not verify_spectrum(cert_s):
         raise ValueError("right spectrum fails verification")
-    m = cert_t.group.modulus
-    n = cert_s.group.modulus
-    gamma = composed_set(cert_t.set, cert_s.set, m)
-    rows = composed_spectrum_rows(cert_t.spectrum.numerators, cert_s.spectrum.numerators, m, n)
-    return SpectrumCertificate(GroupSpec(m * n, gamma.dimension), gamma, PhaseMatrix(rows, m * n))
+    return _product(cert_t, cert_s)
 
 
 def lift_spectrum(
@@ -865,11 +894,7 @@ def lift_spectrum(
         raise ValueError("base spectrum fails verification")
     m = base.group.modulus
     numerators = matmul_mod(base.spectrum.numerators, transform, m)
-    return SpectrumCertificate(
-        GroupSpec(m, point_set.dimension),
-        point_set,
-        PhaseMatrix(numerators, m),
-    )
+    return _spectrum(GroupSpec(m, point_set.dimension), point_set, numerators.entries)
 
 
 def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumCertificate:
@@ -880,10 +905,9 @@ def cube_spectrum(n: int, dimension: int, guard: int | None = None) -> SpectrumC
     """
     group = GroupSpec(n, dimension)
     check_power_guard(group.modulus, group.dimension, guard)
-    cells = tuple(group.elements())
-    cube = PointSet(dimension, cells)
-    numerators = IntMatrix(len(cells), dimension, tuple(itertools.chain.from_iterable(cells)))
-    return SpectrumCertificate(group, cube, PhaseMatrix(numerators, n))
+    cells = tuple(group.elements())  # all of Z_n^d, each cell once
+    cube = _proven(PointSet, dimension=group.dimension, points=cells)
+    return _spectrum(group, cube, tuple(itertools.chain.from_iterable(cells)))
 
 
 def format_point_set(point_set: PointSet) -> str:

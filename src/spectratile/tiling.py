@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-from .spectral import GroupSpec, PointSet, _torus, _Torus, composed_set
+from .spectral import GroupSpec, PointSet, _proven, _torus, _Torus, composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -510,10 +510,11 @@ def _progression(k: int, step: int) -> TilingCertificate:
     Division with remainder proves it: each x in Z_(k*step) is step * i + s
     for exactly one i < k and s < step.
     """
-    return TilingCertificate(
-        GroupSpec(k * step, 1),
-        PointSet(1, tuple((step * i,) for i in range(k))),
-        PointSet(1, tuple((s,) for s in range(step))),
+    return _proven(
+        TilingCertificate,
+        group=GroupSpec(k * step, 1),
+        set=_proven(PointSet, dimension=1, points=tuple((step * i,) for i in range(k))),
+        complement=_proven(PointSet, dimension=1, points=tuple((s,) for s in range(step))),
     )
 
 

@@ -10,7 +10,7 @@
 #
 # The n = 2 bundle must equal the golden byte for byte, after exactly 8
 # passed steps and an overall PASS; it is then re-verified with the search
-# replay, and the n = 3 bundle is written and re-verified.  {0, 1, 3} is
+# replay; bundles for n = 3 and 4 are written and re-verified.  {0, 1, 3} is
 # refused as a tile of Z_6 (exit 1) by a rooted search, and that search is
 # replayed from the file it wrote.  A line tiling of Z_100^2 (10,000 cells)
 # is refused as a usage error (exit 2) when verified under a guard of 1,000
@@ -64,6 +64,8 @@ cmp "$tmp/n2.json" "$root/tests/data/counterexample_n2.json"
 st tile verify "$tmp/n2.json" --replay
 st verify-counterexample -n 3 --json "$tmp/n3.json"
 st tile verify "$tmp/n3.json"
+st verify-counterexample -n 4 --json "$tmp/n4.json"
+st tile verify "$tmp/n4.json"
 printf '3 1\n0\n1\n3\n' > "$tmp/set.txt"
 expect 1 st tile decide --set "$tmp/set.txt" -m 6 --json "$tmp/rooted.json"
 grep -q '"kind":"rooted-search"' "$tmp/rooted.json"

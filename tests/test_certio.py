@@ -800,17 +800,19 @@ class TestDerivedFieldsSettledAsJson:
     field that differs is decoded, and checked as before."""
 
     def test_the_composed_set_is_built_once(self, monkeypatch):
+        # One product build, whose value the payload keeps: the stored
+        # composed spectrum is never decoded.
         built = []
-        post_init = PointSet.__post_init__
+        product = spectral._product
 
-        def counting(self):
-            post_init(self)
-            built.append(len(self))
+        def counting(*parts):
+            built.append(product(*parts))
+            return built[-1]
 
-        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        monkeypatch.setattr(spectral, "_product", counting)
         env = parse(GOLDEN.read_bytes())
         assert len(env.payload.composed_spectrum.set) == 96
-        assert built.count(96) == 1
+        assert len(built) == 1 and built[0] is env.payload.composed_spectrum
 
     def test_the_golden_chain_runs_no_coverage_check(self, monkeypatch):
         def refuse(cert):

@@ -23,7 +23,7 @@ from spectratile.counterexample import (
     run_counterexample,
 )
 from spectratile.modlinalg import IntMatrix, format_matrix, parse_matrix
-from spectratile.spectral import cube_spectrum, verify_spectrum
+from spectratile.spectral import PhaseMatrix, compose_spectral, cube_spectrum, verify_spectrum
 from spectratile.tiling import ExhaustedSearch
 
 
@@ -158,51 +158,62 @@ class TestTamperedData:
 
 
 class TestEachSpectrumVerifiedOnce:
-    """The pipeline and parse run the same checks: compose_spectral
-    verifies the base and the cube, once each, and the product lemma proves
-    the composed spectrum, which is never verified.  The base keeps the
-    public construction's bad-input ValueError, with one code path and no
-    flag."""
+    """The pipeline and parse run the same checks, and each spectrum fact
+    has one source: steps 1 and 3 prove the base (one check of the phase
+    matrix, whose row inner products are the base's pair sums), the cube is
+    all of Z_n^4 by construction, and the product lemma proves the composed
+    spectrum.  So no verify_spectrum runs, and is_m_spectral runs once, on
+    the phase matrix's unit basis."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        calls = []
-        original = spectral_module.verify_spectrum
+        calls = {"verify_spectrum": [], "is_m_spectral": []}
+        for name, record in calls.items():
+            original = getattr(spectral_module, name)
 
-        def recording(cert):
-            calls.append(cert)
-            return original(cert)
+            def recording(*args, original=original, record=record):
+                record.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(spectral_module, "verify_spectrum", recording)
+            monkeypatch.setattr(spectral_module, name, recording)
         return calls
 
     def test_base_and_composed_verified_once_each(self, checked):
         report = run_counterexample(2)
         assert report.overall
         assert tuple(s.name for s in report.steps) == EXPECTED_STEPS
-        assert checked == [base_spectrum_certificate(), cube_spectrum(2, 4)]
+        assert checked["verify_spectrum"] == []
+        assert [spectrum for _, spectrum in checked["is_m_spectral"]] == [
+            PhaseMatrix(HADAMARD_EXPONENTS, PHASE_DENOMINATOR)
+        ]
 
     def test_parse_verifies_the_same(self, checked):
         parse((DATA_DIR / "counterexample_n2.json").read_bytes())
-        assert checked == [base_spectrum_certificate(), cube_spectrum(2, 4)]
+        assert checked["verify_spectrum"] == []
+        assert [spectrum for _, spectrum in checked["is_m_spectral"]] == [
+            PhaseMatrix(HADAMARD_EXPONENTS, PHASE_DENOMINATOR)
+        ]
 
-    def test_composes_through_the_public_function(self, monkeypatch):
+    def test_composes_through_the_product_builder(self, monkeypatch):
+        # The unchecked builder gives what the public, checking compose gives.
         composed = []
-        original = spectral_module.compose_spectral
+        original = spectral_module._product
 
         def recording(left, right):
             composed.append(original(left, right))
             return composed[-1]
 
-        monkeypatch.setattr(spectral_module, "compose_spectral", recording)
+        monkeypatch.setattr(spectral_module, "_product", recording)
         report = run_counterexample(2)
         assert report.overall
         assert composed == [report.envelope.payload.composed_spectrum]
+        monkeypatch.undo()
+        assert composed[0] == compose_spectral(base_spectrum_certificate(), cube_spectrum(2, 4))
 
 
 class TestExtensionBuiltOnce:
     def test_obstructions_reuse_the_composed_set_and_the_base_verdict(self, monkeypatch):
-        """compose_spectral builds T + 3*[0,n)^4, and the obstruction report
+        """The product builder makes T + 3*[0,n)^4, and the obstruction report
         derives its numbers by arithmetic; the base verdict is the
         divisibility step's.  So the pipeline decides the base twice: once
         with the divisibility shortcut and once by exhausting the search."""
@@ -221,13 +232,13 @@ class TestExtensionBuiltOnce:
 
     def test_no_report_without_the_composed_set(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise ValueError("left spectrum fails verification")
+            raise ValueError("no product")
 
-        monkeypatch.setattr(spectral_module, "compose_spectral", refuse)
+        monkeypatch.setattr(spectral_module, "_product", refuse)
         report = run_counterexample(2)
         assert [s.name for s in report.steps] == list(EXPECTED_STEPS[:-1])
         assert [s.name for s in report.steps if not s.passed] == ["composed-set-spectral"]
-        assert report.steps[-1].detail == "error: left spectrum fails verification"
+        assert report.steps[-1].detail == "error: no product"
         assert report.envelope is None
 
 

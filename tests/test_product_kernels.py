@@ -1,6 +1,8 @@
 """The product builders and the matrix checks agree with the per-entry
 formulas they replaced, which are kept here as oracles, and the extension
-report's arithmetic agrees with a count over the extension it describes."""
+report's arithmetic agrees with a count over the extension it describes.
+Each value a lemma proves, built without its constructor's checks, equals
+the validated construction of the same fields."""
 
 from collections import Counter
 from itertools import product
@@ -13,10 +15,14 @@ from spectratile.spectral import (
     GroupSpec,
     PhaseMatrix,
     PointSet,
+    SpectrumCertificate,
+    compose_spectral,
     composed_set,
     composed_spectrum_rows,
     cube_spectrum,
+    find_spectrum,
 )
+from spectratile.tiling import TilingCertificate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -48,6 +54,50 @@ def oracle_reduction_multiplicity(big, m, base):
     return multiplicities.pop()
 
 
+def exact_ints(values):
+    return type(values) is tuple and set(map(type, values)) == {int}
+
+
+def validated_point_set(point_set):
+    points = point_set.points
+    assert type(points) is tuple and set(map(type, points)) == {tuple}
+    assert all(map(exact_ints, points))
+    return PointSet(point_set.dimension, points)
+
+
+def assert_validated(cert):
+    """The certificate equals the one the checking constructors build from
+    its fields, and holds exact int tuples throughout."""
+    group = GroupSpec(cert.group.modulus, cert.group.dimension)
+    if isinstance(cert, TilingCertificate):
+        rebuilt = TilingCertificate(
+            group, validated_point_set(cert.set), validated_point_set(cert.complement)
+        )
+    else:
+        rows = cert.spectrum.numerators
+        assert exact_ints(rows.entries)
+        numerators = IntMatrix(rows.rows, rows.cols, rows.entries)
+        spectrum = PhaseMatrix(numerators, cert.spectrum.denominator)
+        rebuilt = SpectrumCertificate(group, validated_point_set(cert.set), spectrum)
+    assert rebuilt == cert
+
+
+@st.composite
+def spectral_parts(draw):
+    """Two spectra found in Z_m^d and Z_n^d, m, n <= 4 and d <= 2, of up to
+    four points from [-m, 2m)^d each."""
+    d = draw(st.integers(1, 2))
+
+    def part():
+        m = draw(st.integers(1, 4))
+        coordinate = st.integers(-m, 2 * m - 1)
+        size = min(4, m**d)
+        points = st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=size, unique=True)
+        return find_spectrum(PointSet(d, tuple(draw(points))), m)
+
+    return part(), part()
+
+
 def point_sets(d, max_size=6):
     coordinates = st.tuples(*[st.integers(-9, 9)] * d)
     return st.lists(coordinates, min_size=1, max_size=max_size, unique=True).map(
@@ -76,7 +126,9 @@ def test_composed_set(drawn):
         with pytest.raises(ValueError, match="distinct"):
             composed_set(left, right, m)
     else:
-        assert composed_set(left, right, m).points == expected
+        composed = composed_set(left, right, m)
+        assert composed.points == expected
+        assert validated_point_set(composed) == composed
 
 
 @st.composite
@@ -94,6 +146,7 @@ def test_composed_spectrum_rows_on_unreduced_entries(drawn):
     rows = composed_spectrum_rows(left, right, m, n)
     assert (rows.rows, rows.cols) == (left.rows * right.rows, left.cols)
     assert rows.entries == oracle_composed_entries(left, right, m, n)
+    assert exact_ints(rows.entries)
 
 
 def test_composed_spectrum_rows_refuse_mismatched_widths():
@@ -108,6 +161,20 @@ def test_cube_spectrum(n, d):
     assert cube.set.points == cells
     assert cube.spectrum.numerators.entries == tuple(c for cell in cells for c in cell)
     assert cube.group == GroupSpec(n, d)
+    assert_validated(cube)
+
+
+class TestProvenValuesAsValidated:
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(spectral_parts())
+    def test_compose_spectral(self, parts):
+        hypothesis.assume(None not in parts)
+        assert_validated(compose_spectral(*parts))
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 12), st.integers(1, 12))
+    def test_progression(self, k, step):
+        assert_validated(tiling._progression(k, step))
 
 
 @st.composite

@@ -460,13 +460,22 @@ def brute_force_spectrum(point_set: PointSet, m: int) -> list[tuple[int, ...]] |
 
 
 class TestFourierZeroSet:
-    def test_matches_each_character(self, rng):
+    def test_matches_each_character(self, rng, monkeypatch):
         cases = [(line_set(0, 1), 1), (PointSet(2, ((0, 0), (-3, 5), (4, -1))), 4)]
         while len(cases) < 80:
             d = rng.randint(1, 3)
             cases.append((random_point_set(rng, d, rng.randint(1, 8), -6, 6), rng.randint(1, 6)))
+        # The route each zero set takes, as _zero_set calls it.
+        routes = set()
+        for name in ("_transform", "_pointwise"):
+            original = getattr(spectral, name)
+
+            def recording(*args, name=name, original=original):
+                routes.add(name)
+                return original(*args)
+
+            monkeypatch.setattr(spectral, name, recording)
         colliding = 0
-        dense = 0
         for point_set, m in cases:
             mask = fourier_zero_set(point_set, m)
             assert mask >> m**point_set.dimension == 0
@@ -475,9 +484,8 @@ class TestFourierZeroSet:
                 expected = is_vanishing_sum(m, exps)
                 assert bool(mask >> index & 1) == expected
             colliding += len({tuple(c % m for c in p) for p in point_set.points}) < len(point_set)
-            dense += m <= len(point_set) or point_set.dimension >= 3
         assert colliding  # points that collide mod m were exercised
-        assert 0 < dense < len(cases)  # both the transform and pointwise evaluation ran
+        assert routes == {"_transform", "_pointwise"}  # both routes ran
 
     def test_pointwise_when_the_transform_exceeds_the_guard(self, rng):
         for _ in range(10):
