@@ -15,6 +15,7 @@ row of space-separated decimal integers, each token ``-?[0-9]+`` in ASCII.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -284,18 +285,17 @@ def det_and_adjugate(matrix: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def matmul_mod(a: IntMatrix, b: IntMatrix, m: int | None = None) -> IntMatrix:
-    """Matrix product, reduced into [0, m) when a modulus is given."""
+    """Matrix product, reduced into [0, m) when a modulus is given, by C-level maps."""
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions disagree: {a.cols} vs {b.rows}")
     if m is not None and m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    out: list[int] = []
-    b_cols = [b.column(j) for j in range(b.cols)]
-    for i in range(a.rows):
-        row = a.row(i)
-        for col in b_cols:
-            s = sum(x * y for x, y in zip(row, col))
-            out.append(s if m is None else s % m)
+    rows = zip(*[iter(a.entries)] * a.cols)
+    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
+    left, right = zip(*itertools.product(rows, columns))
+    out = map(sum, map(map, itertools.repeat(operator.mul), left, right))
+    if m is not None:
+        out = map(operator.mod, out, itertools.repeat(m))
     return IntMatrix(a.rows, b.cols, tuple(out))
 
 

@@ -66,9 +66,9 @@ from timings of both sides:
 - is_m_spectral, for k other than m^d, builds the whole mask when
   m^(d+1) <= 2k(k-1), at most four digits per row pair, by _zero_set with
   that pair budget as its limit; otherwise it decides each distinct row
-  difference pointwise, so a small set in a large group never pays for a
-  mask.  Under that budget the mask is transformed unless m > k, which
-  m^(d+1) <= 2k(k-1) allows only at d = 1.
+  difference pointwise, from its rows' exponents l.t, so a small set in a
+  large group never pays for a mask.  Under that budget the mask is
+  transformed unless m > k, which m^(d+1) <= 2k(k-1) allows only at d = 1.
 - The transform maps each line of m cells with one Kronecker product per
   residue when the line kernel, 2*m^2*w bits at digit width w, is at most
   _KERNEL_BITS = 12,000 bits, and by shifts and adds otherwise.  In two
@@ -299,24 +299,31 @@ def is_log_hadamard(mat: PhaseMatrix) -> bool:
     k = mat.numerators.rows
     if k != mat.numerators.cols:
         raise ValueError("log-Hadamard candidates must be square")
-    basis = PointSet(k, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
-    return is_m_spectral(basis, mat)
+    basis = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k))
+    return is_m_spectral(_proven(PointSet, dimension=k, points=basis), mat)
 
 
-def _pointwise(
-    points: Sequence[Sequence[int]], decide: VanishingDecision
-) -> Callable[[Sequence[int]], bool]:
-    """A predicate: whether a character xi lies in Z(1_T), packed from the k residues xi.t.
+def _pointwise(points: Sequence[Sequence[int]], decide: VanishingDecision) -> Callable[..., bool]:
+    """A predicate: whether the character later - row lies in Z(1_T), packed from its k residues.
 
-    Nothing is kept between characters: _zero_set asks for one leader per
-    orbit, whose polynomials are almost all distinct, and is_m_spectral
-    keeps its own cache of row differences.
+    Without a row they are later's dot products, kept for no later call, as
+    _zero_set's leaders have almost all distinct polynomials; with one, the
+    differences of the two rows' exponents l.t, each row's computed once.
     """
+    known: dict[Sequence[int], list[int]] = {}
 
-    def vanishes(xi: Sequence[int]) -> bool:
-        return decide(decide.pack(sum(map(operator.mul, xi, t)) for t in points))
+    def vanishes(later: Sequence[int], row: Sequence[int] | None = None) -> bool:
+        if row is None:
+            return decide(decide.pack(_exponents(points, later)))
+        for key in (later, row):
+            known[key] = known.get(key) or _exponents(points, key)
+        return decide(decide.pack(map(operator.sub, known[later], known[row])))
 
     return vanishes
+
+
+def _exponents(points: Sequence[Sequence[int]], row: Sequence[int]) -> list[int]:
+    return [sum(map(operator.mul, row, t)) for t in points]
 
 
 _Line = Callable[[list[int]], list[int]]
@@ -496,19 +503,20 @@ class _Torus:
         return _cell_mask(self.cells(columns), self.width)
 
     def stack(self, masks: Iterable[int]) -> int:
-        copies = (mask.to_bytes(self.width, "little") for mask in masks)
+        copies = map(int.to_bytes, masks, itertools.repeat(self.width), itertools.repeat("little"))
         return int.from_bytes(b"".join(copies), "little")
 
-    def unstack(self, stack: int) -> list[int]:
+    def unstack(self, stack: int, skip: int = 0) -> list[int]:
+        """The copies in order, but for those that hold a cell of the mask skip."""
         data = stack.to_bytes(len(self.cuts) * self.width, "little")
-        copies = map(data.__getitem__, self.cuts)
-        return list(map(int.from_bytes, copies, itertools.repeat("little")))
+        copies = map(int.from_bytes, map(data.__getitem__, self.cuts), itertools.repeat("little"))
+        return [copy for copy in copies if not copy & skip]
 
     def index(self, row: Sequence[int]) -> int:
         return sum(c * s for c, s in zip(row, self.strides))
 
     def row(self, index: int) -> tuple[int, ...]:
-        return tuple(index // s % self.m for s in self.strides)
+        return tuple(map(self.m.__rmod__, map(index.__floordiv__, self.strides)))
 
     def translate(self, mask: int, row: Sequence[int]) -> int:
         """The bitmask of mask + row: one cyclic rotation of each block per axis."""
@@ -695,7 +703,9 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
     are checked as a clique by the step find_spectrum searches with: every
     row after l must lie in Z(1_T) + l.
     Otherwise the row pairs are walked in order and each distinct difference
-    is decided on its own, the first time it appears.  Either way the first
+    is decided on its own, the first time it appears, from its rows'
+    exponents l.t (see _pointwise): k^2 dot products, not k per difference,
+    and two rows' for a refusal at the first pair.  Either way the first
     difference outside Z(1_T) ends the check.
     """
     k = len(point_set)
@@ -717,13 +727,14 @@ def is_m_spectral(point_set: PointSet, spectrum: PhaseMatrix) -> bool:
         residues = map(tuple, map(map, itertools.repeat(m.__rmod__), point_set.points))
         return len(set(residues)) == k
     if not _dense_pays(k, m, d):
-        differences = (
-            tuple(map(m.__rmod__, map(operator.sub, later, row)))
-            for row, later in itertools.combinations(rows, 2)
-        )
         # Each distinct difference is decided once, in pair order, up to the first failure.
-        vanishes = functools.cache(_pointwise(point_set.points, decide))
-        return all(map(vanishes, differences))
+        vanishes, vanishing = _pointwise(point_set.points, decide), set()
+        for row, later in itertools.combinations(rows, 2):
+            xi = tuple(map(m.__rmod__, map(operator.sub, later, row)))
+            if xi not in vanishing and not vanishes(later, row):
+                return False
+            vanishing.add(xi)
+        return True
     # _dense_pays makes the limit hold m^(d+1) >= m^d, so the guard never refuses.
     zero = _zero_set(point_set, GroupSpec(m, d), 2 * k * (k - 1))
     torus = _torus(m, d)
@@ -789,19 +800,20 @@ def find_spectrum(
 
 def composed_set(left: PointSet, right: PointSet, m: int) -> PointSet:
     """T + mS: each t + m*s, t in the outer loop and s in the inner."""
-    if left.dimension != right.dimension:
-        raise ValueError("composed sets must share a dimension")
-    # Each m*s is computed once; each t is repeated against all of them at
-    # once, and the flat coordinates are grouped back into points.
-    scaled = tuple(map(operator.index(m).__mul__, itertools.chain.from_iterable(right.points)))
-    size = len(right)
-    coords = itertools.chain.from_iterable(
-        map(operator.add, t * size, scaled) for t in left.points
-    )
-    points = tuple(zip(*[coords] * left.dimension))
+    points = tuple(zip(*[_sums(left, right, m)] * left.dimension))
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
     return _proven(PointSet, dimension=left.dimension, points=points)
+
+
+def _sums(left: PointSet, right: PointSet, m: int) -> Iterator[int]:
+    """The coordinates of each t + m*s in turn, t in the outer loop and s in the inner."""
+    if left.dimension != right.dimension:
+        raise ValueError("composed sets must share a dimension")
+    # Each m*s is computed once, and each t is repeated against all of them at once.
+    scaled = tuple(map(operator.index(m).__mul__, itertools.chain.from_iterable(right.points)))
+    size = len(right)
+    return itertools.chain.from_iterable(map(operator.add, t * size, scaled) for t in left.points)
 
 
 def _rows(left: IntMatrix, right: IntMatrix, n: int) -> Iterator[int]:

@@ -35,11 +35,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-from .spectral import GroupSpec, PointSet, _proven, _torus, _Torus, composed_set
+from .spectral import GroupSpec, PointSet, _proven, _sums, _torus, _Torus, composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -198,14 +198,16 @@ def _exact_cover(
     masks alone, equal masks shared between rows, so the table grows with
     the cells branched on, not with order * k.  A node costs one bit scan
     for its cell plus one AND per mask tried; the residues must be distinct
-    mod m.
+    mod m.  A row keeps only the masks whose least cell is its cell, by the
+    anchoring lemma: a node branches on its least uncovered cell c, so a
+    mask holding a cell below c fails its AND at every node branching on c.
 
     The trail keeps each state's covered cells and its row iterator, and no
-    point index.  Only the cover returned is read back: state j branched on
-    the least cell it left uncovered, and placed the mask by which state
-    j + 1 grew.  Its point is the first in that cell's row with that mask,
-    which is the one the search tried: an equal mask further on leads to the
-    same subtree, so it is reached only once the first has failed.
+    point index.  placement reads the cover back: state j branched on the
+    least cell c it left uncovered and placed the mask by which state j + 1
+    grew, c - t for the first point t whose shape T - t is that mask moved
+    by -c.  That is the point the search tried: an equal mask further on
+    leads to the same subtree, so it is reached only once the first failed.
 
     With a limit, the search stops without a cover as soon as it visits
     node limit + 1, and returns that count.
@@ -224,33 +226,33 @@ def _exact_cover(
     search finds a tiling exactly when the unrooted one does.  Its tree is
     the unrooted tree's first root branch, so it returns the same cover and
     never more nodes.  Cell 0 is covered below the root, so its row is
-    built only to name the root's point in a cover.
+    never built.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
     single = _torus(m, dimension)
     full = single.full
     shape = single.mask(zip(*residues))
     torus = _torus(m, dimension, len(residues))
-    stack = torus.stack(single.translate(shape, [-c for c in t]) for t in residues)
+    shapes = [single.translate(shape, map(operator.neg, t)) for t in residues]
+    stack = torus.stack(shapes)
     masks: dict[int, int] = {}
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, Iterable[int]] = {}
 
-    def row(cell: int) -> list[int]:
-        cut = torus.unstack(torus.translate(stack, torus.row(cell)))
-        rows[cell] = entries = list(map(masks.setdefault, cut, cut))
+    def row(cell: int) -> Iterable[int]:
+        cut = torus.unstack(torus.translate(stack, torus.row(cell)), (1 << cell) - 1)
+        # An empty row is kept as an empty iterator, which is truthy, so it is built once.
+        rows[cell] = entries = list(map(masks.setdefault, cut, cut)) or iter(())
         return entries
 
     def placement(before: int, after: int) -> tuple[int, ...]:
-        """The translate c - t that took the search from state before to after."""
-        cell = (before ^ (before + 1)).bit_length() - 1
-        t = residues[(rows.get(cell) or row(cell)).index(after ^ before)]
-        return tuple((c - u) % m for c, u in zip(torus.row(cell), t))
+        at = torus.row((before ^ (before + 1)).bit_length() - 1)
+        t = residues[shapes.index(single.translate(after ^ before, map(operator.neg, at)))]
+        return tuple((c - u) % m for c, u in zip(at, t))
 
     nodes = 1  # the root state
     covered = 0
     trail: list[tuple[int, Iterator[int]]] = []
-    # Rooted, the root's one placement is copy 0 of the stack, T - t_0, as is.
-    entries = iter([stack & full] if rooted else row(0))
+    entries = iter(shapes[:1] if rooted else row(0))  # rooted, T - t_0 at cell 0 alone
     while True:
         for mask in entries:
             if not mask & covered:
@@ -316,7 +318,8 @@ def _decide(
     )
     if solution is None:
         return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes, rule))
-    complement = PointSet(group.dimension, tuple(sorted(solution)))
+    # Distinct: the placements' masks are disjoint and nonempty.
+    complement = _proven(PointSet, dimension=group.dimension, points=tuple(sorted(solution)))
     return TilingCertificate(group, point_set, complement)
 
 
@@ -366,8 +369,8 @@ def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> Tiling
     composed order is checked against the configured guard before anything
     is built.  Both inputs are then verified by direct coverage counting
     (m^d + n^d cells, not (mn)^d); a bad input fails that check with
-    ValueError.  The result is not verified, because the tiling lemma
-    proves it:
+    ValueError.  The result, its complement reduced mod mn in the pass that
+    builds it, is not verified or scanned, because the tiling lemma proves it:
 
     If T + A = Z_m^d and S + B = Z_n^d are tilings, then
     (T + mS) + (A + mB) = Z_mn^d is a tiling.  (Reduce mod m first: every g
@@ -375,16 +378,16 @@ def compose_tile(cert_t: TilingCertificate, cert_s: TilingCertificate) -> Tiling
     s and b, so g = (t + m*s) + (a + m*b) mod mn.  Reduce a second such sum
     mod m to get the same t and a, then divide by m to get the same s and b.)
     """
-    m = cert_t.group.modulus
-    n = cert_s.group.modulus
-    group = GroupSpec(m * n, cert_t.group.dimension)
+    m, d = cert_t.group.modulus, cert_t.group.dimension
+    group = GroupSpec(m * cert_s.group.modulus, d)
     check_power_guard(group.modulus, group.dimension)
     if not verify_tiling(cert_t):
         raise ValueError("left tiling fails verification")
     if not verify_tiling(cert_s):
         raise ValueError("right tiling fails verification")
     gamma = composed_set(cert_t.set, cert_s.set, m)
-    sigma = composed_set(cert_t.complement, cert_s.complement, m).reduced_mod(m * n)
+    coords = map(group.modulus.__rmod__, _sums(cert_t.complement, cert_s.complement, m))
+    sigma = _proven(PointSet, dimension=d, points=tuple(zip(*[coords] * d)))
     return TilingCertificate(group, gamma, sigma)
 
 

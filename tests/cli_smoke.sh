@@ -12,7 +12,10 @@
 # passed steps and an overall PASS; it is then re-verified with the search
 # replay; bundles for n = 3 and 4 are written and re-verified.  {0, 1, 3} is
 # refused as a tile of Z_6 (exit 1) by a rooted search, and that search is
-# replayed from the file it wrote.  A line tiling of Z_100^2 (10,000 cells)
+# replayed from the file it wrote.  So is the deepest exhausted search of the
+# benchmark pool, z5d3k5-142 (five points in Z_5^3, 29,257 nodes rooted),
+# whose replay stops at node claim + 1 deep in the tree: a copy that claims
+# one node fewer fails its replay (exit 1).  A line tiling of Z_100^2 (10,000 cells)
 # is refused as a usage error (exit 2) when verified under a guard of 1,000
 # cells.  The exact-cover search counts its k copies of the group against
 # the guard: under a guard of 100,000 cells, deciding that line (100 points,
@@ -70,6 +73,12 @@ printf '3 1\n0\n1\n3\n' > "$tmp/set.txt"
 expect 1 st tile decide --set "$tmp/set.txt" -m 6 --json "$tmp/rooted.json"
 grep -q '"kind":"rooted-search"' "$tmp/rooted.json"
 st tile verify "$tmp/rooted.json" --replay
+printf '5 3\n2 4 1\n3 3 1\n4 1 1\n3 0 0\n0 3 2\n' > "$tmp/deep.txt"
+expect 1 st tile decide --set "$tmp/deep.txt" -m 5 --json "$tmp/deep.json"
+grep -q '"kind":"rooted-search","nodes":"29257"' "$tmp/deep.json"
+st tile verify "$tmp/deep.json" --replay
+sed 's/"nodes":"29257"/"nodes":"29256"/' "$tmp/deep.json" > "$tmp/short.json"
+expect 1 st tile verify "$tmp/short.json" --replay
 { echo "100 2"; seq 0 99 | sed 's/^/0 /'; } > "$tmp/line.txt"
 st tile decide --set "$tmp/line.txt" -m 100 --json "$tmp/line.json"
 expect 2 env SPECTRATILE_GUARD=1000 $SPECTRATILE tile verify "$tmp/line.json"

@@ -1,15 +1,17 @@
 """The exact-cover engine, whose rows are one stacked translate each,
 against the tuple-keyed lex-first oracle: same first cover, same node count
 and the same limit rule, in the paper's dimension d = 4, in the trivial
-group m = 1, and for the stacked rotation itself."""
+group m = 1, and for the stacked rotation itself.  Its rows hold only the
+masks anchored at their cell, and every mask the search tries is one."""
 
+import builtins
 import itertools
 import random
 import time
 
 import pytest
 
-from spectratile import tiling
+from spectratile import spectral, tiling
 from spectratile.counterexample import base_point_set
 from spectratile.spectral import GroupSpec, PointSet, _Torus
 from test_tiling import lex_first_oracle
@@ -109,3 +111,67 @@ def test_large_set_rows_cost_linear_bit_work():
         elapsed.append(time.perf_counter() - start)
     assert verdict.complement.points == tuple((0, 0, c) for c in range(12))
     assert min(elapsed) < 0.04
+
+
+class TestAnchoredRows:
+    """A row keeps the masks whose least set bit is its cell; a mask with a
+    lower cell would fail its AND at every node that branches on the cell,
+    so the tree and its node counts stay the lex engine's."""
+
+    # z5d3k5-142 of the benchmark pool: the deepest exhausted search there.
+    DEEP = [(2, 4, 1), (3, 3, 1), (4, 1, 1), (3, 0, 0), (0, 3, 2)]
+
+    @pytest.fixture
+    def search(self, monkeypatch):
+        """_exact_cover, returning with its result the number of masks it
+        tried and of rows it built, having checked that each mask tried is
+        anchored at the cell of its row, and that each row is built once
+        and holds the anchored masks of the whole row."""
+        anchors = {}  # a row's masks -> its cell
+        counts = {}
+        unstack = spectral._Torus.unstack
+
+        def rows(torus, stack, skip=0):
+            floor = skip.bit_length()  # the row's cell: skip holds the cells below it
+            assert skip == (1 << floor) - 1
+            kept, whole = unstack(torus, stack, skip), unstack(torus, stack)
+            # Every placement in the row of cell floor covers that cell.
+            assert all(mask >> floor & 1 for mask in whole)
+            assert kept == [mask for mask in whole if mask & -mask == 1 << floor]
+            assert tuple(kept) not in anchors or not kept, "a row was built twice"
+            anchors[tuple(kept)] = floor
+            counts["rows"] += 1
+            return kept
+
+        def entries_of(entries):
+            if not isinstance(entries, list):
+                return builtins.iter(entries)  # an empty row, kept as an empty iterator
+            # Before any row is built the list is the rooted root's, at cell 0.
+            cell = anchors[tuple(entries)] if anchors else 0
+
+            def tried():
+                for mask in entries:
+                    assert mask & -mask == 1 << cell
+                    counts["tried"] += 1
+                    yield mask
+
+            return tried()
+
+        def run(*args, **kwargs):
+            anchors.clear()
+            counts.update(tried=0, rows=0)
+            return tiling._exact_cover(*args, **kwargs), dict(counts)
+
+        monkeypatch.setattr(spectral._Torus, "unstack", rows)
+        monkeypatch.setattr(tiling, "iter", entries_of, raising=False)
+        return run
+
+    def test_the_base_set(self, search):
+        residues = [tuple(c % 3 for c in p) for p in base_point_set().points]
+        # Unanchored, the 19 rows' 6 masks each made 4,500 tests.
+        assert search(residues, 3, 4) == ((None, 750), {"tried": 2_592, "rows": 19})
+        assert search(residues, 3, 4, rooted=True)[0] == (None, 137)
+
+    def test_the_deepest_pool_search(self, search):
+        assert search(self.DEEP, 5, 3)[0] == (None, 160_299)
+        assert search(self.DEEP, 5, 3, rooted=True)[0] == (None, 29_257)

@@ -298,6 +298,22 @@ class TestMatmulMod:
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert matmul_mod(m, IntMatrix.zeros(2, 2), 7) == IntMatrix.zeros(2, 2)
 
+    @pytest.mark.parametrize("m", [None, 1, 2, 3, 6, 12, 97])
+    def test_matches_the_triple_loop(self, rng, m):
+        """Random shapes, 1 x 1, 1 x k, k x 1 and non-square among them, with
+        negative entries, against the entry-by-entry definition."""
+        shapes = [(1, 1, 1), (1, 5, 1), (1, 1, 5), (5, 1, 1), (4, 1, 3), (2, 3, 7), (6, 4, 6)]
+        shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(20)]
+        for rows, inner, cols in shapes:
+            a = random_matrix(rng, rows, inner, -50, 50)
+            b = random_matrix(rng, inner, cols, -50, 50)
+            expected = []
+            for i in range(rows):
+                for j in range(cols):
+                    s = sum(a.at(i, t) * b.at(t, j) for t in range(inner))
+                    expected.append(s if m is None else s % m)
+            assert matmul_mod(a, b, m) == IntMatrix(rows, cols, tuple(expected))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             matmul_mod(IntMatrix.identity(2), IntMatrix.identity(3), None)

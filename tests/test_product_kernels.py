@@ -98,6 +98,29 @@ def spectral_parts(draw):
     return part(), part()
 
 
+@st.composite
+def tiling_parts(draw):
+    """Two tilings decided in Z_m^d and Z_n^d, m, n <= 4 and d <= 2, of up to
+    four points from [-m, 2m)^d each, their complements moved off [0, m)^d
+    by multiples of the modulus, point by point."""
+    d = draw(st.integers(1, 2))
+
+    def part():
+        m = draw(st.integers(1, 4))
+        coordinate = st.integers(-m, 2 * m - 1)
+        size = min(4, m**d)
+        points = st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=size, unique=True)
+        verdict = tiling.decide_m_tile(PointSet(d, tuple(draw(points))), GroupSpec(m, d))
+        if not isinstance(verdict, TilingCertificate):
+            return None
+        shifts = st.tuples(*[st.integers(-1, 1)] * d)
+        complement = verdict.complement.points
+        moved = tuple(tuple(c + m * s for c, s in zip(p, draw(shifts))) for p in complement)
+        return TilingCertificate(verdict.group, verdict.set, PointSet(d, moved))
+
+    return part(), part()
+
+
 def point_sets(d, max_size=6):
     coordinates = st.tuples(*[st.integers(-9, 9)] * d)
     return st.lists(coordinates, min_size=1, max_size=max_size, unique=True).map(
@@ -175,6 +198,20 @@ class TestProvenValuesAsValidated:
     @hypothesis.given(st.integers(1, 12), st.integers(1, 12))
     def test_progression(self, k, step):
         assert_validated(tiling._progression(k, step))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(tiling_parts())
+    def test_compose_tile(self, parts):
+        """The complement reduced in one pass is the validated reduction of
+        the composed complement."""
+        hypothesis.assume(None not in parts)
+        left, right = parts
+        m, n = left.group.modulus, right.group.modulus
+        composed = tiling.compose_tile(left, right)
+        assert_validated(composed)
+        sigma = composed_set(left.complement, right.complement, m).reduced_mod(m * n)
+        expected = composed_set(left.set, right.set, m)
+        assert composed == TilingCertificate(GroupSpec(m * n, left.set.dimension), expected, sigma)
 
 
 @st.composite

@@ -637,15 +637,18 @@ class TestPointwisePairsDecidedLazily:
 
     @pytest.fixture
     def decided(self, monkeypatch):
-        """Each (xi, verdict) that a _pointwise predicate is asked, in order."""
+        """Each (xi, verdict) that a _pointwise predicate is asked, in order:
+        xi = later - row mod m for a pair, later itself without a row."""
         calls = []
         pointwise = spectral._pointwise
 
         def recording(points, decide):
             vanishes = pointwise(points, decide)
 
-            def recorded(xi):
-                calls.append((xi, vanishes(xi)))
+            def recorded(later, row=None):
+                behind = row or (0,) * len(later)
+                xi = tuple((a - b) % decide.modulus for a, b in zip(later, behind))
+                calls.append((xi, vanishes(later, row)))
                 return calls[-1][1]
 
             return recorded
@@ -671,9 +674,9 @@ class TestPointwisePairsDecidedLazily:
         # Pairs (0, 10), ..., (0, 40) vanish; (0, 51) is the fifth pair and fails.
         assert decided == [((10 * j,), True) for j in range(1, 5)] + [((51,), False)]
 
-    def test_hostile_envelope_refused_after_one_decision(self, rng, decided):
-        """2,000 points and 2,000 distinct rows in Z_1000^2: deciding all
-        k(k-1)/2 differences first took seconds and over 100 MB."""
+    @pytest.fixture
+    def hostile(self, rng):
+        """2,000 points and 2,000 distinct sorted rows in Z_1000^2, as an envelope."""
         k, m = 2000, 1000
         points, rows = set(), set()
         while len(points) < k:
@@ -687,8 +690,28 @@ class TestPointwisePairsDecidedLazily:
         envelope = certio.CertificateEnvelope(
             certio.SCHEMA_VERSION, "spectrum", cert, (certio.ProvenanceEntry("test", ()),)
         )
-        data = certio.serialize(envelope)
+        return certio.serialize(envelope), rows
+
+    def test_hostile_envelope_refused_after_one_decision(self, hostile, decided):
+        """Deciding all k(k-1)/2 differences first took seconds and over 100 MB."""
+        data, rows = hostile
         with pytest.raises(certio.InvariantViolation):
             certio.parse(data)
-        first = tuple((b - a) % m for a, b in zip(rows[0], rows[1]))
+        first = tuple((b - a) % 1000 for a, b in zip(rows[0], rows[1]))
         assert decided == [(first, False)]
+
+    def test_hostile_envelope_computes_exponents_of_two_rows(self, hostile, monkeypatch):
+        """The first pair fails, so only its two rows' exponents l.t are
+        computed, 2 * 2,000 dot products, not one vector per row."""
+        data, rows = hostile
+        computed = []
+        exponents = spectral._exponents
+
+        def recording(points, row):
+            computed.append(row)
+            return exponents(points, row)
+
+        monkeypatch.setattr(spectral, "_exponents", recording)
+        with pytest.raises(certio.InvariantViolation):
+            certio.parse(data)
+        assert sorted(computed) == rows[:2]
