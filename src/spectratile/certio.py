@@ -47,14 +47,16 @@ stays JSON until its check derives it; the stored JSON is then compared
 with the canonical encoding of the derivation, and if they are equal the
 derivation is the payload's value.  Only a stored field that differs is
 decoded, so a malformed one raises MalformedCertificate at its path, and
-then checked as an object, as verify_envelope checks an in-memory
-envelope: a tampered one raises InvariantViolation.  A derived field is
-read only when its check runs, after the checks of its premises, so a
-malformed one is reported only if they pass: a tampered premise raises
-its own InvariantViolation first, and a construction beyond the guard
-raises GuardExceeded before its result is decoded.  Until then the
-payload that verify_envelope checks holds a _Claim in each derived field;
-parse then puts the values they settled in their places.
+then checked as an object: a tampered one raises InvariantViolation.  A
+derived field is read only when its check runs, after the checks of its
+premises, so a malformed one is reported only if they pass: a tampered
+premise raises its own InvariantViolation first, and a construction beyond
+the guard raises GuardExceeded before its result is decoded.  Until then
+the payload that verify_envelope checks holds a _Claim in each derived
+field; parse then puts the values they settled in their places.  An
+envelope built in memory is read the same way, through a claim of each
+derived field's canonical encoding, so verify_envelope checks exactly
+what parse checks of its serialization.
 
 A derived certificate (a composition's or lift's result, the bundle's
 composed spectrum) must have the group and set size its construction
@@ -90,7 +92,7 @@ not checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
 from operator import attrgetter, eq
@@ -175,7 +177,7 @@ def _check_parts(record: str, certificate_type: str, *parts: object, result: obj
     codec = _PARTS.get(certificate_type)
     if codec is None:
         raise ValueError(f"unknown {record} type {certificate_type!r}")
-    # parse holds the result as a _Claim until verification settles it.
+    # Verification holds the result as a _Claim until it settles it.
     if not all(isinstance(part, codec.make) for part in parts) or not isinstance(
         result, (codec.make, _Claim)
     ):
@@ -458,7 +460,8 @@ def _encodes(codec: Any, value: Any, obj: Any) -> bool:
 class _Claim:
     """A derived payload field as the envelope stores it, still JSON.
 
-    parse passes it to the payload's constructor in the field's place, and
+    parse passes it to the payload's constructor in the field's place, as
+    _claimed does for an in-memory field's canonical encoding, and
     verification settles it against the field's derivation (see _settle):
     ``value`` is then the field's value, which parse puts in its place.
     It is decoded only when it differs from the derivation.
@@ -501,32 +504,6 @@ class _Claim:
             return getattr(self.decode(), key)
 
 
-class _Given(NamedTuple):
-    """A derived field of a record built in memory: verify_envelope
-    compares it with its derivation as an object, through a _Claim's
-    methods."""
-
-    value: Any
-
-    def encodes(self, value: Any) -> bool:
-        return self.value == value
-
-    def decode(self) -> Any:
-        return self.value
-
-    def shape(self) -> tuple[GroupSpec, int]:
-        return self.value.group, len(self.value.set)
-
-    def premise(self, key: str) -> Any:
-        return getattr(self.value, key)
-
-
-def _stored(value: Any) -> _Claim | _Given:
-    """A derived field as verification reads it: parse's claim, or else
-    the in-memory value."""
-    return value if type(value) is _Claim else _Given(value)
-
-
 class _Record:
     """A dataclass as a JSON object whose keys are exactly its field names.
 
@@ -544,6 +521,7 @@ class _Record:
             for name, codec in fields.items()
         }
         self.fields = tuple(self.codecs.items())
+        self.derived = tuple(name for name, codec in fields.items() if type(codec) is _Derived)
         self.decoders = tuple(
             (name, partial(_Claim, codec=codec.codec, name=name))
             if type(codec) is _Derived
@@ -581,17 +559,13 @@ def _pick(variants: dict[str, Any], obj: Any) -> Any:
 
 
 class _Tagged:
-    """A tag key inside the object picks the codec of its other keys.
+    """A tag key inside the object picks the codec of its other keys; the
+    tag is read from the value by ``tag_of``."""
 
-    The tag is read from the value by ``tag_of``, or else from its type.
-    """
-
-    def __init__(
-        self, tag: str, variants: dict[str, Any], tag_of: Callable[[Any], str] | None = None
-    ) -> None:
+    def __init__(self, tag: str, variants: dict[str, Any], tag_of: Callable[[Any], str]) -> None:
         self.tag = tag
         self.variants = variants
-        self.tag_of = tag_of or partial(_variant, variants)
+        self.tag_of = tag_of
 
     def encode(self, value: Any) -> dict:
         name = self.tag_of(value)
@@ -741,18 +715,16 @@ def _verify_non_tiling(cert: NonTilingCertificate) -> None:
     """Reasons are re-validated structurally on construction."""
 
 
-def _settle(stored: Any, derived: Any, differs: Callable[[Any], None]) -> Any:
+def _settle(stored: _Claim, derived: Any, differs: Callable[[Any], None]) -> Any:
     """The value of a derived field: its derivation, if the stored value is
     that, else the stored value once ``differs(stored)`` accepts it.
 
-    parse's claim is compared as JSON with the derivation's canonical
-    encoding and decoded only if they differ, so a malformed one raises
-    MalformedCertificate at its path; an in-memory value is compared as an
-    object.  differs raises InvariantViolation to refuse.  derived is None
-    when the premises fix no value, and then the stored value always goes
-    to it.
+    The claim is compared as JSON with the derivation's canonical encoding
+    and decoded only if they differ, so a malformed one raises
+    MalformedCertificate at its path.  differs raises InvariantViolation to
+    refuse.  derived is None when the premises fix no value, and then the
+    stored value always goes to it.
     """
-    stored = _stored(stored)
     if derived is not None and stored.encodes(derived):
         return derived
     value = stored.decode()
@@ -774,23 +746,22 @@ _COMPOSE = {"spectrum": spectral.compose_spectral, "tiling": tiling.compose_tile
 _LIFT_BACK = {"spectrum": spectral.lift_spectrum, "tiling": tiling.lift_tile}
 
 
-def _pin(what: str, result: Any, group: GroupSpec, size: int) -> None:
+def _pin(what: str, result: _Claim, group: GroupSpec, size: int) -> None:
     """Before a construction runs, its result must have the group and set
     size it produces.  A tiling's sizes multiply to its group order, so a
     tiling construction then builds no more cells, and a spectral one
-    checks no more points, than the result lists.  A claim is read for them
+    checks no more points, than the result lists.  The claim is read for them
     undecoded; only a mismatch decodes it, so a malformed one raises as
     such first."""
-    stored = _stored(result)
-    if stored.shape() == (group, size):
+    if result.shape() == (group, size):
         return
-    cert = stored.decode()
+    cert = result.decode()
     for field in ("modulus", "dimension"):
         _require(getattr(cert.group, field) == getattr(group, field), f"{what} {field} mismatch")
     _require(len(cert.set) == size, f"{what} set size is not the construction's")
 
 
-def _recompute(what: str, result: Any, group: GroupSpec, size: int, construct: Callable) -> None:
+def _recompute(what: str, result: _Claim, group: GroupSpec, size: int, construct: Callable) -> None:
     """Pin a derived certificate, then recompute and settle it.  The
     construction verifies its inputs and never its output, which its lemma
     proves."""
@@ -814,7 +785,7 @@ def _verify_lift(rec: LiftRecord) -> None:
     """Pin the result, then lift: the construction verifies the base."""
     base = rec.base
     # The points lifted are the result's set, the one premise inside it.
-    points = _stored(rec.result).premise("set")
+    points = rec.result.premise("set")
     _recompute(
         "lift",
         rec.result,
@@ -884,8 +855,9 @@ class _Facts(dict):
     A premise (the side count, the phase matrix, both factorizations, both
     base non-tiling certificates) is ``given[name]()``, taken in the check
     that checks it: a stored bundle's field, or the pipeline's construction,
-    which so runs inside that check.  A field the premises fix is compared
-    once, when it is derived, with the ``claimed`` bundle's, if there is one.
+    which so runs inside that check.  A derived field, one the premises fix,
+    is settled once, when it is derived, against the ``claimed`` bundle's
+    _Claim, if there is one.
     """
 
     def __init__(
@@ -972,13 +944,15 @@ def _non_tiling(name: str, kind: type, detail: str) -> Callable[[_Facts], str]:
     field, what = f"base_non_tiling_{name}", f"base non tiling {name}"
 
     def check(facts: _Facts) -> str:
-        reason = getattr(facts.premise(field), "reason", None)
+        stored = facts.premise(field)
+        reason = getattr(stored, "reason", None)
         _require(isinstance(reason, kind), f"{what} carries the wrong reason")
         base = facts["base_spectrum"]
         try:
-            facts.derive(field, NonTilingCertificate(base.group, base.set, reason))
+            derived = NonTilingCertificate(base.group, base.set, reason)
         except ValueError as exc:
             raise InvariantViolation(f"{what} does not recompute: {exc}") from exc
+        _require(stored == derived, f"{what} does not recompute")
         return detail.format(reason)
 
     return check
@@ -1141,17 +1115,36 @@ def parse(data: bytes | str) -> CertificateEnvelope:
 def verify_envelope(envelope: CertificateEnvelope) -> None:
     """Re-check an envelope's claims; raises InvariantViolation on failure.
 
-    Exhausted-search node counts are the one claim that cannot be re-checked
-    statically; see trust_marker.
+    An envelope built in memory is checked exactly as parse checks its
+    serialization (see _claimed).  Exhausted-search node counts are the one
+    claim that cannot be re-checked statically; see trust_marker.
     """
+    kind = _KINDS[envelope.kind]
     try:
-        _KINDS[envelope.kind].verify(envelope.payload)
+        kind.verify(_claimed(kind.codec, envelope.payload))
     except (CertificateError, GuardExceeded):
         raise
     except ValueError as exc:
         # Recomputation helpers reject inconsistent inputs with ValueError;
         # for a stored envelope that is a failed re-check, not a usage error.
         raise InvariantViolation(str(exc)) from exc
+
+
+def _claimed(codec: Any, payload: Any) -> Any:
+    """The payload as verification reads it, each derived field a _Claim:
+    parse's as it is, and one built in memory copied with a claim of each
+    derived field's canonical encoding, so it is checked as its
+    serialization is."""
+    if type(codec) is _Tagged:
+        codec = codec.variants[codec.tag_of(payload)]
+    claims = {}
+    for name in codec.derived:
+        value = getattr(payload, name)
+        if type(value) is not _Claim:
+            _fill_tables()
+            field = codec.codecs[name]
+            claims[name] = _Claim(field.encode(value), field, name)
+    return replace(payload, **claims) if claims else payload
 
 
 def trust_marker(envelope: CertificateEnvelope) -> str:

@@ -206,15 +206,6 @@ class PointSet:
             tuple(self.points[j][i] for i in range(self.dimension) for j in range(k)),
         )
 
-    def reduced_mod(self, m: int) -> "PointSet":
-        """Pointwise reduction mod m; raises if two points collide."""
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
-        reduced = [tuple(c % m for c in p) for p in self.points]
-        if len(set(reduced)) != len(reduced):
-            raise ValueError("points are not distinct mod m")
-        return PointSet(self.dimension, tuple(reduced))
-
 
 @dataclass(frozen=True)
 class PhaseMatrix:

@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,29 @@ class TestEnvelopeConstruction:
     def test_unsupported_schema_version_rejected(self, samples):
         with pytest.raises(ValueError):
             CertificateEnvelope("2", "tiling", samples["tiling"].payload, PROV)
+
+    def test_unknown_certificate_type_rejected(self, samples):
+        spectrum = samples["spectrum"].payload
+        with pytest.raises(ValueError, match="unknown composition type 'phase'"):
+            CompositionRecord("phase", spectrum, spectrum, spectrum)
+        lift = samples["lift-spectrum"].payload
+        with pytest.raises(ValueError, match="unknown lift type 'phase'"):
+            LiftRecord("phase", lift.transform, lift.base, lift.result)
+
+    def test_parts_of_the_other_type_rejected(self, samples):
+        spectrum, tiling_cert = samples["spectrum"].payload, samples["tiling"].payload
+        for parts in [
+            (tiling_cert, spectrum, spectrum),
+            (spectrum, tiling_cert, spectrum),
+            (spectrum, spectrum, tiling_cert),
+        ]:
+            with pytest.raises(ValueError, match="composition parts must be SpectrumCertificate"):
+                CompositionRecord("spectrum", *parts)
+        lift = samples["lift-tiling"].payload
+        with pytest.raises(ValueError, match="lift parts must be TilingCertificate"):
+            LiftRecord("tiling", lift.transform, spectrum, lift.result)
+        with pytest.raises(ValueError, match="lift parts must be TilingCertificate"):
+            LiftRecord("tiling", lift.transform, lift.base, spectrum)
 
 
 class TestHostileCounterexample:
@@ -908,6 +932,103 @@ class TestDerivedFieldsSettledAsJson:
         monkeypatch.setenv("SPECTRATILE_GUARD", "16")
         with pytest.raises(MalformedCertificate, match=r"^payload\.result\.set\.points\[0\]\[0\]"):
             parse(data)
+
+
+def _reversed_points(points):
+    return PointSet(points.dimension, points.points[::-1])
+
+
+def _reversed_rows(phase):
+    return PhaseMatrix(IntMatrix.from_rows(phase.numerators.to_rows()[::-1]), phase.denominator)
+
+
+# A tamper of one derived field per kind that has one: (sample, field,
+# tamper, a fragment of the refusal).  Each keeps the field's group and set
+# size, so the check that refuses it is the one that compares it.
+IN_MEMORY_TAMPERS = [
+    (
+        "composition-tiling",
+        "result",
+        lambda cert: replace(cert, complement=_reversed_points(cert.complement)),
+        "composition result does not recompute",
+    ),
+    (
+        "composition-spectrum",
+        "result",
+        lambda cert: replace(cert, spectrum=_reversed_rows(cert.spectrum)),
+        "composition result does not recompute",
+    ),
+    (
+        "lift-spectrum",
+        "result",
+        lambda cert: replace(cert, spectrum=_reversed_rows(cert.spectrum)),
+        "lift result does not recompute",
+    ),
+    (
+        "lift-tiling",
+        "result",
+        lambda cert: replace(cert, complement=_reversed_points(cert.complement)),
+        "lift result does not recompute",
+    ),
+    (
+        "chain",
+        "one_dimensional",
+        lambda cert: replace(cert, set=_reversed_points(cert.set)),
+        "does not map the set onto the one-dimensional tiling's set",
+    ),
+    ("counterexample-n2", "rank", lambda rank: rank - 1, "rank does not recompute"),
+    (
+        "counterexample-n2",
+        "base_spectrum",
+        lambda cert: replace(cert, set=_reversed_points(cert.set)),
+        "base spectrum does not recompute",
+    ),
+    (
+        "counterexample-n2",
+        "composed_spectrum",
+        lambda cert: replace(cert, spectrum=_reversed_rows(cert.spectrum)),
+        "composed spectrum does not recompute",
+    ),
+    (
+        "counterexample-n2",
+        "obstructions",
+        lambda rep: replace(rep, reduction_multiplicity=rep.reduction_multiplicity + 1),
+        "obstruction reduction multiplicity does not recompute",
+    ),
+]
+
+
+class TestInMemoryVerificationMatchesParse:
+    """verify_envelope on an envelope built in memory checks what parse
+    checks of its serialization, with the same refusal."""
+
+    @pytest.fixture(scope="class")
+    def in_memory(self, samples):
+        chain = envelope("independence-chain", independent_tile(CHAIN_SET))
+        counterexample = run_counterexample(2).envelope
+        assert counterexample is not None
+        return {**samples, "chain": chain, "counterexample-n2": counterexample}
+
+    @pytest.mark.parametrize("name", sorted({name for name, *_ in IN_MEMORY_TAMPERS}))
+    def test_each_verifies(self, in_memory, name):
+        certio.verify_envelope(in_memory[name])
+
+    @pytest.mark.parametrize(
+        "name, field, tamper, refusal",
+        IN_MEMORY_TAMPERS,
+        ids=[f"{name}-{field}" for name, field, *_ in IN_MEMORY_TAMPERS],
+    )
+    def test_a_tampered_field_is_refused_as_parse_refuses_it(
+        self, in_memory, name, field, tamper, refusal
+    ):
+        env = in_memory[name]
+        payload = replace(env.payload, **{field: tamper(getattr(env.payload, field))})
+        tampered = replace(env, payload=payload)
+        with pytest.raises(InvariantViolation, match=refusal) as held:
+            certio.verify_envelope(tampered)
+        with pytest.raises(InvariantViolation) as stored:
+            parse(serialize(tampered))
+        assert str(held.value) == str(stored.value)
 
 
 class TestParseFreesItsInput:

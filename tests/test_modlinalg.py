@@ -72,6 +72,9 @@ class TestIntMatrix:
     def test_reduced_mod(self):
         m = IntMatrix.from_rows([[-1, 5], [7, -9]])
         assert m.reduced_mod(4).to_rows() == [[3, 1], [3, 3]]
+        for modulus in (0, -3):
+            with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
+                m.reduced_mod(modulus)
 
 
 class TestRankModP:

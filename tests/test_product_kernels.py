@@ -209,7 +209,8 @@ class TestProvenValuesAsValidated:
         m, n = left.group.modulus, right.group.modulus
         composed = tiling.compose_tile(left, right)
         assert_validated(composed)
-        sigma = composed_set(left.complement, right.complement, m).reduced_mod(m * n)
+        unreduced = composed_set(left.complement, right.complement, m).points
+        sigma = PointSet(left.set.dimension, [[c % (m * n) for c in p] for p in unreduced])
         expected = composed_set(left.set, right.set, m)
         assert composed == TilingCertificate(GroupSpec(m * n, left.set.dimension), expected, sigma)
 

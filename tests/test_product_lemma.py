@@ -331,10 +331,11 @@ class TestCompositionTampering:
         good = decide_m_tile(line_set(0, 1), GroupSpec(2, 1))
         left, right = (bogus, good) if side == "left" else (good, bogus)
         m, n = left.group.modulus, right.group.modulus
+        sigma = composed_set(left.complement, right.complement, m).points
         product = TilingCertificate(
             GroupSpec(m * n, 1),
             composed_set(left.set, right.set, m),
-            composed_set(left.complement, right.complement, m).reduced_mod(m * n),
+            PointSet(1, [(s % (m * n),) for (s,) in sigma]),
         )
         with pytest.raises(InvariantViolation, match=f"{side} tiling"):
             parse(composition("tiling", left, right, product))

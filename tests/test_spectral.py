@@ -77,10 +77,6 @@ class TestTypes:
         ps = PointSet(2, ((1, 2), (3, 4), (5, 6)))
         assert ps.to_columns_matrix().to_rows() == [[1, 3, 5], [2, 4, 6]]
 
-    def test_reduced_mod_collision(self):
-        with pytest.raises(ValueError):
-            PointSet(1, ((0,), (4,))).reduced_mod(4)
-
     def test_phase_matrix_requires_reduced_entries(self):
         with pytest.raises(ValueError):
             PhaseMatrix(IntMatrix.from_rows([[3]]), 3)

@@ -441,6 +441,8 @@ class TestInvariants:
             )
         with pytest.raises(ValueError):
             ExhaustedSearch(0)
+        with pytest.raises(ValueError, match="unknown non-tiling reason"):
+            NonTilingCertificate(GroupSpec(4, 1), line_set(0, 1), "exhausted-search")
 
 
 def tuple_scan_lift(point_set: PointSet, transform: IntMatrix, base: TilingCertificate):
