@@ -425,6 +425,18 @@ def _transform(
     return list(map(polys.__getitem__, cells))
 
 
+def _cells(columns: Iterable[Iterable[int]], m: int) -> Iterator[int]:
+    """The index of each cell listed by columns, column a holding axis a's coordinates.
+
+    The one coordinates-to-index formula (see _Torus), by Horner's rule mod m.
+    """
+    columns = iter(columns)
+    index = map(m.__rmod__, next(columns, ()))  # no columns: no cells
+    for column in columns:
+        index = map(operator.add, map(m.__mul__, index), map(m.__rmod__, column))
+    return index
+
+
 def _cell_mask(indices: Iterable[int], width: int) -> int:
     """The mask of width bytes with bit j set for each j in indices.
 
@@ -459,7 +471,8 @@ class _Torus:
     The bits between copies stay clear.  For _zero_set, a single copy also
     lists the orbits of its cells under the units mod m (see listed, walk
     and table).  Nothing changes a _Torus once it is built, so the small
-    ones are shared between calls and keep their orbit tables (see _shared).
+    ones are shared between calls and keep their repunits, orbit tables and
+    rotations (see _shared).
     """
 
     def __init__(self, m: int, d: int, copies: int = 1) -> None:
@@ -480,14 +493,15 @@ class _Torus:
         copies = len(self.cuts)
         return repunits if copies == 1 else [self.stack([r] * copies) for r in repunits]
 
-    def cells(self, columns: Iterable[Iterable[int]]) -> Iterator[int]:
-        """The index of each cell listed by columns, column a holding axis a's coordinates.
+    @functools.cached_property
+    def rotations(self) -> list[_Rotations]:
+        """Per axis, the rotations translate makes, kept when all fit the bound (see _shared)."""
+        keep = _shared(self.m, len(self.strides), len(self.cuts) * (self.m - 1))
+        return [_Rotations(r, self.m, s, keep) for r, s in zip(self.repunits, self.strides)]
 
-        Coordinates are reduced mod m.
-        """
-        m = self.m
-        terms = [map(s.__mul__, map(m.__rmod__, c)) for s, c in zip(self.strides, columns)]
-        return map(sum, zip(*terms))
+    def cells(self, columns: Iterable[Iterable[int]]) -> Iterator[int]:
+        """The index of each cell listed by columns, reduced mod m (see _cells)."""
+        return _cells(columns, self.m)
 
     def mask(self, columns: Iterable[Iterable[int]]) -> int:
         """The bitmask of the cells listed by columns; a cell listed twice sets its bit once."""
@@ -500,24 +514,24 @@ class _Torus:
     def unstack(self, stack: int, skip: int = 0) -> list[int]:
         """The copies in order, but for those that hold a cell of the mask skip."""
         data = stack.to_bytes(len(self.cuts) * self.width, "little")
-        copies = map(int.from_bytes, map(data.__getitem__, self.cuts), itertools.repeat("little"))
+        copies = [int.from_bytes(data[cut], "little") for cut in self.cuts]
         return [copy for copy in copies if not copy & skip]
 
     def index(self, row: Sequence[int]) -> int:
         return sum(c * s for c, s in zip(row, self.strides))
 
     def row(self, index: int) -> tuple[int, ...]:
-        return tuple(map(self.m.__rmod__, map(index.__floordiv__, self.strides)))
+        return tuple([index // s % self.m for s in self.strides])
 
-    def translate(self, mask: int, row: Sequence[int]) -> int:
+    def translate(self, mask: int, row: Iterable[int]) -> int:
         """The bitmask of mask + row: one cyclic rotation of each block per axis."""
         m = self.m
-        for c, s, repunit in zip(row, self.strides, self.repunits):
+        for c, rotations in zip(row, self.rotations):
             u = c % m
             if u:
-                low = (repunit << (m - u) * s) - repunit  # cells whose digit is below m - u
+                low, up, down = rotations[u]
                 part = mask & low
-                mask = part << u * s | (mask ^ part) >> (m - u) * s
+                mask = part << up | (mask ^ part) >> down
         return mask
 
     def listed(self, leader: int) -> list[int]:
@@ -586,6 +600,25 @@ class _Torus:
         return cells[ends[i - 1] if i else 0 : ends[i]]
 
 
+class _Rotations(dict):
+    """One axis's rotations, amount u -> (low, up, down), built when missing and kept if keep.
+
+    Adding u on an axis of stride s moves a cell's bit up = u * s bits, but
+    a cell whose digit there is m - u or more wraps round, down = (m - u) * s
+    bits; low sets the cells that move up.  A kept one saves building low.
+    """
+
+    def __init__(self, repunit: int, m: int, stride: int, keep: bool) -> None:
+        self.repunit, self.m, self.stride, self.keep = repunit, m, stride, keep
+
+    def __missing__(self, u: int) -> tuple[int, int, int]:
+        down = (self.m - u) * self.stride
+        rotation = (self.repunit << down) - self.repunit, u * self.stride, down
+        if self.keep:
+            self[u] = rotation
+        return rotation
+
+
 # Tori past this many bits, d repunits of copies * m^d bits each, are built
 # per call, so no large torus outlives its search.
 _CACHED_TORUS_BITS = 1 << 15
@@ -593,14 +626,17 @@ _cached_torus = functools.lru_cache(maxsize=16, typed=True)(_Torus)
 
 
 def _shared(m: int, d: int, copies: int = 1) -> bool:
-    """Whether _torus shares the torus of copies of Z_m^d, which then keeps its orbit table.
+    """Whether _torus shares the torus of copies of Z_m^d, which then keeps its tables.
 
     The cache keeps at most 16 tori of d * copies * m^d <= _CACHED_TORUS_BITS
     repunit bits, 4 KiB each; every caller asks for at most m^d copies.  An
     orbit table takes at most six bytes per cell.  _zero_set asks for one only
     when m <= 10,000 (the cyclotomic bound), so the largest group asked is
     Z_128^2, 16,384 cells in at most 96 KiB, and the cache's orbit tables
-    hold at most 16 * 96 KiB = 1.5 MiB.
+    hold at most 16 * 96 KiB = 1.5 MiB.  A torus keeps its rotations when all
+    d * (m - 1) fit the same bound, _shared(m, d, copies * (m - 1)); the
+    fullest, Z_181's, take about 37 KB by sys.getsizeof, so the cache's
+    rotations hold at most 16 * 40 KiB = 640 KiB.
     """
     return d * copies * m**d <= _CACHED_TORUS_BITS
 

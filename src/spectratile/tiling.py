@@ -39,7 +39,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .guard import check_guard, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
-from .spectral import GroupSpec, PointSet, _proven, _sums, _torus, _Torus, composed_set
+from .spectral import GroupSpec, PointSet, _cell_mask, _cells, _proven, _sums, _torus, _Torus
+from .spectral import composed_set
 
 __all__ = [
     "TilingCertificate",
@@ -174,7 +175,7 @@ def _coverage(cert: TilingCertificate) -> tuple[_Torus, int] | None:
 
 
 def _exact_cover(
-    residues: Sequence[tuple[int, ...]],
+    residues: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
     m: int,
     dimension: int,
     limit: int | None = None,
@@ -201,6 +202,10 @@ def _exact_cover(
     mod m.  A row keeps only the masks whose least cell is its cell, by the
     anchoring lemma: a node branches on its least uncovered cell c, so a
     mask holding a cell below c fails its AND at every node branching on c.
+
+    residues lists the points in order, reduced or not; _decide passes
+    instead the dict its one pass over them built, each point under its
+    cell index.  T's mask is set from those indices.
 
     The trail keeps each state's covered cells and its row iterator, and no
     point index.  placement reads the cover back: state j branched on the
@@ -229,9 +234,12 @@ def _exact_cover(
     never built.
     """
     stop = 0 if limit is None else limit + 1  # nodes never returns to 0
+    if not isinstance(residues, dict):
+        residues = dict(zip(_cells(zip(*residues), m), residues))
     single = _torus(m, dimension)
     full = single.full
-    shape = single.mask(zip(*residues))
+    shape = _cell_mask(residues, single.width)
+    residues = list(residues.values())
     torus = _torus(m, dimension, len(residues))
     shapes = [single.translate(shape, map(operator.neg, t)) for t in residues]
     stack = torus.stack(shapes)
@@ -275,20 +283,6 @@ def _exact_cover(
         entries = iter(rows.get(cell) or row(cell))
 
 
-def _distinct_residues(
-    point_set: PointSet, m: int
-) -> list[tuple[int, ...]] | DuplicateResidues:
-    """The points' residues mod m, or the first pair of points that collide."""
-    residues = [tuple(map(m.__rmod__, p)) for p in point_set.points]
-    if len(set(residues)) < len(residues):
-        first_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for p, res in zip(point_set.points, residues):
-            if res in first_seen:
-                return DuplicateResidues(first_seen[res], p)
-            first_seen[res] = p
-    return residues
-
-
 def _decide(
     point_set: PointSet,
     group: GroupSpec,
@@ -298,29 +292,38 @@ def _decide(
 ) -> TilingCertificate | NonTilingCertificate:
     """The certificate the exact-cover search by this rule gives the set.
 
-    The guard bounds the m^d cells of the group first.  Duplicate residues
-    are refused next; then, by the rooted rule with no claim, a set size
-    that does not divide the group order.  Before the search builds
-    anything the guard bounds the k * m^d bits of its k-copy stack and of
-    each row.  With a claim the search stops at node claim + 1.
+    The guard bounds the m^d cells of the group first.  One pass over the
+    points gives their cell indices, with no torus and no int of m^d bits,
+    and refuses duplicate residues: the first point whose index repeats,
+    with the earlier one.  Then, by the rooted rule with no claim, a set
+    size that does not divide the group order is refused.  Before the
+    search builds anything the guard bounds the k * m^d bits of its k-copy
+    stack and of each row; the search sets T's mask from the same indices.
+    With a claim the search stops at node claim + 1.
+
+    _proven builds what the search proves: the set has the group's
+    dimension (decide_m_tile checks it; replay_search's record holds it), an
+    exhausted search counted its root under the rule asked for, and a
+    tiling's k translates cover the m^d cells once each, so k * |C| = m^d.
     """
     limit = resolve_guard(guard)
-    check_power_guard(group.modulus, group.dimension, limit)
-    residues = _distinct_residues(point_set, group.modulus)
-    if isinstance(residues, DuplicateResidues):
-        return NonTilingCertificate(group, point_set, residues)
-    if rule == "rooted" and claim is None and group.order() % len(point_set) != 0:
-        reason = DivisibilityObstruction(len(point_set), group.order())
+    m, d, points = group.modulus, group.dimension, point_set.points
+    check_power_guard(m, d, limit)
+    cells: dict[int, tuple[int, ...]] = {}  # each point under its cell index, in order
+    for j, p in zip(_cells(zip(*points), m), points):
+        if cells.setdefault(j, p) is not p:
+            return NonTilingCertificate(group, point_set, DuplicateResidues(cells[j], p))
+    if rule == "rooted" and claim is None and group.order() % len(points) != 0:
+        reason = DivisibilityObstruction(len(points), group.order())
         return NonTilingCertificate(group, point_set, reason)
-    check_guard(len(residues) * group.order(), limit)  # the search's k copies of the group
-    solution, nodes = _exact_cover(
-        residues, group.modulus, group.dimension, claim, rooted=rule == "rooted"
-    )
+    check_guard(len(points) * group.order(), limit)  # the search's k copies of the group
+    solution, nodes = _exact_cover(cells, m, d, claim, rooted=rule == "rooted")
     if solution is None:
-        return NonTilingCertificate(group, point_set, ExhaustedSearch(nodes, rule))
+        reason = _proven(ExhaustedSearch, nodes=nodes, rule=rule)
+        return _proven(NonTilingCertificate, group=group, set=point_set, reason=reason)
     # Distinct: the placements' masks are disjoint and nonempty.
-    complement = _proven(PointSet, dimension=group.dimension, points=tuple(sorted(solution)))
-    return TilingCertificate(group, point_set, complement)
+    complement = _proven(PointSet, dimension=d, points=tuple(sorted(solution)))
+    return _proven(TilingCertificate, group=group, set=point_set, complement=complement)
 
 
 def decide_m_tile(
