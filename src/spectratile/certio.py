@@ -20,13 +20,13 @@ Every integer anywhere in the payload is encoded as a canonical decimal
 string so arbitrary-precision values survive any JSON implementation.
 Integers in [-256, 256], nearly all of those in a certificate, are encoded
 and decoded by lookup in two tables filled on the first serialize or parse,
-one C-level map per array; a point set's points are encoded in one map over
-all their coordinates.  A miss (a larger integer, or anything that is not a
-canonical decimal string) sends the array through the per-item path, which
-converts with int() and str() and, for a fault, names its index.
+one C-level map per array; a set of six points or more is encoded in one
+map over all their coordinates.  A miss (a larger integer, or anything that
+is not a canonical decimal string) sends the array through the per-item
+path, which converts with int() and str() and, for a fault, names its index.
 Object keys are sorted and arrays keep the canonical orders the producing
 operations define, so serializing the same envelope twice yields identical
-bytes.
+bytes, through one json.JSONEncoder that every serialize shares.
 
 Parsing re-checks everything checkable without a search: spectrum and tiling
 payloads are re-verified outright.  The counterexample bundle is checked
@@ -71,9 +71,9 @@ is proven (see _published), its cube by construction: neither is checked again.
 An independence chain stores the premises of the pullback lemma, not the
 tiling of Z_M^d they imply: parse recomputes the selected block's
 determinant and maps each point to Z_M.  When the images are the
-progression {|det| * i}, the one-dimensional tiling is the progression's
-(see _verify_chain) and needs no coverage check; any other stored tiling
-of Z_M is verified, O(M) more.  Neither walks Z_M^d.
+progression {|det| * i}, the stored one-dimensional tiling is compared in
+one C-level == with the progression's encoding, kept per k and |det| (see
+_verify_chain); any other is verified, O(M) more.  Neither walks Z_M^d.
 
 The one thing a static file cannot prove is an exhausted-search node
 count; such certificates parse but carry a "replay-required" trust marker
@@ -93,10 +93,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
-from operator import attrgetter, eq
-from typing import Any, Callable, Iterator, NamedTuple
+from operator import attrgetter, lt
+from typing import Any, Callable, NamedTuple
 
 from . import spectral, tiling
 from .guard import GuardExceeded, check_power_guard
@@ -385,19 +385,16 @@ def _list_of(item: _Codec, bulk: _Codec | None = None) -> _Codec:
     return _Codec(encode, decode)
 
 
-def _table_points(points: Any) -> Iterator[list]:
-    """A PointSet's points encoded lazily: every coordinate through the
-    table in one C-level pass, cut back into points of the first point's
-    length, which they all share.  A miss raises when it is reached."""
-    flat = map(_TO_STR.__getitem__, chain.from_iterable(points))
-    return map(list, zip(*[flat] * len(points[0])))
-
-
 def _enc_points(points: Any) -> list:
-    """The points by _table_points, or on a miss through _POINT_LIST point
-    by point."""
+    """A PointSet's points through the table, or on a miss through _POINT_LIST.
+    From six points on, one C-level pass over all coordinates, cut back into
+    points of the first point's length, which they all share, saves more
+    than it costs to set up; fewer are looked up one point at a time."""
     try:
-        return list(_table_points(points))
+        if len(points) < 6:
+            return [list(map(_TO_STR.__getitem__, p)) for p in points]
+        flat = map(_TO_STR.__getitem__, chain.from_iterable(points))
+        return list(map(list, zip(*[flat] * len(points[0]))))
     except _MISS:
         return _POINT_LIST.encode(points)
 
@@ -408,6 +405,7 @@ _STR = _Codec(str, _check(str, "a string"))
 _INTS = _list_of(_INT, _Codec(_TO_STR.__getitem__, _FROM_STR.__getitem__))
 _POINT_LIST = _list_of(_INTS)
 _POINTS = _Codec(_enc_points, _POINT_LIST.decode)
+_STRINGS = (_INT, _STR, _INTS, _POINTS)  # each encodes to strings or arrays of them
 
 
 def _keys(obj: Any, keys: frozenset[str]) -> None:
@@ -437,22 +435,18 @@ class _Derived(NamedTuple):
 def _encodes(codec: Any, value: Any, obj: Any) -> bool:
     """Whether obj is the canonical encoding of value.
 
-    A record is compared field by field and a point set's points point by
-    point, so the encoding is never built whole beside obj.  The type is
-    compared too, since == takes a JSON 0 for false.
+    A string equals only a string, so a record whose leaves are all strings
+    (``exact``), as a certificate's are, is compared whole, in C, with its
+    encoding, no larger than obj (see _pin) or the derivation.  Another is
+    compared field by field, each leaf's type too: == takes a JSON 0 for false.
     """
-    if type(codec) is _Record:
+    if type(codec) is _Record and not codec.exact:
         if type(obj) is not dict or obj.keys() != codec.keys:
             return False
         for name, item in codec.fields:
             if not _encodes(item, getattr(value, name), obj[name]):
                 return False
         return True
-    if codec is _POINTS and type(obj) is list and len(obj) == len(value):
-        try:
-            return all(map(eq, obj, _table_points(value)))
-        except _MISS:
-            pass  # a coordinate out of the table: compare the whole encoding
     canonical = codec.encode(value)
     return type(obj) is type(canonical) and obj == canonical
 
@@ -521,6 +515,7 @@ class _Record:
             for name, codec in fields.items()
         }
         self.fields = tuple(self.codecs.items())
+        self.exact = all(getattr(c, "exact", c in _STRINGS) for c in self.codecs.values())
         self.derived = tuple(name for name, codec in fields.items() if type(codec) is _Derived)
         self.decoders = tuple(
             (name, partial(_Claim, codec=codec.codec, name=name))
@@ -735,11 +730,7 @@ def _settle(stored: _Claim, derived: Any, differs: Callable[[Any], None]) -> Any
 
 def _refuse(msg: str) -> Callable[[Any], None]:
     """A differs for _settle that accepts no value but the derivation."""
-
-    def refuse(stored: Any) -> None:
-        raise InvariantViolation(msg)
-
-    return refuse
+    return lambda stored: _require(False, msg)
 
 
 _COMPOSE = {"spectrum": spectral.compose_spectral, "tiling": tiling.compose_tile}
@@ -804,19 +795,17 @@ def _verify_chain(rec: IndependenceChain) -> None:
     {|det| * i : i < k} tiles Z_M, M = k * |det|, with complement
     [0, |det|), since division with remainder writes each x in Z_M as
     |det| * i + s for exactly one i < k and s < |det|.  That tiling, the one
-    independent_tile stores, is settled with no coverage check; any other
-    stored tiling of Z_M is verified.  The work is O(k*d + k^3) and at most
-    O(M) for another tiling: no lift is recomputed, and Z_M^d is not
-    walked; the guard admits Z_M^d only so that reading the chain's
-    on-demand tiling, final, later stays within it.
+    independent_tile stores, is settled by one == on its encoding, with no
+    coverage check; any other stored tiling of Z_M is verified.  The work is
+    O(k*d + k^3), and O(M) for a progression not kept or another tiling: no
+    lift is recomputed, and Z_M^d is not walked; the guard admits Z_M^d
+    only so that reading the chain's on-demand tiling, final, stays in it.
     """
     points = rec.set.points
     k, d = len(points), rec.set.dimension
     rows = rec.selected_rows
     _require(
-        len(rows) == k
-        and all(0 <= r < d for r in rows)
-        and all(a < b for a, b in zip(rows, rows[1:])),
+        len(rows) == k and 0 <= rows[0] and rows[-1] < d and all(map(lt, rows, rows[1:])),
         "selected rows must be k strictly increasing indices in [0, d)",
     )
     block = [[p[r] for p in points] for r in rows]
@@ -832,8 +821,21 @@ def _verify_chain(rec: IndependenceChain) -> None:
     _require(weights.rows == 1 and weights.cols == k, "row transform must be 1 x k")
     images = [sum(w * p[r] for w, r in zip(weights.entries, rows)) % m for p in points]
     step = abs(rec.determinant)
-    progression = tiling._progression(k, step) if images == list(range(0, m, step)) else None
-    _settle(rec.one_dimensional, progression, partial(_one_dimensional, m, images))
+    claim, progression = rec.one_dimensional, None
+    if images == list(range(0, m, step)):
+        progression, canonical = (_progression if m <= _SMALL else _progression.__wrapped__)(k, step)
+        if claim.obj == canonical:  # exact, as a tiling's encoding is (see _encodes)
+            claim.value = progression
+            return
+    _settle(claim, progression, partial(_one_dimensional, m, images))
+
+
+@lru_cache(maxsize=64)
+def _progression(k: int, step: int) -> tuple[TilingCertificate, dict]:
+    """tiling._progression(k, step) and its canonical encoding, which is only
+    compared: k and |det| fix both, kept for a Z_M the int table covers."""
+    progression = tiling._progression(k, step)
+    return progression, _TILING.encode(progression)
 
 
 def _one_dimensional(m: int, images: list[int], one: TilingCertificate) -> None:
@@ -1056,6 +1058,8 @@ _KINDS: dict[str, _Kind] = {
 # envelopes
 
 _ENVELOPE_KEYS = frozenset(("schema_version", "kind", "payload", "provenance"))
+# One encoder for every serialize; the codec builds each tree fresh, with no cycles.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def serialize(envelope: CertificateEnvelope) -> bytes:
@@ -1067,7 +1071,7 @@ def serialize(envelope: CertificateEnvelope) -> bytes:
         "payload": _KINDS[envelope.kind].codec.encode(envelope.payload),
         "provenance": _PROVENANCE.encode(envelope.provenance),
     }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_JSON.encode(doc) + "\n").encode("utf-8")
 
 
 def parse(data: bytes | str) -> CertificateEnvelope:

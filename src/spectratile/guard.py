@@ -65,7 +65,11 @@ def _amount(n: int) -> str:
 
 
 def check_guard(cells: int, guard: int | None = None) -> None:
-    limit = resolve_guard(guard)
+    _within(cells, resolve_guard(guard))
+
+
+def _within(cells: int, limit: int) -> None:
+    """check_guard under a resolved limit."""
     if cells > limit:
         raise GuardExceeded(
             f"enumeration of {_amount(cells)} cells exceeds the guard of {_amount(limit)}"
@@ -78,11 +82,18 @@ def check_power_guard(base: int, exponent: int, guard: int | None = None) -> Non
     The power is computed only when it has at most _EXACT_BITS bits, so the
     refusal names the exact count, or when it is in reach of the guard, so
     an order taken from untrusted input costs no more than the guard allows.
+    The guard is resolved once.
     """
-    limit = resolve_guard(guard)
+    if base.bit_length() * exponent > _EXACT_BITS:
+        return _power_within(base, exponent, resolve_guard(guard))
+    check_guard(base**exponent, guard)
+
+
+def _power_within(base: int, exponent: int, limit: int) -> None:
+    """check_power_guard under a resolved limit."""
     if base.bit_length() * exponent > _EXACT_BITS and not power_in_reach(base, exponent, limit):
         floor = (base.bit_length() - 1) * exponent
         raise GuardExceeded(
             f"enumeration of at least 2**{floor} cells exceeds the guard of {_amount(limit)}"
         )
-    check_guard(base**exponent, limit)
+    _within(base**exponent, limit)

@@ -111,7 +111,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .cyclotomic import VanishingDecision, _prime_divisors, vanishing_decision
-from .guard import check_power_guard, power_in_reach, resolve_guard
+from .guard import _power_within, check_power_guard, power_in_reach, resolve_guard
 from .modlinalg import IntMatrix, _decimal, format_matrix, matmul_mod, parse_matrix
 
 __all__ = [
@@ -685,7 +685,7 @@ def _zero_set(point_set: PointSet, group: GroupSpec, limit: int) -> int:
     most _KERNEL_BITS, and by shifts and adds otherwise; both give the same
     ints.
     """
-    check_power_guard(group.modulus, group.dimension, limit)
+    _power_within(group.modulus, group.dimension, limit)
     m, d = group.modulus, group.dimension
     points = point_set.points
     # Built first: an m beyond the cyclotomic bound fails here, before any transform.
@@ -800,7 +800,7 @@ def find_spectrum(
     limit = resolve_guard(guard)
     k = len(point_set)
     if k == 1:
-        check_power_guard(group.modulus, group.dimension, limit)
+        _power_within(group.modulus, group.dimension, limit)
         return _spectrum(group, point_set, (0,) * group.dimension)  # no row pairs to check
     zero = _zero_set(point_set, group, limit)
     torus = _torus(m, group.dimension)

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import compress, product
 from typing import Iterable, Iterator, Sequence
 
-from .guard import check_guard, check_power_guard, resolve_guard
+from .guard import _power_within, _within, check_power_guard, resolve_guard
 from .modlinalg import IntMatrix, _bareiss, _det_bareiss, matmul_mod
 from .spectral import GroupSpec, PointSet, _cell_mask, _cells, _proven, _sums, _torus, _Torus
 from .spectral import composed_set
@@ -308,7 +308,7 @@ def _decide(
     """
     limit = resolve_guard(guard)
     m, d, points = group.modulus, group.dimension, point_set.points
-    check_power_guard(m, d, limit)
+    _power_within(m, d, limit)
     cells: dict[int, tuple[int, ...]] = {}  # each point under its cell index, in order
     for j, p in zip(_cells(zip(*points), m), points):
         if cells.setdefault(j, p) is not p:
@@ -316,7 +316,7 @@ def _decide(
     if rule == "rooted" and claim is None and group.order() % len(points) != 0:
         reason = DivisibilityObstruction(len(points), group.order())
         return NonTilingCertificate(group, point_set, reason)
-    check_guard(len(points) * group.order(), limit)  # the search's k copies of the group
+    _within(len(points) * group.order(), limit)  # the search's k copies of the group
     solution, nodes = _exact_cover(cells, m, d, claim, rooted=rule == "rooted")
     if solution is None:
         reason = _proven(ExhaustedSearch, nodes=nodes, rule=rule)
@@ -518,9 +518,9 @@ def _progression(k: int, step: int) -> TilingCertificate:
     """
     return _proven(
         TilingCertificate,
-        group=GroupSpec(k * step, 1),
-        set=_proven(PointSet, dimension=1, points=tuple((step * i,) for i in range(k))),
-        complement=_proven(PointSet, dimension=1, points=tuple((s,) for s in range(step))),
+        group=_proven(GroupSpec, modulus=k * step, dimension=1),
+        set=_proven(PointSet, dimension=1, points=tuple(zip(range(0, k * step, step)))),
+        complement=_proven(PointSet, dimension=1, points=tuple(zip(range(step)))),
     )
 
 

@@ -933,6 +933,63 @@ class TestDerivedFieldsSettledAsJson:
         with pytest.raises(MalformedCertificate, match=r"^payload\.result\.set\.points\[0\]\[0\]"):
             parse(data)
 
+    # One flaw each in the golden chain's progression, {0, 6} + [0, 6) of
+    # Z_12: refused at its path as decoding refuses it, or verified.
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ("set", "points", 1, 0),
+                6,
+                "payload.one_dimensional.set.points[1][0]: "
+                "must be a canonical decimal string, got 6",
+            ),
+            (
+                ("complement", "points", 0, 0),
+                0,
+                "payload.one_dimensional.complement.points[0][0]: "
+                "must be a canonical decimal string, got 0",
+            ),
+            (
+                ("group", "dimension"),
+                True,
+                "payload.one_dimensional.group.dimension: "
+                "must be a canonical decimal string, got True",
+            ),
+            (
+                ("set", "dimension"),
+                True,
+                "payload.one_dimensional.set.dimension: "
+                "must be a canonical decimal string, got True",
+            ),
+            (("extra",), "1", "payload.one_dimensional: has unknown fields ['extra']"),
+            (
+                ("complement", "extra"),
+                "1",
+                "payload.one_dimensional.complement: has unknown fields ['extra']",
+            ),
+        ],
+    )
+    def test_a_flawed_progression_is_refused_at_its_path(self, path, value, message):
+        data = _edit(CHAIN_GOLDEN.read_bytes(), ("payload", "one_dimensional") + path, value)
+        with pytest.raises(MalformedCertificate) as info:
+            parse(data)
+        assert str(info.value) == message
+
+    def test_a_reordered_progression_complement_is_verified(self):
+        # [0, 6) in reverse order still tiles Z_12 with {0, 6}.
+        complement = [[str(c)] for c in reversed(range(6))]
+        path = ("payload", "one_dimensional", "complement", "points")
+        data = _edit(CHAIN_GOLDEN.read_bytes(), path, complement)
+        chain = parse(data).payload
+        honest = independent_tile(CHAIN_SET)
+        reordered = PointSet(1, tuple((c,) for c in reversed(range(6))))
+        assert chain == replace(
+            honest, one_dimensional=replace(honest.one_dimensional, complement=reordered)
+        )
+        stored = json.loads(data)["payload"]
+        assert json.loads(serialize(envelope("independence-chain", chain)))["payload"] == stored
+
 
 def _reversed_points(points):
     return PointSet(points.dimension, points.points[::-1])

@@ -150,3 +150,35 @@ def test_encode_matches_str_of_int():
 def test_golden_reserializes_byte_identically(path):
     data = path.read_bytes()
     assert serialize(parse(data)) == data
+
+
+class _Counting:
+    """A codec that counts its encode calls, around the per-point path."""
+
+    def __init__(self, codec):
+        self.codec, self.calls = codec, 0
+
+    def encode(self, points):
+        self.calls += 1
+        return self.codec.encode(points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 18])
+def test_point_encoding_matches_the_per_point_path(monkeypatch, k, d):
+    """Sets on both sides of the six-point cut encode by table lookup as the
+    per-point path does, and a coordinate outside the table, first, in the
+    middle or last, sends the set down that path."""
+    certio._fill_tables()
+    per_point = _Counting(certio._POINT_LIST)
+    monkeypatch.setattr(certio, "_POINT_LIST", per_point)
+    points = tuple(tuple((37 * i + 11 * j) % 513 - 256 for j in range(d)) for i in range(k))
+    assert certio._POINTS.encode(points) == per_point.codec.encode(points)
+    assert certio._POINTS.encode(points) == [[str(c) for c in p] for p in points]
+    assert per_point.calls == 0
+    for outside in (-257, 257, 10**30):
+        for at in sorted({0, k // 2, k - 1}):
+            edited = points[:at] + ((outside,) + points[at][1:],) + points[at + 1 :]
+            assert certio._POINTS.encode(edited) == per_point.codec.encode(edited)
+            assert certio._POINTS.encode(edited) == [[str(c) for c in p] for p in edited]
+    assert per_point.calls == 2 * 3 * len({0, k // 2, k - 1})

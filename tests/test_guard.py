@@ -3,9 +3,16 @@ import time
 
 import pytest
 
-from spectratile import certio
+from spectratile import certio, spectral, tiling
+from spectratile import guard as guard_module
 from spectratile.cli import main
-from spectratile.guard import GuardExceeded, check_power_guard, power_in_reach, resolve_guard
+from spectratile.guard import (
+    GuardExceeded,
+    check_guard,
+    check_power_guard,
+    power_in_reach,
+    resolve_guard,
+)
 from spectratile.modlinalg import IntMatrix
 from spectratile.spectral import (
     GroupSpec,
@@ -209,3 +216,60 @@ class TestGuardValues:
 
         assert resolve_guard(Cells()) == 81
         assert decide_m_tile(two_points(4), GroupSpec(3, 4), Cells()).reason.set_size == 2
+
+
+def _public_calls():
+    """One public call per kind of guard site, each admitted by the guard."""
+    square = PointSet(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return {
+        "check_guard": lambda: check_guard(81),
+        "check_power_guard": lambda: check_power_guard(3, 4),
+        # 2**2000 has more than _EXACT_BITS bits, and this guard admits it.
+        "check_power_guard-past-exact-bits": lambda: check_power_guard(2, 2000, 10**700),
+        "find_spectrum": lambda: find_spectrum(square, 4),
+        "find_spectrum-one-point": lambda: find_spectrum(PointSet(2, ((1, 2),)), 4),
+        "fourier_zero_set": lambda: fourier_zero_set(square, 4),
+        "decide_m_tile": lambda: decide_m_tile(square, GroupSpec(4, 2)),
+        "independent_tile": lambda: independent_tile(PointSet(2, ((1, 0), (0, 2)))),
+    }
+
+
+class TestOneResolutionPerCall:
+    """Each public call resolves the guard once, however many of its sites
+    check it, and a refusal names the same counts as before."""
+
+    @pytest.mark.parametrize("name", list(_public_calls()))
+    def test_resolved_once(self, monkeypatch, name):
+        resolved = []
+
+        def counting(guard=None):
+            resolved.append(guard)
+            return resolve_guard(guard)
+
+        for module in (guard_module, spectral, tiling):
+            monkeypatch.setattr(module, "resolve_guard", counting)
+        _public_calls()[name]()
+        assert len(resolved) == 1
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_power_guard(3, 4, 80), "enumeration of 81 cells exceeds the guard of 80"),
+            (
+                lambda: check_power_guard(3, 1000, 80),
+                "enumeration of at least 2**1000 cells exceeds the guard of 80",
+            ),
+            (
+                lambda: find_spectrum(PointSet(2, ((0, 0), (1, 0))), 9, 80),
+                "enumeration of 81 cells exceeds the guard of 80",
+            ),
+            (
+                lambda: decide_m_tile(PointSet(2, ((0, 0), (1, 0), (2, 0))), GroupSpec(9, 2), 242),
+                "enumeration of 243 cells exceeds the guard of 242",
+            ),
+        ],
+    )
+    def test_refusals_name_the_same_counts(self, call, message):
+        with pytest.raises(GuardExceeded) as info:
+            call()
+        assert str(info.value) == message
